@@ -53,20 +53,17 @@ from .geodesy import (
     AxisDegeneracy,
     Ellipsoid,
     GeodeticCoord,
-    HeightTriple,
     body_to_ecef_direction,
     body_to_enu_direction,
     ecef_delta_to_enu,
     ecef_to_geodetic,
     enu_to_ecef_delta,
     geodetic_to_ecef,
-    orthometric_to_ellipsoid_height,
 )
 from .gridfile import (
     ParseError,
     load_portable_grid,
     make_flat_grid,
-    make_plateau_grid,
     make_random_tile,
     make_ridge_grid,
     read_portable_grid,
@@ -74,13 +71,10 @@ from .gridfile import (
 )
 from .intersect import (
     IntersectionCurve,
-    Ray,
-    RayHit,
     canonical_ray_direction,
     ellipsoid_residual,
     intersect_cone_ellipsoid,
     polyline_length,
-    ray_ellipsoid,
     transform_ray,
 )
 from .terrain import (

@@ -32,11 +32,10 @@ from .gridfile import (
     ParseError,
     load_portable_grid,
     make_flat_grid,
-    make_plateau_grid,
     make_ridge_grid,
     write_portable_grid,
 )
-from .intersect import intersect_cone_ellipsoid
+from .intersect import DEFAULT_SAMPLES, intersect_cone_ellipsoid
 from .terrain import TerrainSearchConfig, cone_terrain_curve, grid_to_ecef_posts
 
 EXIT_OK = 0
@@ -111,7 +110,7 @@ def cone_from_config(cfg: dict) -> tuple[DopplerCone, VehicleState]:
 def n_samples_from_config(cfg: dict, override: int | None) -> int:
     if override is not None:
         return override
-    return int(cfg.get("sweep", {}).get("n_samples", 720))
+    return int(cfg.get("sweep", {}).get("n_samples", DEFAULT_SAMPLES))
 
 
 def load_terrain(cfg: dict):
@@ -257,12 +256,12 @@ def cmd_shift(args) -> int:
     if args.detail:
         print("index,eta_rad,distance_m")
         for i, (eta, dist) in enumerate(zip(curve_a.etas_near, shift.per_point)):
-            print(f"{i},{eta!r},{dist!r}")
+            print(f"{i},{float(eta)!r},{float(dist)!r}")
     return EXIT_OK
 
 
 def cmd_gen_tile(args) -> int:
-    makers = {"flat": make_flat_grid, "plateau": make_plateau_grid, "ridge": make_ridge_grid}
+    makers = {"flat": make_flat_grid, "plateau": make_flat_grid, "ridge": make_ridge_grid}
     maker = makers[args.kind]
     spacing = args.spacing_arcsec / 3600.0
     kwargs = {"geoid_n": args.geoid_n}

@@ -4,7 +4,6 @@
 # - geodetic <-> ECEF (closed form both ways)
 # - ECEF deltas <-> local ENU
 # - body frame (roll/pitch/yaw) -> ENU
-# - orthometric/ellipsoid height conversion
 #
 # Angles cross the public API in degrees; radians are internal.
 
@@ -86,28 +85,6 @@ class AttitudeEuler:
         for v in (self.roll, self.pitch, self.yaw):
             if not math.isfinite(v):
                 raise ValueError("attitude angles must be finite")
-
-
-@dataclass(frozen=True)
-class HeightTriple:
-    """Orthometric height H, geoid undulation N, ellipsoid height h; h = H + N."""
-
-    H: float
-    N: float
-    h: float
-
-    @classmethod
-    def from_orthometric(cls, H: float, N: float) -> "HeightTriple":
-        return cls(H=H, N=N, h=H + N)
-
-
-def orthometric_to_ellipsoid_height(H, N):
-    """Convert height above the geoid to height above the ellipsoid.
-
-    N is signed: negative where the geoid lies below the ellipsoid.
-    Accepts scalars or arrays.
-    """
-    return H + N
 
 
 def geodetic_to_ecef(g: GeodeticCoord, e: Ellipsoid = WGS84) -> np.ndarray:

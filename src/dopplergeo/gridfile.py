@@ -2,7 +2,7 @@
 # -------------------------------------------------------------
 # Portable text format for terrain grids ("key = value" header, then
 # whitespace-separated heights) so test fixtures are human-readable, plus
-# synthetic tile generators (flat, plateau, ridge, random).
+# synthetic tile generators (flat, ridge, random).
 
 from __future__ import annotations
 
@@ -124,12 +124,6 @@ def make_flat_grid(lat0: float, lon0: float, dlat: float, dlon: float,
     when the undulation is zero)."""
     return TerrainGrid(lat0=lat0, lon0=lon0, dlat=dlat, dlon=dlon,
                        H=np.full((n_lat, n_lon), float(height)), N=geoid_n)
-
-
-def make_plateau_grid(lat0: float, lon0: float, dlat: float, dlon: float,
-                      n_lat: int, n_lon: int, height: float = 500.0,
-                      geoid_n: float = 0.0) -> TerrainGrid:
-    return make_flat_grid(lat0, lon0, dlat, dlon, n_lat, n_lon, height, geoid_n)
 
 
 def make_ridge_grid(lat0: float, lon0: float, dlat: float, dlon: float,

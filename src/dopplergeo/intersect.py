@@ -30,65 +30,27 @@ DEFAULT_SAMPLES = 720
 
 
 @dataclass(frozen=True)
-class Ray:
-    """Half-line from `origin` along unit vector `direction` (ECEF)."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        n = np.linalg.norm(d)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError("ray direction must be a unit vector")
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
-        object.__setattr__(self, "direction", d / n)
-
-    def point(self, s):
-        return self.origin + np.multiply.outer(np.asarray(s, dtype=float), self.direction)
-
-
-@dataclass(frozen=True)
-class RayHit:
-    """Nonnegative ranges where a ray meets the ellipsoid.
-
-    s_near is the visible (first) crossing, s_far the occluded exit point;
-    either may be None. tangent marks a grazing double root.
-    """
-
-    s_near: float | None = None
-    s_far: float | None = None
-    point_near: np.ndarray | None = None
-    point_far: np.ndarray | None = None
-    tangent: bool = False
-
-    @property
-    def visibility(self) -> tuple[str, ...]:
-        labels = []
-        if self.s_near is not None:
-            labels.append("near_visible")
-        if self.s_far is not None:
-            labels.append("far_occluded")
-        return tuple(labels)
-
-
-@dataclass(frozen=True)
 class IntersectionCurve:
-    """Ordered intersection samples with a topology label.
+    """Per-ray sweep results plus the assembled curve and its topology label.
 
-    points_near holds the visible polyline in sweep order; points_far the
-    occluded exit points where they exist.
+    etas, s_near, s_far and tangent are full-length, one entry per swept
+    ray: s_near is the visible (first) crossing range, s_far the occluded
+    exit range, NaN where that crossing does not exist; tangent marks a
+    grazing double root. points_near holds the visible polyline in curve
+    order (a run that wraps the sweep seam stays contiguous) with its
+    etas_near and ranges_near; points_far the occluded exit points of the
+    same rays, where they exist.
     """
 
-    samples: list
     topology: str
     etas: np.ndarray
+    s_near: np.ndarray
+    s_far: np.ndarray
+    tangent: np.ndarray
     points_near: np.ndarray
     etas_near: np.ndarray
     ranges_near: np.ndarray
     points_far: np.ndarray
-    etas_far: np.ndarray
-    ranges_far: np.ndarray
 
     def __len__(self):
         return len(self.points_near)
@@ -163,25 +125,6 @@ def _solve_ray_quadratics(origin, dirs, e: Ellipsoid):
     return s_near, s_far, tangent
 
 
-def ray_ellipsoid(ray: Ray, e: Ellipsoid = WGS84) -> RayHit:
-    """Intersect one ray with the ellipsoid.
-
-    The near crossing is the visible one; negative ranges are discarded, so
-    a ray cast from inside reports a single (near) crossing. An empty RayHit
-    means the ray misses entirely.
-    """
-    s_near, s_far, tangent = _solve_ray_quadratics(
-        ray.origin, ray.direction[np.newaxis, :], e)
-    sn, sf, tg = float(s_near[0]), float(s_far[0]), bool(tangent[0])
-    if math.isnan(sn):
-        return RayHit()
-    point_near = ray.origin + sn * ray.direction
-    if math.isnan(sf):
-        return RayHit(s_near=sn, point_near=point_near, tangent=tg)
-    return RayHit(s_near=sn, s_far=sf, point_near=point_near,
-                  point_far=ray.origin + sf * ray.direction, tangent=tg)
-
-
 def ellipsoid_residual(points, e: Ellipsoid = WGS84) -> np.ndarray:
     """|x^2/a^2 + y^2/a^2 + z^2/b^2 - 1| per point (relative residual)."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
@@ -215,22 +158,35 @@ def _circular_runs(mask: np.ndarray) -> list[np.ndarray]:
     return runs
 
 
+def _window_medians(windows: np.ndarray) -> np.ndarray:
+    """Median of each row's finite entries; NaN marks padding past an end."""
+    w = np.sort(windows, axis=1)
+    valid = np.count_nonzero(~np.isnan(windows), axis=1)
+    rows = np.arange(len(w))
+    return (w[rows, (valid - 1) // 2] + w[rows, valid // 2]) / 2.0
+
+
 def _has_break(points: np.ndarray, closed: bool) -> bool:
-    """True when one visible segment dwarfs its neighborhood's spacing."""
+    """True when one visible segment dwarfs its neighborhood's spacing.
+
+    A closed curve compares each segment with the median of its 8 circular
+    neighbours (itself excluded); an open one with the median of the
+    9-wide window centred on it (itself included), clipped at the ends.
+    """
     p = np.asarray(points, dtype=float)
     if len(p) < 12:
         return False
     seg = np.linalg.norm(np.diff(p, axis=0), axis=1)
     if closed:
         seg = np.append(seg, np.linalg.norm(p[-1] - p[0]))
-    n = len(seg)
-    for i in range(n):
-        window = [seg[(i + k) % n] for k in range(-4, 5) if k != 0] if closed \
-            else seg[max(0, i - 4):i + 5]
-        local = float(np.median(window))
-        if local > 0.0 and seg[i] > BREAK_FACTOR * local:
-            return True
-    return False
+        n = len(seg)
+        offsets = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
+        windows = seg[(np.arange(n)[:, np.newaxis] + offsets) % n]
+    else:
+        padded = np.concatenate([np.full(4, np.nan), seg, np.full(4, np.nan)])
+        windows = np.lib.stride_tricks.sliding_window_view(padded, 9)
+    local = _window_medians(windows)
+    return bool(np.any((local > 0.0) & (seg > BREAK_FACTOR * local)))
 
 
 def _classify(hit: np.ndarray, tangent: np.ndarray, far_exists: np.ndarray,
@@ -283,35 +239,19 @@ def intersect_cone_ellipsoid(cone: DopplerCone, e: Ellipsoid = WGS84,
     # stays contiguous instead of splitting at eta = 0
     runs = _circular_runs(hit)
     near_idx = np.concatenate(runs) if runs else np.zeros(0, dtype=int)
-    far_idx = near_idx[far_exists[near_idx]] if len(near_idx) else near_idx
+    far_idx = near_idx[far_exists[near_idx]]
     pts_near = cone.apex + s_near[near_idx, np.newaxis] * dirs[near_idx]
     pts_far = cone.apex + s_far[far_idx, np.newaxis] * dirs[far_idx]
 
-    samples = []
-    for i, eta in enumerate(etas):
-        if not hit[i]:
-            samples.append((float(eta), RayHit()))
-            continue
-        sn = float(s_near[i])
-        pn = cone.apex + sn * dirs[i]
-        if far_exists[i]:
-            sf = float(s_far[i])
-            samples.append((float(eta), RayHit(
-                s_near=sn, s_far=sf, point_near=pn,
-                point_far=cone.apex + sf * dirs[i], tangent=bool(tangent[i]))))
-        else:
-            samples.append((float(eta), RayHit(s_near=sn, point_near=pn,
-                                               tangent=bool(tangent[i]))))
-
     topology = _classify(hit, tangent, far_exists, pts_near, runs)
     return IntersectionCurve(
-        samples=samples,
         topology=topology,
         etas=etas,
+        s_near=s_near,
+        s_far=s_far,
+        tangent=tangent,
         points_near=pts_near,
         etas_near=etas[near_idx],
         ranges_near=s_near[near_idx],
         points_far=pts_far,
-        etas_far=etas[far_idx],
-        ranges_far=s_far[far_idx],
     )

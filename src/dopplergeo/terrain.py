@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,11 @@ class EcefPostSet:
     index: np.ndarray
     shape: tuple[int, int]
 
+    @cached_property
+    def median_lat(self) -> float:
+        """Median post latitude; scales the window search's longitude pad."""
+        return float(np.median(self.lat))
+
 
 @dataclass(frozen=True)
 class TerrainSearchConfig:
@@ -153,7 +159,12 @@ class TerrainCurve:
 
 
 def grid_to_ecef_posts(grid: TerrainGrid, e: Ellipsoid = WGS84) -> EcefPostSet:
-    """Convert non-void posts to ECEF at their ellipsoid heights (H + N)."""
+    """Convert non-void posts to ECEF at their ellipsoid heights (H + N).
+
+    Post longitudes are folded into (-180, 180], the range that
+    ecef_to_geodetic_arrays returns, so a tile running past the antimeridian
+    compares like any other; in-range longitudes are kept bit for bit.
+    """
     valid = ~grid.void_mask
     if not valid.any():
         raise EmptyGrid("terrain grid contains no valid posts")
@@ -163,6 +174,8 @@ def grid_to_ecef_posts(grid: TerrainGrid, e: Ellipsoid = WGS84) -> EcefPostSet:
     flat = np.flatnonzero(valid)
     lat_v = lat.ravel()[flat]
     lon_v = lon.ravel()[flat]
+    wrap = (lon_v > 180.0) | (lon_v <= -180.0)
+    lon_v[wrap] = 180.0 - (180.0 - lon_v[wrap]) % 360.0
     ecef = geodetic_to_ecef_arrays(lat_v, lon_v, h.ravel()[flat], e)
     return EcefPostSet(ecef=ecef, lat=lat_v, lon=lon_v, index=flat,
                        shape=grid.H.shape)
@@ -185,10 +198,16 @@ def _window_mask(posts: EcefPostSet, receiver, target, pad_deg_lat: float,
     ts = np.linspace(0.0, FAR_BOUND_FACTOR, 17)
     seg = receiver + np.outer(ts, target - receiver)
     lat, lon, _ = ecef_to_geodetic_arrays(seg, e)
+    if lon.max() - lon.min() > 180.0:
+        # the segment crosses +-180: keep it one interval, running past 180
+        lon = np.where(lon < 0.0, lon + 360.0, lon)
     lat_lo, lat_hi = lat.min() - pad_deg_lat, lat.max() + pad_deg_lat
     lon_lo, lon_hi = lon.min() - pad_deg_lon, lon.max() + pad_deg_lon
-    return ((posts.lat >= lat_lo) & (posts.lat <= lat_hi)
-            & (posts.lon >= lon_lo) & (posts.lon <= lon_hi))
+    in_lon = (posts.lon >= lon_lo) & (posts.lon <= lon_hi)
+    if lon_hi > 180.0 or lon_lo <= -180.0:
+        # the box runs past +-180 onto the other end of the posts' range
+        in_lon |= (posts.lon <= lon_hi - 360.0) | (posts.lon >= lon_lo + 360.0)
+    return (posts.lat >= lat_lo) & (posts.lat <= lat_hi) & in_lon
 
 
 def map_point_to_terrain(p_i, receiver, posts: EcefPostSet,
@@ -212,7 +231,7 @@ def map_point_to_terrain(p_i, receiver, posts: EcefPostSet,
 
     if cfg.strategy == STRATEGY_WINDOW:
         pad_lat = 2.0 * cfg.tr / (math.pi / 180.0 * e.a)
-        cos_lat = max(abs(math.cos(math.radians(float(np.median(posts.lat))))), 1e-6)
+        cos_lat = max(abs(math.cos(math.radians(posts.median_lat))), 1e-6)
         pad_lon = pad_lat / cos_lat
         mask = _window_mask(posts, receiver, p_i, pad_lat, pad_lon, e)
         if not mask.any():

@@ -34,7 +34,7 @@ from dopplergeo.geodesy import (
     geodetic_to_ecef,
     geodetic_to_ecef_arrays,
 )
-from dopplergeo.gridfile import make_flat_grid, make_plateau_grid, make_random_tile
+from dopplergeo.gridfile import make_flat_grid, make_random_tile
 from dopplergeo.intersect import ellipsoid_residual, intersect_cone_ellipsoid
 from dopplergeo.terrain import TerrainSearchConfig, cone_terrain_curve, grid_to_ecef_posts
 
@@ -176,7 +176,7 @@ def test_criterion_5_topology_suite():
     tangent = cone_from_geometry(tangent_apex, taxis, math.radians(20.0))
     tcurve = intersect_cone_ellipsoid(tangent, n_samples=64)
     tangent_ok = (tcurve.topology == "tangent_point"
-                  and sum(h.tangent for _, h in tcurve.samples) == 1)
+                  and int(tcurve.tangent.sum()) == 1)
 
     report(5, two_rings_ok and empty_ok and tangent_ok and deterministic,
            f"(two_curves {two_rings_ok}, empty {empty_ok}, tangent {tangent_ok}, "
@@ -189,8 +189,7 @@ def _covering_grid(curve, height, spacing=3.0 / 3600.0, margin=0.01):
     lon0 = math.floor((lon.min() - margin) / spacing) * spacing
     n_lat = int((lat.max() + margin - lat0) / spacing) + 2
     n_lon = int((lon.max() + margin - lon0) / spacing) + 2
-    maker = make_plateau_grid if height else make_flat_grid
-    return maker(lat0, lon0, spacing, spacing, n_lat, n_lon, height=height)
+    return make_flat_grid(lat0, lon0, spacing, spacing, n_lat, n_lon, height=height)
 
 
 def _march_oracle(receiver, p_i, grid, step=1.0):

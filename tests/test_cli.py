@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -98,8 +99,6 @@ def test_intersect_reference_scene_residuals(tmp_path, capsys):
     pts = geodetic_to_ecef_arrays(coords[:, 1], coords[:, 0], coords[:, 2])
     assert ellipsoid_residual(pts).max() < 1e-8  # repr round-trip noise included
     cfg = json.loads(open(path).read())
-    import math
-
     from dopplergeo.cone import VehicleState
     from dopplergeo.geodesy import AttitudeEuler, GeodeticCoord
 
@@ -209,6 +208,10 @@ def test_shift_refraction_pair_with_detail(capsys):
     rows = [ln for ln in lines[3:] if ln]
     assert len(rows) > 100
     assert all(len(row.split(",")) == 3 for row in rows)
+    for row in rows:
+        index, eta, dist = row.split(",")
+        assert int(index) >= 0
+        assert math.isfinite(float(eta)) and math.isfinite(float(dist))
 
 
 def test_shift_empty_curve_reported(tmp_path, capsys):

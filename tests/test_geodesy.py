@@ -9,7 +9,6 @@ from dopplergeo.geodesy import (
     AxisDegeneracy,
     Ellipsoid,
     GeodeticCoord,
-    HeightTriple,
     body_to_enu_direction,
     body_to_enu_matrix,
     ecef_delta_to_enu,
@@ -20,7 +19,6 @@ from dopplergeo.geodesy import (
     geodetic_to_ecef,
     geodetic_to_ecef_arrays,
     normalize_longitude,
-    orthometric_to_ellipsoid_height,
 )
 
 # direct evaluation of the forward equations at the reference vehicle position
@@ -162,11 +160,3 @@ def test_longitude_normalization_idempotent():
 def test_latitude_range_enforced():
     with pytest.raises(ValueError):
         GeodeticCoord(91.0, 0.0)
-
-
-def test_height_conversion():
-    assert orthometric_to_ellipsoid_height(100.0, -30.0) == 70.0
-    assert orthometric_to_ellipsoid_height(0.0, 0.0) == 0.0
-    assert orthometric_to_ellipsoid_height(2000.0, 5.5) == 2005.5
-    t = HeightTriple.from_orthometric(100.0, -30.0)
-    assert t.h == t.H + t.N == 70.0

@@ -5,7 +5,6 @@ from dopplergeo.gridfile import (
     ParseError,
     load_portable_grid,
     make_flat_grid,
-    make_plateau_grid,
     make_ridge_grid,
     read_portable_grid,
     write_portable_grid,
@@ -71,8 +70,7 @@ def test_companion_geoid_file(tmp_path):
 
 
 def test_load_without_reference(tmp_path):
-    grid = make_plateau_grid(-35.0, 138.0, 0.001, 0.001, 3, 3, height=500.0,
-                             geoid_n=2.0)
+    grid = make_flat_grid(-35.0, 138.0, 0.001, 0.001, 3, 3, height=500.0, geoid_n=2.0)
     (tmp_path / "p.grid").write_text(write_portable_grid(grid))
     back = load_portable_grid(str(tmp_path / "p.grid"))
     assert back.N == 2.0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dopplergeo.cone import (
     DopplerMeasurement,
@@ -12,14 +14,21 @@ from dopplergeo.cone import (
     quad_form_scale,
     rotation_from_axis,
 )
-from dopplergeo.geodesy import SPEED_OF_LIGHT, WGS84, AttitudeEuler, GeodeticCoord
+from dopplergeo.geodesy import (
+    SPEED_OF_LIGHT,
+    WGS84,
+    AttitudeEuler,
+    GeodeticCoord,
+    geodetic_to_ecef_arrays,
+)
 from dopplergeo.intersect import (
-    Ray,
+    BREAK_FACTOR,
+    _has_break,
+    _solve_ray_quadratics,
     canonical_ray_direction,
     ellipsoid_residual,
     intersect_cone_ellipsoid,
     polyline_length,
-    ray_ellipsoid,
     transform_ray,
 )
 
@@ -73,31 +82,43 @@ def test_transform_ray_preserves_norm():
         assert abs(np.linalg.norm(d_t) - 1.0) < 1e-12
 
 
-def test_ray_axis_aligned_chord():
-    hit = ray_ellipsoid(Ray(origin=[2.0 * A, 0.0, 0.0], direction=[-1.0, 0.0, 0.0]))
-    assert hit.s_near == pytest.approx(A, rel=1e-12)
-    assert hit.s_far == pytest.approx(3.0 * A, rel=1e-12)
-    assert np.allclose(hit.point_near, [A, 0.0, 0.0], atol=1e-6)
-    assert hit.visibility == ("near_visible", "far_occluded")
+def _random_rays(n, seed):
+    rng = np.random.default_rng(seed)
+    directions = rng.normal(size=(n, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, np.newaxis]
+    return rng.normal(0.0, 2.0 * A, (n, 3)), directions
 
 
-def test_ray_from_inside_single_root():
-    hit = ray_ellipsoid(Ray(origin=[0.0, 0.0, 0.0], direction=[1.0, 0.0, 0.0]))
-    assert hit.s_near == pytest.approx(A, rel=1e-12)
-    assert hit.s_far is None
-    assert hit.visibility == ("near_visible",)
+NAN = math.nan
 
 
-def test_ray_tangent_double_root():
-    hit = ray_ellipsoid(Ray(origin=[2.0 * A, A, 0.0], direction=[-1.0, 0.0, 0.0]))
-    assert hit.tangent
-    assert hit.s_near == pytest.approx(2.0 * A, rel=1e-9)
-    assert hit.s_far == pytest.approx(2.0 * A, rel=1e-9)
-
-
-def test_ray_miss_is_empty():
-    hit = ray_ellipsoid(Ray(origin=[2.0 * A, 0.0, 0.0], direction=[1.0, 0.0, 0.0]))
-    assert hit.s_near is None and hit.s_far is None
+@pytest.mark.parametrize("origins, directions, expected, tol", [
+    pytest.param([[2.0 * A, 0.0, 0.0]], [[-1.0, 0.0, 0.0]], [(A, 3.0 * A, False)], 1e-6,
+                 id="chord"),
+    pytest.param([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], [(A, NAN, False)], 1e-6,
+                 id="inside"),
+    pytest.param([[2.0 * A, A, 0.0]], [[-1.0, 0.0, 0.0]], [(2.0 * A, 2.0 * A, True)],
+                 2e-9 * A, id="graze"),
+    pytest.param([[2.0 * A, 0.0, 0.0]], [[1.0, 0.0, 0.0]], [(NAN, NAN, False)], 0.0,
+                 id="miss"),
+    pytest.param(*_random_rays(200, 31), None, None, id="root_count"),
+])
+def test_solve_ray_quadratics(origins, directions, expected, tol):
+    for k, (origin, direction) in enumerate(zip(origins, directions)):
+        s_near, s_far, tangent = _solve_ray_quadratics(
+            np.asarray(origin, dtype=float), np.asarray([direction], dtype=float), WGS84)
+        near, far, graze = float(s_near[0]), float(s_far[0]), bool(tangent[0])
+        # 0, 1 or 2 nonnegative roots in order; a far root needs a near one
+        assert math.isnan(near) or near >= 0.0
+        assert not (math.isnan(near) and not math.isnan(far))
+        assert not graze or not math.isnan(near)
+        if not math.isnan(far) and not graze:
+            assert near < far
+        if expected is not None:
+            want_near, want_far, want_graze = expected[k]
+            assert near == pytest.approx(want_near, abs=tol, nan_ok=True)
+            assert far == pytest.approx(want_far, abs=tol, nan_ok=True)
+            assert graze == want_graze
 
 
 def test_pole_cone_two_rings():
@@ -121,9 +142,9 @@ def test_axis_away_empty():
 def test_constructed_tangency():
     curve = intersect_cone_ellipsoid(make_tangent_cone(), n_samples=64)
     assert curve.topology == "tangent_point"
-    hits = [h for _, h in curve.samples if h.s_near is not None]
-    assert len(hits) == 1 and hits[0].tangent
-    assert hits[0].s_near == pytest.approx(A * math.sqrt(3.0), rel=1e-6)
+    hit = np.flatnonzero(~np.isnan(curve.s_near))
+    assert len(hit) == 1 and curve.tangent[hit[0]]
+    assert curve.s_near[hit[0]] == pytest.approx(A * math.sqrt(3.0), rel=1e-6)
 
 
 def test_grazing_cone_single_closed_curve():
@@ -153,19 +174,6 @@ def test_zero_shift_plane_slice():
     assert np.abs(offsets).max() < 1e-3
 
 
-def test_root_count_matches_discriminant():
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        origin = rng.normal(0.0, 2.0 * A, 3)
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        hit = ray_ellipsoid(Ray(origin=origin, direction=direction))
-        roots = sum(1 for s in (hit.s_near, hit.s_far) if s is not None)
-        assert roots in (0, 1, 2)
-        if roots == 2 and not hit.tangent:
-            assert hit.s_near < hit.s_far
-
-
 def test_refinement_convergence():
     cone = cone_from_geometry(np.array([0.0, 0.0, WGS84.b + 700e3]),
                               [0.0, 0.0, -1.0], math.radians(10.0))
@@ -189,3 +197,45 @@ def test_minimum_sample_count_enforced():
     cone = make_tangent_cone()
     with pytest.raises(ValueError):
         intersect_cone_ellipsoid(cone, n_samples=8)
+
+
+def _has_break_loop(points, closed):
+    """Per-segment oracle for _has_break: one np.median call per segment."""
+    p = np.asarray(points, dtype=float)
+    if len(p) < 12:
+        return False
+    seg = np.linalg.norm(np.diff(p, axis=0), axis=1)
+    if closed:
+        seg = np.append(seg, np.linalg.norm(p[-1] - p[0]))
+    n = len(seg)
+    for i in range(n):
+        window = [seg[(i + k) % n] for k in range(-4, 5) if k != 0] if closed \
+            else seg[max(0, i - 4):i + 5]
+        local = float(np.median(window))
+        if local > 0.0 and seg[i] > BREAK_FACTOR * local:
+            return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(lat=st.floats(-89.0, 89.0), lon=st.floats(-180.0, 180.0),
+       height=st.floats(100.0, 2.0e6),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+       psi_deg=st.floats(1.0, 89.0), n_samples=st.integers(16, 1500))
+def test_has_break_matches_loop_on_cones(lat, lon, height, axis, psi_deg, n_samples):
+    apex = geodetic_to_ecef_arrays(lat, lon, height)
+    cone = cone_from_geometry(apex, np.asarray(axis) / np.linalg.norm(axis),
+                              math.radians(psi_deg))
+    points = intersect_cone_ellipsoid(cone, n_samples=n_samples).points_near
+    for closed in (True, False):
+        assert _has_break(points, closed) == _has_break_loop(points, closed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.integers(0, 12), max_size=60), closed=st.booleans())
+def test_has_break_matches_loop_on_lattice_steps(steps, closed):
+    # integer steps along a line give tied medians, zero-length segments and
+    # jumps of exactly BREAK_FACTOR times the local spacing
+    points = np.zeros((len(steps) + 1, 3))
+    points[1:, 0] = np.cumsum(steps)
+    assert _has_break(points, closed) == _has_break_loop(points, closed)

@@ -251,3 +251,39 @@ def test_empty_curve_maps_to_empty_terrain_curve():
     cfg = TerrainSearchConfig.for_grid(grid)
     tc = cone_terrain_curve(curve, apex, posts, cfg)
     assert tc.points == [] and tc.hits == [] and tc.gaps == []
+
+
+def test_posts_fold_longitudes_past_the_antimeridian():
+    grid = make_flat_grid(-34.75, 179.98, SPACING, SPACING, 3, 120)
+    posts = grid_to_ecef_posts(grid)
+    lons = np.tile(grid.lons(), grid.n_lat)
+    inside = lons <= 180.0
+    assert np.array_equal(posts.lon[inside], lons[inside])  # kept bit for bit
+    assert (posts.lon[~inside] < -179.9).all()
+    assert np.allclose(posts.lon[~inside], lons[~inside] - 360.0, rtol=0.0, atol=1e-9)
+    lat, lon, _ = ecef_to_geodetic_arrays(posts.ecef)
+    assert np.allclose(lon, posts.lon, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("lon_rx, yaw, lon0, psi_deg, n_rays", [
+    # receiver east of the line, tile straddling it
+    pytest.param(180.03, 90.0, 179.98, 80.0, 720, id="repro"),
+    # receiver west of the line: rays cross it and end just past it
+    pytest.param(179.91488771127894, 24.872475863729573, 179.9335967506655,
+                 80.03340587200262, 90, id="crossing_ray"),
+])
+def test_window_matches_global_scan_across_antimeridian(lon_rx, yaw, lon0, psi_deg, n_rays):
+    vs = VehicleState.from_attitude(GeodeticCoord(-34.6462, lon_rx, 2000.0), 50.0,
+                                    AttitudeEuler(0.0, -30.0, yaw))
+    cone = cone_from_geometry(vs.position_ecef(), vs.velocity_dir, math.radians(psi_deg))
+    curve = intersect_cone_ellipsoid(cone, n_samples=n_rays)
+    grid = make_flat_grid(-34.75, lon0, SPACING, SPACING, 120, 120)
+    posts = grid_to_ecef_posts(grid)
+    window = TerrainSearchConfig.for_grid(grid)
+    whole = TerrainSearchConfig(tr=window.tr, strategy=STRATEGY_GLOBAL)
+    a = cone_terrain_curve(curve, cone.apex, posts, window)
+    b = cone_terrain_curve(curve, cone.apex, posts, whole)
+    assert len(a.hits) > 0
+    assert [h.grid_index for h in a.hits] == [h.grid_index for h in b.hits]
+    assert [h.s for h in a.hits] == [h.s for h in b.hits]
+    assert a.gaps == b.gaps
