@@ -33,17 +33,18 @@ print(f"ridge tile: {n_lat} x {n_lon} posts, crest 400 m")
 
 posts = dg.grid_to_ecef_posts(grid)
 search = dg.TerrainSearchConfig.for_grid(grid)
-terrain = dg.cone_terrain_curve(curve, cone.apex, posts, search)
+terrain = dg.cone_terrain_curve(curve, cone, posts, search)
 print(f"mapped {len(terrain.points)} of {len(curve.points_near)} points, "
       f"threshold {search.tr:.1f} m, gaps {terrain.gaps or 'none'}")
 
-ranges_ell = {float(e): float(s) for e, s in zip(curve.etas_near, curve.ranges_near)}
-pulled_in = sum(1 for _, eta, s in terrain.points if s < ranges_ell[eta])
+# hits keep the curve's order, so the mask lines up each hit with its ray
+ranges_ell = curve.ranges_near[np.isin(curve.etas_near, terrain.etas)]
+pulled_in = int((terrain.s < ranges_ell).sum())
 print(f"{pulled_in} terrain hits sit nearer the receiver than their "
       f"ellipsoid points (terrain rises above the ellipsoid)")
 
 ellipsoid_rows = np.column_stack(ecef_to_geodetic_arrays(curve.points_near))
-terrain_rows = np.array([[g.lat, g.lon, g.h] for g, _, _ in terrain.points])
+terrain_rows = terrain.points
 doc = dict(
     polylines=[("ellipsoid curve", ellipsoid_rows, dg.STYLE_ELLIPSOID),
                ("terrain curve", terrain_rows, dg.STYLE_TERRAIN)],

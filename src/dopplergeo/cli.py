@@ -4,7 +4,9 @@
 # curves / terrain curves / curve-shift reports out.
 #
 # Exit codes: 0 success (an empty intersection is a success), 2 infeasible
-# measurement, 3 terrain/file I/O failure, 4 config validation failure.
+# measurement, 3 terrain/file I/O failure (an all-void tile included), 4
+# config validation failure. Any other error is a fault of the program, not
+# of its input: it propagates with its traceback.
 
 from __future__ import annotations
 
@@ -35,8 +37,8 @@ from .gridfile import (
     make_ridge_grid,
     write_portable_grid,
 )
-from .intersect import DEFAULT_SAMPLES, intersect_cone_ellipsoid
-from .terrain import TerrainSearchConfig, cone_terrain_curve, grid_to_ecef_posts
+from .intersect import DEFAULT_SAMPLES, MIN_SAMPLES, intersect_cone_ellipsoid
+from .terrain import EmptyGrid, TerrainSearchConfig, cone_terrain_curve, grid_to_ecef_posts
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -94,9 +96,11 @@ def cone_from_config(cfg: dict) -> tuple[DopplerCone, VehicleState]:
     m = cfg.get("measurement", {})
     atmosphere = atmosphere_from_config(cfg)
     if "semi_angle_deg" in m:
-        psi = math.radians(float(m["semi_angle_deg"]))
-        cone = cone_from_geometry(vs.position_ecef(), vs.velocity_dir, psi)
-        return cone, vs
+        try:
+            psi = math.radians(float(m["semi_angle_deg"]))
+            return cone_from_geometry(vs.position_ecef(), vs.velocity_dir, psi), vs
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad semi_angle_deg: {exc}") from exc
     try:
         meas = DopplerMeasurement(float(m["f_received_hz"]), float(m["f_reference_hz"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -108,9 +112,15 @@ def cone_from_config(cfg: dict) -> tuple[DopplerCone, VehicleState]:
 
 
 def n_samples_from_config(cfg: dict, override: int | None) -> int:
-    if override is not None:
-        return override
-    return int(cfg.get("sweep", {}).get("n_samples", DEFAULT_SAMPLES))
+    raw = override if override is not None else \
+        cfg.get("sweep", {}).get("n_samples", DEFAULT_SAMPLES)
+    try:
+        n = int(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sweep n_samples: {exc}") from exc
+    if n < MIN_SAMPLES:
+        raise ConfigError(f"sweep n_samples must be at least {MIN_SAMPLES}, got {n}")
+    return n
 
 
 def load_terrain(cfg: dict):
@@ -214,11 +224,10 @@ def cmd_terrain(args) -> int:
     curve = intersect_cone_ellipsoid(cone, WGS84, n_samples_from_config(cfg, args.samples))
     posts = grid_to_ecef_posts(grid)
     search = TerrainSearchConfig.for_grid(grid)
-    terrain = cone_terrain_curve(curve, cone.apex, posts, search)
+    terrain = cone_terrain_curve(curve, cone, posts, search)
 
     ellipsoid_rows = geodetic_rows(curve.points_near)
-    terrain_rows = np.array([[g.lat, g.lon, g.h] for g, _, _ in terrain.points]) \
-        if terrain.points else np.zeros((0, 3))
+    terrain_rows = terrain.points
     polylines = []
     marks = []
     if len(ellipsoid_rows):
@@ -342,7 +351,10 @@ def main(argv=None) -> int:
     except (IOError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, DtedError, ParseError, ValueError) as exc:
+    except EmptyGrid as exc:
+        print(f"terrain error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (ConfigError, DtedError, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -49,12 +49,12 @@ EARTH_ROTATION_VECTOR = np.array([0.0, 0.0, EARTH_ROTATION_RATE])
 SPEED_OF_LIGHT = 299792458.0  # m/s in vacuum
 
 
-def normalize_longitude(lon_deg: float) -> float:
-    """Fold a longitude into (-180, 180]. Idempotent."""
-    lon = (lon_deg + 180.0) % 360.0 - 180.0
-    if lon == -180.0:
-        lon = 180.0
-    return lon
+def normalize_longitude(lon_deg):
+    """Fold longitude(s) into (-180, 180]. Idempotent; a scalar gives a float,
+    an array an array."""
+    lon = (np.asarray(lon_deg, dtype=float) + 180.0) % 360.0 - 180.0
+    lon = np.where(lon == -180.0, 180.0, lon)
+    return float(lon) if lon.ndim == 0 else lon
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ GRAZE_EPS = 1e-12
 BREAK_FACTOR = 10.0
 
 DEFAULT_SAMPLES = 720
+MIN_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -222,8 +223,8 @@ def intersect_cone_ellipsoid(cone: DopplerCone, e: Ellipsoid = WGS84,
     both surfaces to rounding accuracy; an empty topology is a valid result.
     """
     if etas is None:
-        if n_samples < 16:
-            raise ValueError("n_samples must be at least 16")
+        if n_samples < MIN_SAMPLES:
+            raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
         etas = np.arange(n_samples) * (2.0 * math.pi / n_samples)
     else:
         etas = np.asarray(etas, dtype=float)

@@ -1,35 +1,38 @@
 # terrain.py
 # -------------------------------------------------------------
 # Map cone/ellipsoid intersection points onto a terrain elevation grid.
-# Each visible intersection point defines the ray from the receiver through
-# it; grid posts near that ray are candidates and the one nearest the
-# receiver is the terrain hit. Per-ray mapping is pure and order-independent.
+# Each visible intersection point defines the ray from the receiver (the
+# cone apex) through it; of the grid posts near that ray, the one nearest
+# the receiver is the terrain hit.
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
+from .cone import DopplerCone, rotation_from_axis
 from .geodesy import (
     WGS84,
     Ellipsoid,
-    GeodeticCoord,
     ecef_to_geodetic_arrays,
     geodetic_to_ecef_arrays,
+    normalize_longitude,
 )
 from .intersect import IntersectionCurve
 
 VOID_ELEVATION = -32767.0
 
+# the one value TerrainSearchConfig.strategy accepts
 STRATEGY_GLOBAL = "global_scan"
-STRATEGY_WINDOW = "grid_window"
 
 # candidates may sit at most this factor beyond the generating point's range
 FAR_BOUND_FACTOR = 1.05
 TIE_EPS = 1e-6
+# relative widening of tr and the far bound in the cone-frame prefilter: it
+# covers the rounding of ray directions and rotated posts (~1e-9 m at 1e7 m)
+PREFILTER_SLACK = 1e-6
 
 
 class EmptyGrid(ValueError):
@@ -101,39 +104,32 @@ class TerrainGrid:
 
 @dataclass(frozen=True)
 class EcefPostSet:
-    """Non-void grid posts in ECEF with their lat/lon and flat grid indices."""
+    """Non-void grid posts in ECEF with their flat grid indices."""
 
     ecef: np.ndarray
-    lat: np.ndarray
-    lon: np.ndarray
     index: np.ndarray
     shape: tuple[int, int]
-
-    @cached_property
-    def median_lat(self) -> float:
-        """Median post latitude; scales the window search's longitude pad."""
-        return float(np.median(self.lat))
 
 
 @dataclass(frozen=True)
 class TerrainSearchConfig:
-    """Ray-to-post search: distance threshold and candidate strategy.
+    """Ray-to-post search threshold; strategy accepts only STRATEGY_GLOBAL.
 
     tr defaults (when built via for_grid) to 0.75x the largest metric post
     spacing so any ray crossing the grid keeps at least one candidate.
     """
 
     tr: float
-    strategy: str = STRATEGY_WINDOW
+    strategy: str = STRATEGY_GLOBAL
 
     def __post_init__(self):
         if self.tr <= 0.0:
             raise ValueError("threshold must be positive")
-        if self.strategy not in (STRATEGY_GLOBAL, STRATEGY_WINDOW):
+        if self.strategy != STRATEGY_GLOBAL:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
     @classmethod
-    def for_grid(cls, grid: TerrainGrid, strategy: str = STRATEGY_WINDOW,
+    def for_grid(cls, grid: TerrainGrid, strategy: str = STRATEGY_GLOBAL,
                  e: Ellipsoid = WGS84) -> "TerrainSearchConfig":
         return cls(tr=0.75 * grid.max_post_spacing_m(e), strategy=strategy)
 
@@ -151,11 +147,17 @@ class TerrainHit:
 
 @dataclass(frozen=True)
 class TerrainCurve:
-    """Terrain hits in sweep order plus the eta intervals that found none."""
+    """Terrain hits in sweep order, one array row each, plus the (eta_start,
+    eta_end) gaps that found none: points (lat, lon, h) with lon folded into
+    (-180, 180], the ray's eta, the post's range s from the receiver, its
+    ray_distance from the ray and its grid_index (row, column)."""
 
-    points: list  # (GeodeticCoord, eta, s)
-    hits: list  # TerrainHit per mapped point, same order
-    gaps: list = field(default_factory=list)  # (eta_start, eta_end)
+    points: np.ndarray
+    etas: np.ndarray
+    s: np.ndarray
+    ray_distance: np.ndarray
+    grid_index: np.ndarray
+    gaps: list = field(default_factory=list)
 
 
 def grid_to_ecef_posts(grid: TerrainGrid, e: Ellipsoid = WGS84) -> EcefPostSet:
@@ -163,7 +165,7 @@ def grid_to_ecef_posts(grid: TerrainGrid, e: Ellipsoid = WGS84) -> EcefPostSet:
 
     Post longitudes are folded into (-180, 180], the range that
     ecef_to_geodetic_arrays returns, so a tile running past the antimeridian
-    compares like any other; in-range longitudes are kept bit for bit.
+    converts like any other; in-range longitudes are kept bit for bit.
     """
     valid = ~grid.void_mask
     if not valid.any():
@@ -172,13 +174,11 @@ def grid_to_ecef_posts(grid: TerrainGrid, e: Ellipsoid = WGS84) -> EcefPostSet:
     lon = np.tile(grid.lons(), grid.n_lat).reshape(grid.H.shape)
     h = grid.H + grid.N
     flat = np.flatnonzero(valid)
-    lat_v = lat.ravel()[flat]
     lon_v = lon.ravel()[flat]
     wrap = (lon_v > 180.0) | (lon_v <= -180.0)
     lon_v[wrap] = 180.0 - (180.0 - lon_v[wrap]) % 360.0
-    ecef = geodetic_to_ecef_arrays(lat_v, lon_v, h.ravel()[flat], e)
-    return EcefPostSet(ecef=ecef, lat=lat_v, lon=lon_v, index=flat,
-                       shape=grid.H.shape)
+    ecef = geodetic_to_ecef_arrays(lat.ravel()[flat], lon_v, h.ravel()[flat], e)
+    return EcefPostSet(ecef=ecef, index=flat, shape=grid.H.shape)
 
 
 def point_line_distance(p, origin, direction) -> float:
@@ -188,38 +188,15 @@ def point_line_distance(p, origin, direction) -> float:
     return np.linalg.norm(np.cross(rel, np.asarray(direction, dtype=float)), axis=-1)
 
 
-def _window_mask(posts: EcefPostSet, receiver, target, pad_deg_lat: float,
-                 pad_deg_lon: float, e: Ellipsoid) -> np.ndarray:
-    """Posts in the geodetic bounding corridor of the receiver-target segment.
-
-    The segment is sampled, not just its endpoints, because a long ECEF
-    chord bows away from the straight lat/lon line between its ends.
-    """
-    ts = np.linspace(0.0, FAR_BOUND_FACTOR, 17)
-    seg = receiver + np.outer(ts, target - receiver)
-    lat, lon, _ = ecef_to_geodetic_arrays(seg, e)
-    if lon.max() - lon.min() > 180.0:
-        # the segment crosses +-180: keep it one interval, running past 180
-        lon = np.where(lon < 0.0, lon + 360.0, lon)
-    lat_lo, lat_hi = lat.min() - pad_deg_lat, lat.max() + pad_deg_lat
-    lon_lo, lon_hi = lon.min() - pad_deg_lon, lon.max() + pad_deg_lon
-    in_lon = (posts.lon >= lon_lo) & (posts.lon <= lon_hi)
-    if lon_hi > 180.0 or lon_lo <= -180.0:
-        # the box runs past +-180 onto the other end of the posts' range
-        in_lon |= (posts.lon <= lon_hi - 360.0) | (posts.lon >= lon_lo + 360.0)
-    return (posts.lat >= lat_lo) & (posts.lat <= lat_hi) & in_lon
-
-
 def map_point_to_terrain(p_i, receiver, posts: EcefPostSet,
-                         cfg: TerrainSearchConfig, e: Ellipsoid = WGS84,
-                         return_candidates: bool = False):
-    """Map one ellipsoid intersection point onto the post set.
+                         cfg: TerrainSearchConfig, e: Ellipsoid = WGS84):
+    """Map one ellipsoid intersection point by scanning every post: the
+    reference cone_terrain_curve is tested against.
 
     Builds the ray from the receiver through p_i, keeps posts within cfg.tr
     of it that lie ahead of the receiver and not far beyond p_i, and returns
     the one nearest the receiver (lowest grid index on ties). Returns None
-    when no candidate survives; with return_candidates, returns the full
-    candidate list sorted by range instead.
+    when no candidate survives.
     """
     p_i = np.asarray(p_i, dtype=float)
     receiver = np.asarray(receiver, dtype=float)
@@ -229,72 +206,92 @@ def map_point_to_terrain(p_i, receiver, posts: EcefPostSet,
         raise ValueError("intersection point coincides with the receiver")
     direction = sep / ray_len
 
-    if cfg.strategy == STRATEGY_WINDOW:
-        pad_lat = 2.0 * cfg.tr / (math.pi / 180.0 * e.a)
-        cos_lat = max(abs(math.cos(math.radians(posts.median_lat))), 1e-6)
-        pad_lon = pad_lat / cos_lat
-        mask = _window_mask(posts, receiver, p_i, pad_lat, pad_lon, e)
-        if not mask.any():
-            return [] if return_candidates else None
-        sub_ecef = posts.ecef[mask]
-        sub_index = posts.index[mask]
-    else:
-        sub_ecef = posts.ecef
-        sub_index = posts.index
-
-    rel = sub_ecef - receiver
+    rel = posts.ecef - receiver
     along = rel @ direction
     perp = np.linalg.norm(rel - np.outer(along, direction), axis=1)
     dist = np.linalg.norm(rel, axis=1)
     keep = (perp <= cfg.tr) & (along > 0.0) & (dist <= FAR_BOUND_FACTOR * ray_len)
     if not keep.any():
-        return [] if return_candidates else None
+        return None
 
     cand_dist = dist[keep]
-    cand_idx = sub_index[keep]
-    cand_ecef = sub_ecef[keep]
-    cand_perp = perp[keep]
-
-    order = np.argsort(cand_dist, kind="stable")
-    if return_candidates:
-        return [TerrainHit(point=cand_ecef[k], s=float(cand_dist[k]),
-                           ray_distance=float(cand_perp[k]),
-                           grid_index=tuple(np.unravel_index(int(cand_idx[k]), posts.shape)))
-                for k in order]
-    best = float(cand_dist[order[0]])
+    cand_idx = posts.index[keep]
+    best = float(cand_dist.min())
     tied = np.flatnonzero(cand_dist <= best + TIE_EPS)
-    k = tied[np.argmin(cand_idx[tied])]
-    return TerrainHit(point=cand_ecef[k], s=float(cand_dist[k]),
-                      ray_distance=float(cand_perp[k]),
-                      grid_index=tuple(np.unravel_index(int(cand_idx[k]), posts.shape)))
+    k = np.flatnonzero(keep)[tied[np.argmin(cand_idx[tied])]]
+    return TerrainHit(point=posts.ecef[k], s=float(dist[k]),
+                      ray_distance=float(perp[k]),
+                      grid_index=tuple(np.unravel_index(int(posts.index[k]), posts.shape)))
 
 
-def cone_terrain_curve(curve: IntersectionCurve, receiver, posts: EcefPostSet,
+def cone_terrain_curve(curve: IntersectionCurve, cone: DopplerCone, posts: EcefPostSet,
                        cfg: TerrainSearchConfig, e: Ellipsoid = WGS84) -> TerrainCurve:
-    """Map every visible intersection point onto the terrain posts.
+    """Map every visible point of `curve`, the sweep of `cone`, onto the posts.
 
-    Hits are reported in sweep order as geodetic coordinates; sweep angles
-    whose rays found no candidate are folded into contiguous gap intervals.
+    Every ray leaves the cone apex, so the posts are rotated once into the
+    cone frame (the sweep's rotation, axis +z), giving each its distance rho
+    from the axis, height z and azimuth phi. A post within tr of the ray at
+    eta is within tr of the cone surface, |rho cos(psi) - z sin(psi)| <= tr,
+    and of the half-plane at eta, so it is paired only with the rays whose
+    eta lies within asin(tr / rho) of phi (every ray when rho <= tr). The
+    rule of map_point_to_terrain then picks each ray's post among its pairs,
+    so the result equals that scan run ray by ray. Hits are reported in
+    sweep order; runs of missed rays become gap intervals.
     """
-    points = []
-    hits = []
-    gaps = []
-    gap_start = None
-    receiver = np.asarray(receiver, dtype=float)
-    for eta, p_i in zip(curve.etas_near, curve.points_near):
-        hit = map_point_to_terrain(p_i, receiver, posts, cfg, e)
-        if hit is None:
-            if gap_start is None:
-                gap_start = float(eta)
-            continue
-        if gap_start is not None:
-            gaps.append((gap_start, float(eta)))
-            gap_start = None
-        lat, lon, h = ecef_to_geodetic_arrays(hit.point, e)
-        points.append((GeodeticCoord(float(lat), float(lon), float(h)),
-                       float(eta), hit.s))
-        hits.append(hit)
-    if gap_start is not None:
-        end = float(curve.etas_near[-1]) if len(curve.etas_near) else gap_start
-        gaps.append((gap_start, end))
-    return TerrainCurve(points=points, hits=hits, gaps=gaps)
+    etas = curve.etas_near
+    sep = curve.points_near - cone.apex
+    ray_len = np.linalg.norm(sep, axis=1)
+    if (ray_len == 0.0).any():
+        raise ValueError("intersection point coincides with the receiver")
+    dirs = sep / ray_len[:, np.newaxis]
+
+    frame = (posts.ecef - cone.apex) @ rotation_from_axis(cone.axis)
+    rho = np.hypot(frame[:, 0], frame[:, 1])
+    reach = cfg.tr * (1.0 + PREFILTER_SLACK)
+    far = FAR_BOUND_FACTOR * ray_len.max(initial=0.0) * (1.0 + PREFILTER_SLACK)
+    off_cone = rho * math.cos(cone.semi_angle) - frame[:, 2] * math.sin(cone.semi_angle)
+    cand = np.flatnonzero((np.abs(off_cone) <= reach) & (np.hypot(rho, frame[:, 2]) <= far))
+    rho = rho[cand]
+    phi = np.arctan2(frame[cand, 1], frame[cand, 0])
+    # a window wider than pi reaches every ray (some twice, which is harmless)
+    half = np.where(rho > reach, np.arcsin(reach / np.maximum(rho, reach)), 4.0)
+
+    # rays sorted by eta, repeated one turn either side of [0, 2pi)
+    turn = 2.0 * math.pi
+    phase = np.mod(etas, turn)
+    by_eta = np.argsort(phase, kind="stable")
+    ring = np.concatenate([phase[by_eta] - turn, phase[by_eta], phase[by_eta] + turn])
+    lo = np.searchsorted(ring, phi - half, side="left")
+    count = np.searchsorted(ring, phi + half, side="right") - lo
+    post = np.repeat(cand, count)
+    slot = np.arange(len(post)) + np.repeat(lo - np.cumsum(count) + count, count)
+    ray = np.tile(by_eta, 3)[slot]
+
+    # the exact rule of map_point_to_terrain on the pairs
+    rel = posts.ecef[post] - cone.apex
+    along = np.einsum("ij,ij->i", rel, dirs[ray])
+    perp = np.linalg.norm(rel - along[:, np.newaxis] * dirs[ray], axis=1)
+    s = np.linalg.norm(rel, axis=1)
+    keep = (perp <= cfg.tr) & (along > 0.0) & (s <= FAR_BOUND_FACTOR * ray_len[ray])
+    post, ray, perp, s = post[keep], ray[keep], perp[keep], s[keep]
+    # per ray: the nearest post, and within TIE_EPS of it the lowest grid index
+    best = np.full(len(etas), np.inf)
+    np.minimum.at(best, ray, s)
+    tied = np.flatnonzero(s <= best[ray] + TIE_EPS)
+    tied = tied[np.lexsort((posts.index[post[tied]], ray[tied]))]
+    pick = tied[np.diff(ray[tied], prepend=-1) != 0]
+
+    lat, lon, h = ecef_to_geodetic_arrays(posts.ecef[post[pick]], e)
+    missed = np.ones(len(etas), dtype=bool)
+    missed[ray] = False
+    edges = np.diff(missed.astype(int), prepend=0, append=0)
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    return TerrainCurve(
+        points=np.column_stack([lat, normalize_longitude(lon), h]),
+        etas=etas[ray[pick]],
+        s=s[pick],
+        ray_distance=perp[pick],
+        grid_index=np.column_stack(np.unravel_index(posts.index[post[pick]], posts.shape)),
+        # a run of missed rays ends at the next hit's eta, or at the last eta
+        gaps=[(float(etas[a]), float(etas[min(b, len(etas) - 1)])) for a, b in zip(starts, stops)],
+    )

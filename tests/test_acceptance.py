@@ -220,26 +220,26 @@ def test_criterion_6_terrain_flat_earth_equivalence():
     flat = _covering_grid(curve, height=0.0)
     posts = grid_to_ecef_posts(flat)
     cfg = TerrainSearchConfig.for_grid(flat)
-    tc = cone_terrain_curve(curve, cone.apex, posts, cfg)
+    tc = cone_terrain_curve(curve, cone, posts, cfg)
     assert len(tc.points) == len(curve.points_near)
-    terrain_pts = np.array([h.point for h in tc.hits])
+    terrain_pts = geodetic_to_ecef_arrays(*tc.points.T)
     flat_dist = point_to_polyline_distance(terrain_pts, curve.points_near).max()
 
     plateau = _covering_grid(curve, height=500.0)
     posts500 = grid_to_ecef_posts(plateau)
     cfg500 = TerrainSearchConfig.for_grid(plateau)
-    tc500 = cone_terrain_curve(curve, cone.apex, posts500, cfg500)
+    tc500 = cone_terrain_curve(curve, cone, posts500, cfg500)
     assert len(tc500.points) == len(curve.points_near)
-    nearer = all(hit.s < np.linalg.norm(p - cone.apex)
-                 for hit, p in zip(tc500.hits, curve.points_near))
-    within_tr = all(hit.ray_distance <= cfg500.tr for hit in tc500.hits)
+    nearer = bool((tc500.s < np.linalg.norm(curve.points_near - cone.apex, axis=1)).all())
+    within_tr = bool((tc500.ray_distance <= cfg500.tr).all())
+    terrain500 = geodetic_to_ecef_arrays(*tc500.points.T)
 
     spacing = plateau.max_post_spacing_m()
     oracle_worst = 0.0
-    for hit, p_i in zip(tc500.hits[::4], curve.points_near[::4]):
+    for hit, p_i in zip(terrain500[::4], curve.points_near[::4]):
         oracle = _march_oracle(cone.apex, p_i, plateau)
         assert oracle is not None
-        oracle_worst = max(oracle_worst, float(np.linalg.norm(hit.point - oracle)))
+        oracle_worst = max(oracle_worst, float(np.linalg.norm(hit - oracle)))
 
     ok = flat_dist < 90.0 and nearer and within_tr and oracle_worst <= spacing
     report(6, ok, f"(flat max {flat_dist:.1f} m, plateau strict-nearer {nearer}, "

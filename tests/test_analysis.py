@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dopplergeo.analysis import (
+    POINT_BLOCK,
     AtmosphereModel,
     Superluminal,
     TotalInternalReflection,
@@ -56,6 +57,19 @@ def test_point_to_polyline_clamps_to_segment_ends():
     line = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     d = point_to_polyline_distance(np.array([[2.0, 1.0, 0.0]]), line)
     assert d[0] == pytest.approx(math.sqrt(2.0))
+
+
+def test_point_to_polyline_blocks_match_one_pass():
+    # curve A longer than one block, last block partial
+    rng = np.random.default_rng(11)
+    a = circle(5000.0, n=2 * POINT_BLOCK + 37) + rng.normal(0.0, 20.0, (2 * POINT_BLOCK + 37, 3))
+    b = circle(5100.0, n=300)
+    seg = b[1:] - b[:-1]
+    len2 = np.einsum("ij,ij->i", seg, seg)
+    t = np.clip(((a[:, None, :] - b[None, :-1, :]) * seg[None]).sum(-1) / len2, 0.0, 1.0)
+    one_pass = np.linalg.norm(a[:, None, :] - (b[None, :-1, :] + t[:, :, None] * seg[None]),
+                              axis=2).min(axis=1)
+    assert np.array_equal(point_to_polyline_distance(a, b), one_pass)
 
 
 def test_lorentz_identity_at_rest():

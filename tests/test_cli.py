@@ -5,7 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from dopplergeo import cli
 from dopplergeo.cli import main
+from dopplergeo.gridfile import write_portable_grid
+from dopplergeo.terrain import VOID_ELEVATION, TerrainGrid
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "configs")
@@ -71,6 +74,47 @@ def test_conflicting_velocity_sources_exit_4(tmp_path, capsys):
     path = write_json(tmp_path / "both.json", cfg)
     assert main(["cone", "--config", path]) == 4
     assert "exactly one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, values", [
+    ("cone", "measurement", {"semi_angle_deg": 95.0}),
+    ("cone", "measurement", {"semi_angle_deg": "steep"}),
+    ("intersect", "sweep", {"n_samples": 8}),
+    ("intersect", "sweep", {"n_samples": "many"}),
+])
+def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
+    cfg = dict(STEEP, **{section: values})
+    path = write_json(tmp_path / "bad.json", cfg)
+    out = [] if command == "cone" else ["--out", str(tmp_path)]
+    assert main([command, "--config", path] + out) == 4
+    assert "config error" in capsys.readouterr().err
+
+
+def test_intersect_too_few_samples_flag_exit_4(tmp_path, capsys):
+    path = write_json(tmp_path / "steep.json", STEEP)
+    assert main(["intersect", "--config", path, "--out", str(tmp_path), "--samples", "4"]) == 4
+    assert "at least 16" in capsys.readouterr().err
+
+
+def test_terrain_all_void_tile_exit_3(tmp_path, capsys):
+    tile = tmp_path / "void.grid"
+    tile.write_text(write_portable_grid(TerrainGrid(
+        lat0=-34.70, lon0=138.80, dlat=3 / 3600, dlon=3 / 3600,
+        H=np.full((4, 4), VOID_ELEVATION))))
+    cfg = dict(STEEP, terrain={"path": str(tile), "format": "grid"})
+    path = write_json(tmp_path / "t.json", cfg)
+    assert main(["terrain", "--config", path, "--out", str(tmp_path)]) == 3
+    assert "no valid posts" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("numerical fault")
+
+    monkeypatch.setattr(cli, "intersect_cone_ellipsoid", broken)
+    path = write_json(tmp_path / "steep.json", STEEP)
+    with pytest.raises(ValueError, match="numerical fault"):
+        main(["intersect", "--config", path, "--out", str(tmp_path)])
 
 
 def test_intersect_two_rings_two_linestrings(tmp_path, capsys):

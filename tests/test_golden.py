@@ -1,12 +1,21 @@
-"""Golden bytes: `dopplergeo intersect` on every committed config.
+"""Golden bytes: `dopplergeo intersect` on every committed config, and
+`dopplergeo terrain` on tiles made with `gen-tile`.
 
 The README promises byte-identical output for identical configs; these
 hashes pin the KML, the GeoJSON and the printed report (with the output
-directory masked) so that refactors of the sweep cannot move a coordinate
-digit or a topology label. Regenerate only for a deliberate output change.
+directory masked) so that refactors of the sweep and the terrain search
+cannot move a coordinate digit, a gap or a topology label. Regenerate only
+for a deliberate output change.
+
+The promise holds for one numpy build and CPU dispatch level: numpy's
+AVX-512 loops for arctan, arctan2 and ** round differently from its
+baseline loops. With that dispatch disabled (numpy 2.4:
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") every case here
+fails, and so does tests/test_demos.py.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -86,3 +95,63 @@ def test_golden_covers_every_config():
 @pytest.mark.parametrize("config", sorted(GOLDEN))
 def test_intersect_output_bytes(config, tmp_path, capsys):
     assert intersect_hashes(config, tmp_path, capsys) == GOLDEN[config]
+
+
+# terrain cases: gen-tile arguments, scenario, and the terrain.kml,
+# terrain.geojson and stdout sha256
+STEEP_UAV = {"lat_deg": -34.6462, "lon_deg": 138.833, "h_m": 1500.0, "roll_deg": 0.0,
+             "pitch_deg": -70.0, "yaw_deg": 190.0, "speed_ms": 50.0}
+TERRAIN_GOLDEN = {
+    "flat": (
+        ["--kind", "flat", "--format", "grid", "--lat0", "-34.70", "--lon0", "138.80",
+         "--n-lat", "80", "--n-lon", "80"],
+        {"vehicle": STEEP_UAV, "measurement": {"semi_angle_deg": 15.0},
+         "sweep": {"n_samples": 180}},
+        (
+            "35cc3b8410bf348930a1d77e6b8aa5f1a4b29deee26070c5964fc519f5a8e990",
+            "66550928e7b2da94de13454fa1aab3dc940c1b1afcca5d45d39bf32f3d705798",
+            "ef24c2810702583f6bbb66f0f4dc62184e9e51b42f0226c2eda1364a44d06403")),
+    # covers the curve's northern part only, so the report carries gaps
+    "ridge_dted": (
+        ["--kind", "ridge", "--format", "dted", "--lat0", "-34.6525", "--lon0", "138.825",
+         "--n-lat", "60", "--n-lon", "40", "--height", "400"],
+        {"vehicle": STEEP_UAV, "measurement": {"semi_angle_deg": 15.0},
+         "sweep": {"n_samples": 360}},
+        (
+            "3d01e89786e5a027285dfc12fadf156a69152500001f007bf261c8a722155b2e",
+            "2e546c6186c57c8123f3c0c721969c634784cbf22a6fd3c5b310e7bdb890131d",
+            "2c5f798018273dc735558809012edbd9afc24dfad50162a8f01041ebc037ba61")),
+    # tile and rays running across the antimeridian
+    "antimeridian": (
+        ["--kind", "flat", "--format", "grid", "--lat0", "-34.75", "--lon0", "179.98",
+         "--n-lat", "120", "--n-lon", "120"],
+        {"vehicle": {"lat_deg": -34.6462, "lon_deg": 180.03, "h_m": 2000.0,
+                     "roll_deg": 0.0, "pitch_deg": -30.0, "yaw_deg": 90.0,
+                     "speed_ms": 50.0},
+         "measurement": {"semi_angle_deg": 80.0}, "sweep": {"n_samples": 720}},
+        (
+            "94fd55115eef75b6545bc663317f12b4f498532588f7be5870b3d75a397b9b36",
+            "86d26b1b7ffad5a4a9e804775e3859147358047d89936d1a67cfdc92e52ddd47",
+            "e423f77278778b7f4b9c3484b445856daa4c34e934e79face82ff37e0980b6a0")),
+}
+
+
+def terrain_hashes(case: str, tmp_path, capsys) -> tuple[str, str, str]:
+    tile_args, scenario, _ = TERRAIN_GOLDEN[case]
+    tile = tmp_path / ("tile.dt1" if "dted" in tile_args else "tile.grid")
+    assert main(["gen-tile", "--out-path", str(tile)] + tile_args) == 0
+    fmt = "dted" if "dted" in tile_args else "grid"
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(dict(scenario, terrain={"path": str(tile), "format": fmt})))
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["terrain", "--config", str(config), "--out", str(out_dir)]) == 0
+    stdout = capsys.readouterr().out.replace(str(out_dir), "<out>")
+    return (sha256((out_dir / "terrain.kml").read_bytes()),
+            sha256((out_dir / "terrain.geojson").read_bytes()),
+            sha256(stdout.encode()))
+
+
+@pytest.mark.parametrize("case", sorted(TERRAIN_GOLDEN))
+def test_terrain_output_bytes(case, tmp_path, capsys):
+    assert terrain_hashes(case, tmp_path, capsys) == TERRAIN_GOLDEN[case][2]

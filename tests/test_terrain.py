@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dopplergeo.cone import VehicleState, cone_from_geometry
 from dopplergeo.geodesy import (
@@ -14,7 +16,6 @@ from dopplergeo.geodesy import (
 from dopplergeo.gridfile import make_flat_grid
 from dopplergeo.intersect import intersect_cone_ellipsoid
 from dopplergeo.terrain import (
-    STRATEGY_GLOBAL,
     VOID_ELEVATION,
     EcefPostSet,
     EmptyGrid,
@@ -68,6 +69,42 @@ def march_first_crossing(receiver, p_i, grid, step=1.0):
     below = inside & (h <= terrain)
     idx = np.flatnonzero(below)
     return None if len(idx) == 0 else pts[idx[0]]
+
+
+def scan_gaps(etas, found):
+    """Gap intervals the way a ray-by-ray loop folds them."""
+    gaps, start = [], None
+    for eta, hit in zip(etas, found):
+        if not hit:
+            if start is None:
+                start = float(eta)
+        elif start is not None:
+            gaps.append((start, float(eta)))
+            start = None
+    if start is not None:
+        gaps.append((start, float(etas[-1])))
+    return gaps
+
+
+def terrain_ecef(tc):
+    return geodetic_to_ecef_arrays(tc.points[:, 0], tc.points[:, 1], tc.points[:, 2])
+
+
+def assert_matches_scan(curve, cone, posts, cfg):
+    """The batched search equals map_point_to_terrain run ray by ray."""
+    tc = cone_terrain_curve(curve, cone, posts, cfg)
+    hits = [map_point_to_terrain(p_i, cone.apex, posts, cfg) for p_i in curve.points_near]
+    found = [hit is not None for hit in hits]
+    hits = [hit for hit in hits if hit is not None]
+    assert tc.etas.tolist() == curve.etas_near[found].tolist()
+    assert [tuple(ij) for ij in tc.grid_index.tolist()] == [hit.grid_index for hit in hits]
+    assert tc.s.tolist() == [hit.s for hit in hits]
+    assert tc.gaps == scan_gaps(curve.etas_near, found)
+    if hits:
+        assert np.allclose(tc.ray_distance, [hit.ray_distance for hit in hits],
+                           rtol=1e-9, atol=1e-9)
+        assert np.abs(terrain_ecef(tc) - np.array([hit.point for hit in hits])).max() < 1e-6
+    return tc
 
 
 def test_flat_posts_on_ellipsoid():
@@ -163,42 +200,28 @@ def test_ray_outside_grid_is_no_hit():
     assert map_point_to_terrain(curve.points_near[0], cone.apex, posts, cfg) is None
 
 
-def test_window_matches_global_scan():
-    cone, curve = steep_scenario()
-    grid = covering_grid(curve, height=200.0)
-    posts = grid_to_ecef_posts(grid)
-    window = TerrainSearchConfig.for_grid(grid)
-    whole = TerrainSearchConfig(tr=window.tr, strategy=STRATEGY_GLOBAL)
-    for p_i in curve.points_near[::7]:
-        a = map_point_to_terrain(p_i, cone.apex, posts, window)
-        b = map_point_to_terrain(p_i, cone.apex, posts, whole)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.grid_index == b.grid_index
-
-
 def test_equidistant_tie_takes_lowest_grid_index():
     # two posts mirrored across the ray at identical range from the receiver
     receiver = np.array([7000e3, 0.0, 0.0])
     target = np.array([6378e3, 0.0, 0.0])
     ecef = np.array([[6500e3, 30.0, 0.0], [6500e3, -30.0, 0.0]])
-    posts = EcefPostSet(ecef=ecef, lat=np.zeros(2), lon=np.zeros(2),
-                        index=np.array([7, 3]), shape=(5, 5))
-    cfg = TerrainSearchConfig(tr=50.0, strategy=STRATEGY_GLOBAL)
+    posts = EcefPostSet(ecef=ecef, index=np.array([7, 3]), shape=(5, 5))
+    cfg = TerrainSearchConfig(tr=50.0)
     hit = map_point_to_terrain(target, receiver, posts, cfg)
     assert hit.grid_index == (0, 3)  # flat index 3 beats flat index 7
 
-
-def test_candidate_debug_listing():
+    # the batched search breaks a tie within TIE_EPS the same way
     cone, curve = steep_scenario()
-    grid = covering_grid(curve)
-    posts = grid_to_ecef_posts(grid)
-    cfg = TerrainSearchConfig.for_grid(grid)
-    cands = map_point_to_terrain(curve.points_near[0], cone.apex, posts, cfg,
-                                 return_candidates=True)
-    assert len(cands) >= 1
-    ranges = [c.s for c in cands]
-    assert ranges == sorted(ranges)
+    k = len(curve.points_near) // 3
+    ray = curve.points_near[k] - cone.apex
+    ray /= np.linalg.norm(ray)
+    side = np.cross(ray, [0.0, 0.0, 1.0])
+    side /= np.linalg.norm(side)
+    mid = cone.apex + 0.9 * curve.ranges_near[k] * ray
+    posts = EcefPostSet(ecef=np.array([mid + 20.0 * side, mid - 20.0 * side]),
+                        index=np.array([7, 3]), shape=(5, 5))
+    tc = assert_matches_scan(curve, cone, posts, cfg)
+    assert tuple(tc.grid_index[list(tc.etas).index(curve.etas_near[k])]) == (0, 3)
 
 
 def test_terrain_curve_flat_equivalence():
@@ -206,12 +229,12 @@ def test_terrain_curve_flat_equivalence():
     grid = covering_grid(curve)
     posts = grid_to_ecef_posts(grid)
     cfg = TerrainSearchConfig.for_grid(grid)
-    tc = cone_terrain_curve(curve, cone.apex, posts, cfg)
+    tc = cone_terrain_curve(curve, cone, posts, cfg)
     assert len(tc.points) == len(curve.points_near)
     assert tc.gaps == []
     spacing = grid.max_post_spacing_m()
-    for hit, p_i in zip(tc.hits, curve.points_near):
-        assert np.linalg.norm(hit.point - p_i) <= max(spacing, cfg.tr)
+    gap = np.linalg.norm(terrain_ecef(tc) - curve.points_near, axis=1)
+    assert (gap <= max(spacing, cfg.tr)).all()
 
 
 def test_terrain_curve_deterministic():
@@ -219,9 +242,10 @@ def test_terrain_curve_deterministic():
     grid = covering_grid(curve, height=120.0)
     posts = grid_to_ecef_posts(grid)
     cfg = TerrainSearchConfig.for_grid(grid)
-    a = cone_terrain_curve(curve, cone.apex, posts, cfg)
-    b = cone_terrain_curve(curve, cone.apex, posts, cfg)
-    assert [h.grid_index for h in a.hits] == [h.grid_index for h in b.hits]
+    a = cone_terrain_curve(curve, cone, posts, cfg)
+    b = cone_terrain_curve(curve, cone, posts, cfg)
+    assert np.array_equal(a.grid_index, b.grid_index)
+    assert np.array_equal(a.points, b.points)
     assert a.gaps == b.gaps
 
 
@@ -237,7 +261,7 @@ def test_terrain_curve_records_gaps():
     grid = make_flat_grid(lat0, lon0, SPACING, SPACING, n_lat, n_lon)
     posts = grid_to_ecef_posts(grid)
     cfg = TerrainSearchConfig.for_grid(grid)
-    tc = cone_terrain_curve(curve, cone.apex, posts, cfg)
+    tc = assert_matches_scan(curve, cone, posts, cfg)
     assert 0 < len(tc.points) < len(curve.points_near)
     assert len(tc.gaps) >= 1
 
@@ -249,20 +273,24 @@ def test_empty_curve_maps_to_empty_terrain_curve():
     grid = make_flat_grid(-35.0, 138.0, SPACING, SPACING, 4, 4)
     posts = grid_to_ecef_posts(grid)
     cfg = TerrainSearchConfig.for_grid(grid)
-    tc = cone_terrain_curve(curve, apex, posts, cfg)
-    assert tc.points == [] and tc.hits == [] and tc.gaps == []
+    tc = cone_terrain_curve(curve, cone, posts, cfg)
+    assert tc.points.shape == (0, 3) and tc.grid_index.shape == (0, 2)
+    assert len(tc.etas) == len(tc.s) == len(tc.ray_distance) == 0 and tc.gaps == []
 
 
 def test_posts_fold_longitudes_past_the_antimeridian():
     grid = make_flat_grid(-34.75, 179.98, SPACING, SPACING, 3, 120)
     posts = grid_to_ecef_posts(grid)
+    lats = np.repeat(grid.lats(), grid.n_lon)
     lons = np.tile(grid.lons(), grid.n_lat)
     inside = lons <= 180.0
-    assert np.array_equal(posts.lon[inside], lons[inside])  # kept bit for bit
-    assert (posts.lon[~inside] < -179.9).all()
-    assert np.allclose(posts.lon[~inside], lons[~inside] - 360.0, rtol=0.0, atol=1e-9)
-    lat, lon, _ = ecef_to_geodetic_arrays(posts.ecef)
-    assert np.allclose(lon, posts.lon, rtol=0.0, atol=1e-9)
+    # in-range posts convert from their longitude bit for bit
+    unfolded = geodetic_to_ecef_arrays(lats, lons, np.zeros(len(lons)))
+    assert np.array_equal(posts.ecef[inside], unfolded[inside])
+    _, lon, _ = ecef_to_geodetic_arrays(posts.ecef)
+    assert (lon[~inside] < -179.9).all()
+    assert np.allclose(lon[~inside], lons[~inside] - 360.0, rtol=0.0, atol=1e-9)
+    assert np.allclose(lon[inside], lons[inside], rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("lon_rx, yaw, lon0, psi_deg, n_rays", [
@@ -272,18 +300,58 @@ def test_posts_fold_longitudes_past_the_antimeridian():
     pytest.param(179.91488771127894, 24.872475863729573, 179.9335967506655,
                  80.03340587200262, 90, id="crossing_ray"),
 ])
-def test_window_matches_global_scan_across_antimeridian(lon_rx, yaw, lon0, psi_deg, n_rays):
+def test_batched_matches_scan_across_antimeridian(lon_rx, yaw, lon0, psi_deg, n_rays):
     vs = VehicleState.from_attitude(GeodeticCoord(-34.6462, lon_rx, 2000.0), 50.0,
                                     AttitudeEuler(0.0, -30.0, yaw))
     cone = cone_from_geometry(vs.position_ecef(), vs.velocity_dir, math.radians(psi_deg))
     curve = intersect_cone_ellipsoid(cone, n_samples=n_rays)
     grid = make_flat_grid(-34.75, lon0, SPACING, SPACING, 120, 120)
     posts = grid_to_ecef_posts(grid)
-    window = TerrainSearchConfig.for_grid(grid)
-    whole = TerrainSearchConfig(tr=window.tr, strategy=STRATEGY_GLOBAL)
-    a = cone_terrain_curve(curve, cone.apex, posts, window)
-    b = cone_terrain_curve(curve, cone.apex, posts, whole)
-    assert len(a.hits) > 0
-    assert [h.grid_index for h in a.hits] == [h.grid_index for h in b.hits]
-    assert [h.s for h in a.hits] == [h.s for h in b.hits]
-    assert a.gaps == b.gaps
+    tc = assert_matches_scan(curve, cone, posts, TerrainSearchConfig.for_grid(grid))
+    assert len(tc.points) > 0
+
+
+def test_batched_matches_scan_steep():
+    cone, curve = steep_scenario()
+    grid = covering_grid(curve, height=200.0)
+    posts = grid_to_ecef_posts(grid)
+    assert len(assert_matches_scan(curve, cone, posts, TerrainSearchConfig.for_grid(grid)).points)
+
+
+REGIONS = {"mid": (-60.0, 60.0, -170.0, 170.0), "north": (80.0, 85.0, -180.0, 180.0),
+           "south": (-85.0, -80.0, -180.0, 180.0), "antimeridian": (-60.0, 60.0, 179.95, 180.05)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(region=st.sampled_from(sorted(REGIONS)), fractions=st.lists(
+           st.floats(0.0, 1.0), min_size=6, max_size=6),
+       plane=st.booleans(), n_rays=st.integers(16, 160),
+       spacing_arcsec=st.sampled_from([3.0, 9.0]), relief=st.sampled_from([0.0, 300.0]),
+       void_fraction=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2 ** 16))
+def test_batched_matches_scan_property(region, fractions, plane, n_rays, spacing_arcsec,
+                                       relief, void_fraction, seed):
+    lat_lo, lat_hi, lon_lo, lon_hi = REGIONS[region]
+    f_lat, f_lon, f_h, f_pitch, f_yaw, f_psi = fractions
+    vs = VehicleState.from_attitude(
+        GeodeticCoord(lat_lo + f_lat * (lat_hi - lat_lo), lon_lo + f_lon * (lon_hi - lon_lo),
+                      300.0 + 4700.0 * f_h),
+        50.0, AttitudeEuler(0.0, -80.0 + 70.0 * f_pitch, 360.0 * f_yaw))
+    psi = math.pi / 2.0 if plane else math.radians(5.0 + 80.0 * f_psi)
+    cone = cone_from_geometry(vs.position_ecef(), vs.velocity_dir, psi)
+    curve = intersect_cone_ellipsoid(cone, n_samples=n_rays)
+    rng = np.random.default_rng(seed)
+    # a tile around one curve point (or below the receiver for an empty curve)
+    if len(curve.points_near):
+        centre = curve.points_near[rng.integers(len(curve.points_near))]
+        lat_c, lon_c, _ = ecef_to_geodetic_arrays(centre)
+    else:
+        lat_c, lon_c = vs.position.lat, vs.position.lon
+    spacing = spacing_arcsec / 3600.0
+    n = 50
+    lat0 = float(np.clip(lat_c - rng.uniform(0.2, 0.8) * n * spacing, -89.0, 89.0 - n * spacing))
+    lon0 = float(lon_c - rng.uniform(0.2, 0.8) * n * spacing)
+    h = rng.uniform(0.0, relief, (n, n))
+    h[rng.random((n, n)) < void_fraction] = VOID_ELEVATION
+    h[0, 0] = 0.0  # never an all-void tile
+    grid = TerrainGrid(lat0=lat0, lon0=lon0, dlat=spacing, dlon=spacing, H=h)
+    assert_matches_scan(curve, cone, grid_to_ecef_posts(grid), TerrainSearchConfig.for_grid(grid))
