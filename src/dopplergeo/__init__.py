@@ -87,7 +87,6 @@ from .terrain import (
     cone_terrain_curve,
     grid_to_ecef_posts,
     map_point_to_terrain,
-    point_line_distance,
 )
 
 __version__ = "0.1.0"

@@ -55,6 +55,7 @@ class AtmosphereModel:
         object.__setattr__(self, "layers", layers)
 
     def index_at(self, altitude_m: float) -> float:
+        """Refractive index at an altitude; unity in vacuum and above every layer."""
         if self.kind == "vacuum":
             return 1.0
         if self.kind == "constant_index":
@@ -63,18 +64,6 @@ class AtmosphereModel:
             if altitude_m < top:
                 return n
         return 1.0
-
-    def effective_index(self, altitude_m: float | None = None) -> float:
-        """Index used when shrinking the cone angle for in-air propagation.
-
-        For a layered model this is the index at the receiver's altitude
-        (unity when above every layer).
-        """
-        if self.kind == "vacuum":
-            return 1.0
-        if self.kind == "constant_index":
-            return self.n
-        return self.index_at(altitude_m) if altitude_m is not None else 1.0
 
 
 @dataclass(frozen=True)

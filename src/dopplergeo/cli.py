@@ -107,8 +107,7 @@ def cone_from_config(cfg: dict) -> tuple[DopplerCone, VehicleState]:
         raise ConfigError(
             "measurement needs f_received_hz and f_reference_hz (or semi_angle_deg)"
         ) from exc
-    n = atmosphere.effective_index(vs.position.h)
-    return build_cone(vs, meas, n=n), vs
+    return build_cone(vs, meas, n=atmosphere.index_at(vs.position.h)), vs
 
 
 def n_samples_from_config(cfg: dict, override: int | None) -> int:
@@ -144,11 +143,7 @@ def load_terrain(cfg: dict):
 
 def geodetic_rows(points_ecef) -> np.ndarray:
     """ECEF points -> (lat, lon, h) rows for the exporters."""
-    pts = np.asarray(points_ecef, dtype=float)
-    if pts.size == 0:
-        return np.zeros((0, 3))
-    lat, lon, h = ecef_to_geodetic_arrays(pts)
-    return np.column_stack([lat, lon, h])
+    return np.column_stack(ecef_to_geodetic_arrays(points_ecef))
 
 
 def write_outputs(cfg: dict, out_dir: str | None, stem: str, polylines, placemark_sets):

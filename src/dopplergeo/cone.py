@@ -95,11 +95,13 @@ class VehicleState:
 class DopplerCone:
     """Half-cone of constant Doppler shift.
 
-    apex and axis are ECEF; semi_angle is in radians with d = tan(semi_angle).
-    Surface points p satisfy (p - apex)^T quad_form (p - apex) = 0 together
-    with (p - apex) . axis >= 0. A zero shift yields kind == "plane" with
-    semi_angle pi/2, infinite d and quad_form = -axis axis^T (the plane
-    through the apex normal to the velocity).
+    apex and axis are ECEF; semi_angle is in radians, in (0, pi/2], with
+    d = tan(semi_angle). Surface points p satisfy
+    (p - apex)^T quad_form (p - apex) = 0 together with (p - apex) . axis >= 0.
+    A zero shift gives semi_angle pi/2: d is infinite, quad_form is
+    -axis axis^T and kind is "plane" (the plane through the apex normal to
+    the velocity). A zero semi-angle raises InfeasibleShift: its locus is
+    the velocity line, not a cone.
     """
 
     apex: np.ndarray
@@ -107,7 +109,6 @@ class DopplerCone:
     semi_angle: float
     d: float = field(init=False)
     quad_form: np.ndarray = field(init=False)
-    kind: str = KIND_CONE
 
     def __post_init__(self):
         apex = np.asarray(self.apex, dtype=float)
@@ -118,23 +119,19 @@ class DopplerCone:
         axis = axis / n
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "axis", axis)
-        if self.kind == KIND_PLANE:
-            if abs(self.semi_angle - math.pi / 2.0) > 1e-12:
-                raise ValueError("plane kind requires semi_angle pi/2")
-            d = math.inf
-            m = -np.outer(axis, axis)
-        else:
-            if not 0.0 <= self.semi_angle < math.pi / 2.0:
-                raise ValueError(f"semi-angle {self.semi_angle} outside [0, pi/2)")
-            d = math.tan(self.semi_angle)
-            if d == 0.0:
-                # degenerate single ray: d^-2 overflows, use the projector form
-                m = np.eye(3) - np.outer(axis, axis)
-            else:
-                r = rotation_from_axis(axis)
-                m = r @ np.diag([d ** -2, d ** -2, -1.0]) @ r.T
+        if self.semi_angle == 0.0:
+            raise InfeasibleShift("zero semi-angle: the locus is the velocity line, not a cone")
+        if not 0.0 < self.semi_angle <= math.pi / 2.0:
+            raise ValueError(f"semi-angle {self.semi_angle} outside (0, pi/2]")
+        d = math.inf if self.semi_angle == math.pi / 2.0 else math.tan(self.semi_angle)
+        r = rotation_from_axis(axis)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "quad_form", m)
+        object.__setattr__(self, "quad_form", r @ np.diag([d ** -2, d ** -2, -1.0]) @ r.T)
+
+    @property
+    def kind(self) -> str:
+        """KIND_PLANE for the zero-shift plane (infinite d), else KIND_CONE."""
+        return KIND_PLANE if math.isinf(self.d) else KIND_CONE
 
 
 def semi_angle(m: DopplerMeasurement, speed: float,
@@ -203,8 +200,7 @@ def build_cone(vs: VehicleState, m: DopplerMeasurement, n: float = 1.0,
     delta = m.shift
     apex = vs.position_ecef(e)
     if delta == 0.0:
-        return DopplerCone(apex=apex, axis=vs.velocity_dir,
-                           semi_angle=math.pi / 2.0, kind=KIND_PLANE)
+        return DopplerCone(apex=apex, axis=vs.velocity_dir, semi_angle=math.pi / 2.0)
     c_eff = SPEED_OF_LIGHT * n if n_scales_cos else SPEED_OF_LIGHT / n
     psi = semi_angle(m, vs.speed, c_eff)
     return DopplerCone(apex=apex, axis=axis_direction(vs.velocity_dir, delta),
@@ -212,14 +208,13 @@ def build_cone(vs: VehicleState, m: DopplerMeasurement, n: float = 1.0,
 
 
 def cone_from_geometry(apex, axis, semi_angle_rad: float) -> DopplerCone:
-    """Cone from explicit apex/axis/semi-angle, bypassing any measurement."""
+    """Cone from explicit apex/axis/semi-angle, bypassing any measurement.
+
+    A semi-angle within 1e-12 of pi/2 is taken as pi/2, the plane.
+    """
     if abs(semi_angle_rad - math.pi / 2.0) <= 1e-12:
-        return DopplerCone(apex=np.asarray(apex, dtype=float),
-                           axis=np.asarray(axis, dtype=float),
-                           semi_angle=math.pi / 2.0, kind=KIND_PLANE)
-    return DopplerCone(apex=np.asarray(apex, dtype=float),
-                       axis=np.asarray(axis, dtype=float),
-                       semi_angle=semi_angle_rad)
+        semi_angle_rad = math.pi / 2.0
+    return DopplerCone(apex=apex, axis=axis, semi_angle=semi_angle_rad)
 
 
 def doppler_frequency(p_dot, sep, f0: float, with_rotation: bool = False,
@@ -255,6 +250,4 @@ def cone_surface_residual(cone: DopplerCone, points) -> np.ndarray:
 
 def quad_form_scale(cone: DopplerCone) -> float:
     """Largest eigenvalue magnitude of the cone quadratic form."""
-    if cone.kind == KIND_PLANE or cone.d == 0.0:
-        return 1.0
     return max(cone.d ** -2, 1.0)

@@ -78,23 +78,15 @@ def write_geojson(polylines=(), placemark_sets=()) -> bytes:
     [lon, lat, h]. Output bytes are deterministic.
     """
     features = []
-    for label, coords, style in polylines:
-        features.append({
-            "type": "Feature",
-            "properties": {"name": label, "style": style},
-            "geometry": {
-                "type": "LineString",
-                "coordinates": [[lon, lat, h] for lat, lon, h in _rows(coords).tolist()],
-            },
-        })
-    for label, coords, style in placemark_sets:
-        features.append({
-            "type": "Feature",
-            "properties": {"name": label, "style": style},
-            "geometry": {
-                "type": "MultiPoint",
-                "coordinates": [[lon, lat, h] for lat, lon, h in _rows(coords).tolist()],
-            },
-        })
+    for geometry, sets in (("LineString", polylines), ("MultiPoint", placemark_sets)):
+        for label, coords, style in sets:
+            features.append({
+                "type": "Feature",
+                "properties": {"name": label, "style": style},
+                "geometry": {
+                    "type": geometry,
+                    "coordinates": [[lon, lat, h] for lat, lon, h in _rows(coords).tolist()],
+                },
+            })
     doc = {"type": "FeatureCollection", "features": features}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import KIND_PLANE, DopplerCone, rotation_from_axis
+from .cone import DopplerCone, rotation_from_axis
 from .geodesy import WGS84, Ellipsoid
 
 TOPOLOGY_EMPTY = "empty"
@@ -63,8 +63,6 @@ def ray_elevation(d: float) -> float:
     tan(zeta) = 1/d, so zeta = pi/2 - semi_angle; the zero-shift plane
     (d = inf) gives zeta = 0.
     """
-    if math.isinf(d):
-        return 0.0
     if d <= 0.0:
         raise ValueError("cone parameter d must be positive")
     return math.atan2(1.0, d)
@@ -214,24 +212,18 @@ def _classify(hit: np.ndarray, tangent: np.ndarray, far_exists: np.ndarray,
 
 
 def intersect_cone_ellipsoid(cone: DopplerCone, e: Ellipsoid = WGS84,
-                             n_samples: int = DEFAULT_SAMPLES,
-                             etas=None) -> IntersectionCurve:
-    """Sweep the cone's surface rays and assemble the intersection curve.
+                             n_samples: int = DEFAULT_SAMPLES) -> IntersectionCurve:
+    """Sweep n_samples uniformly spaced surface rays of the cone over
+    [0, 2pi) and assemble the intersection curve.
 
-    etas overrides the uniform [0, 2pi) sweep (n_samples values) with an
-    explicit, strictly increasing sample set. Every returned point lies on
-    both surfaces to rounding accuracy; an empty topology is a valid result.
+    Every returned point lies on both surfaces to rounding accuracy; an
+    empty topology is a valid result.
     """
-    if etas is None:
-        if n_samples < MIN_SAMPLES:
-            raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
-        etas = np.arange(n_samples) * (2.0 * math.pi / n_samples)
-    else:
-        etas = np.asarray(etas, dtype=float)
-
-    d = cone.d if cone.kind != KIND_PLANE else math.inf
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
+    etas = np.arange(n_samples) * (2.0 * math.pi / n_samples)
     rotation = rotation_from_axis(cone.axis)
-    dirs = transform_ray(canonical_ray_direction(d, etas), rotation)
+    dirs = transform_ray(canonical_ray_direction(cone.d, etas), rotation)
     s_near, s_far, tangent = _solve_ray_quadratics(cone.apex, dirs, e)
 
     hit = ~np.isnan(s_near)

@@ -170,22 +170,13 @@ def grid_to_ecef_posts(grid: TerrainGrid, e: Ellipsoid = WGS84) -> EcefPostSet:
     valid = ~grid.void_mask
     if not valid.any():
         raise EmptyGrid("terrain grid contains no valid posts")
-    lat = np.repeat(grid.lats(), grid.n_lon).reshape(grid.H.shape)
-    lon = np.tile(grid.lons(), grid.n_lat).reshape(grid.H.shape)
-    h = grid.H + grid.N
-    flat = np.flatnonzero(valid)
-    lon_v = lon.ravel()[flat]
-    wrap = (lon_v > 180.0) | (lon_v <= -180.0)
-    lon_v[wrap] = 180.0 - (180.0 - lon_v[wrap]) % 360.0
-    ecef = geodetic_to_ecef_arrays(lat.ravel()[flat], lon_v, h.ravel()[flat], e)
-    return EcefPostSet(ecef=ecef, index=flat, shape=grid.H.shape)
-
-
-def point_line_distance(p, origin, direction) -> float:
-    """Perpendicular distance from point(s) p to the line through `origin`
-    along unit vector `direction`."""
-    rel = np.asarray(p, dtype=float) - np.asarray(origin, dtype=float)
-    return np.linalg.norm(np.cross(rel, np.asarray(direction, dtype=float)), axis=-1)
+    lon = grid.lons()
+    wrap = (lon > 180.0) | (lon <= -180.0)
+    lon[wrap] = 180.0 - (180.0 - lon[wrap]) % 360.0
+    # a column of latitudes broadcast against a row of longitudes: the trig
+    # runs on n_lat + n_lon values and no lat/lon grid is built
+    ecef = geodetic_to_ecef_arrays(grid.lats()[:, np.newaxis], lon, grid.H + grid.N, e)
+    return EcefPostSet(ecef=ecef[valid], index=np.flatnonzero(valid), shape=grid.H.shape)
 
 
 def map_point_to_terrain(p_i, receiver, posts: EcefPostSet,

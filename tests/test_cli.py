@@ -81,6 +81,8 @@ def test_conflicting_velocity_sources_exit_4(tmp_path, capsys):
     ("cone", "measurement", {"semi_angle_deg": "steep"}),
     ("intersect", "sweep", {"n_samples": 8}),
     ("intersect", "sweep", {"n_samples": "many"}),
+    # a zero semi-angle's locus is the velocity line, not a cone
+    ("intersect", "measurement", {"semi_angle_deg": 0}),
 ])
 def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
     cfg = dict(STEEP, **{section: values})
@@ -88,6 +90,15 @@ def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
     out = [] if command == "cone" else ["--out", str(tmp_path)]
     assert main([command, "--config", path] + out) == 4
     assert "config error" in capsys.readouterr().err
+
+
+def test_exact_closing_speed_measurement_exit_2(tmp_path, capsys):
+    # a 50 Hz shift on a 1 m wavelength at 50 m/s gives semi-angle 0
+    cfg = dict(STEEP, measurement={"f_received_hz": 299792458.0 + 50.0,
+                                   "f_reference_hz": 299792458.0})
+    path = write_json(tmp_path / "line.json", cfg)
+    assert main(["intersect", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "infeasible measurement: zero semi-angle" in capsys.readouterr().err
 
 
 def test_intersect_too_few_samples_flag_exit_4(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dopplergeo.cone import (
+    KIND_CONE,
     KIND_PLANE,
     DopplerCone,
     DopplerMeasurement,
@@ -159,6 +160,28 @@ def test_zero_shift_builds_plane_kind():
     offset /= np.linalg.norm(offset)
     p = cone.apex + 1e5 * offset
     assert cone_surface_residual(cone, p)[0] < 1e-12
+    # the kind follows from the angle alone
+    direct = DopplerCone(apex=cone.apex, axis=cone.axis, semi_angle=math.pi / 2.0)
+    assert direct.kind == KIND_PLANE == "plane"
+    assert np.array_equal(direct.quad_form, -np.outer(direct.axis, direct.axis))
+    assert quad_form_scale(direct) == 1.0
+    for psi in (math.pi / 2.0 - 1e-13, math.pi / 2.0 + 1e-13):
+        snapped = cone_from_geometry(cone.apex, cone.axis, psi)
+        assert snapped.kind == KIND_PLANE and snapped.semi_angle == math.pi / 2.0
+    near = cone_from_geometry(cone.apex, cone.axis, math.pi / 2.0 - 1e-9)
+    assert near.kind == KIND_CONE and math.isfinite(near.d)
+
+
+def test_semi_angle_outside_range_rejected():
+    apex, axis = UAV.position_ecef(), UAV.velocity_dir
+    # zero: the locus is the velocity line, not a cone
+    with pytest.raises(InfeasibleShift):
+        DopplerCone(apex=apex, axis=axis, semi_angle=0.0)
+    with pytest.raises(InfeasibleShift):
+        build_cone(UAV, measurement(50.0))  # closing speed equal to the speed
+    for psi in (-0.1, math.pi / 2.0 + 1e-9, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            DopplerCone(apex=apex, axis=axis, semi_angle=psi)
 
 
 def test_doppler_frequency_radial_approach():

@@ -70,6 +70,19 @@ def test_inverse_axis_degeneracy():
         ecef_to_geodetic(np.array([0.0, 0.0, 6356752.314245]))
 
 
+def test_polar_axis_arrays_stay_finite():
+    # on the axis rho = 0: z / rho overflows to +-inf (numpy warns), arctan
+    # takes it to +-90 deg, and the point converts finite: lat +-90, lon 0
+    h = np.array([0.0, 1234.5, 5e5, -300.0])
+    z = np.concatenate([WGS84.b + h, -(WGS84.b + h)])
+    pts = np.column_stack([np.zeros(8), np.zeros(8), z])
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        lat, lon, h_back = ecef_to_geodetic_arrays(pts)
+    assert lat.tolist() == [90.0] * 4 + [-90.0] * 4
+    assert lon.tolist() == [0.0] * 8
+    assert np.abs(h_back - np.tile(h, 2)).max() < 1e-9
+
+
 def test_round_trip_random_points():
     rng = np.random.default_rng(2024)
     n = 10000

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from dopplergeo.terrain import (
     cone_terrain_curve,
     grid_to_ecef_posts,
     map_point_to_terrain,
-    point_line_distance,
 )
 
 SPACING = 3.0 / 3600.0  # one level-1 style post every ~90 m
@@ -146,22 +146,62 @@ def test_all_void_grid_raises():
         grid_to_ecef_posts(grid)
 
 
-def test_point_line_distance_basics():
-    origin = np.zeros(3)
-    direction = np.array([1.0, 0.0, 0.0])
-    assert point_line_distance(np.array([5.0, 0.0, 0.0]), origin, direction) == 0.0
-    assert point_line_distance(np.array([0.0, 1.0, 0.0]), origin, direction) == pytest.approx(1.0)
+def per_post_ecef(grid):
+    """Post conversion the long way, the oracle of grid_to_ecef_posts: full
+    lat/lon grids, longitudes past +-180 folded, then every valid post's own
+    (lat, lon, H + N) converted."""
+    lat = np.repeat(grid.lats(), grid.n_lon).reshape(grid.H.shape)
+    lon = np.tile(grid.lons(), grid.n_lat).reshape(grid.H.shape)
+    h = grid.H + grid.N
+    flat = np.flatnonzero(~grid.void_mask)
+    lon_v = lon.ravel()[flat]
+    wrap = (lon_v > 180.0) | (lon_v <= -180.0)
+    lon_v[wrap] = 180.0 - (180.0 - lon_v[wrap]) % 360.0
+    return geodetic_to_ecef_arrays(lat.ravel()[flat], lon_v, h.ravel()[flat]), flat
 
 
-def test_point_line_distance_against_scan():
-    rng = np.random.default_rng(40)
-    origin = rng.normal(0, 1e6, 3)
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    p = rng.normal(0, 1e6, 3)
-    s = np.linspace(-5e6, 5e6, 2000001)
-    brute = np.linalg.norm(p - (origin + s[:, None] * direction), axis=1).min()
-    assert point_line_distance(p, origin, direction) == pytest.approx(brute, abs=1e-6)
+POST_REGIONS = {"mid": (-60.0, 60.0, -170.0, 170.0), "north": (80.0, 89.0, -180.0, 180.0),
+                "south": (-89.5, -80.0, -180.0, 180.0), "east_of_line": (-60.0, 60.0, 179.9, 180.1),
+                "west_of_line": (-60.0, 60.0, -180.1, -179.9)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(region=st.sampled_from(sorted(POST_REGIONS)), f_lat=st.floats(0.0, 1.0),
+       f_lon=st.floats(0.0, 1.0), spacing_arcsec=st.sampled_from([1.0, 3.0, 30.0]),
+       n_lat=st.integers(1, 60), n_lon=st.integers(1, 60),
+       void_fraction=st.sampled_from([0.0, 0.1]), array_n=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_posts_match_per_post_conversion(region, f_lat, f_lon, spacing_arcsec, n_lat, n_lon,
+                                         void_fraction, array_n, seed):
+    lat_lo, lat_hi, lon_lo, lon_hi = POST_REGIONS[region]
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(-400.0, 4000.0, (n_lat, n_lon))
+    h[rng.random((n_lat, n_lon)) < void_fraction] = VOID_ELEVATION
+    h[0, 0] = 0.0  # never an all-void tile
+    geoid = rng.uniform(-100.0, 80.0, (n_lat, n_lon)) if array_n else float(rng.uniform(-100, 80))
+    grid = TerrainGrid(lat0=lat_lo + f_lat * (lat_hi - lat_lo),
+                       lon0=lon_lo + f_lon * (lon_hi - lon_lo),
+                       dlat=spacing_arcsec / 3600.0, dlon=spacing_arcsec / 3600.0, H=h, N=geoid)
+    posts = grid_to_ecef_posts(grid)
+    ecef, index = per_post_ecef(grid)
+    assert posts.ecef.shape == ecef.shape and posts.ecef.tobytes() == ecef.tobytes()
+    assert posts.index.tolist() == index.tolist()
+    assert posts.shape == grid.H.shape
+
+
+def test_posts_peak_memory_near_the_result():
+    # 600 x 600 posts at 1 arcsec, as in the terrain_wide benchmark tiles
+    grid = make_flat_grid(-34.75, 138.75, 1.0 / 3600.0, 1.0 / 3600.0, 600, 600,
+                          height=250.0, geoid_n=12.5)
+    tracemalloc.start()
+    try:
+        posts = grid_to_ecef_posts(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result itself counts; full lat/lon grids and per-post copies would
+    # take the peak to about 6x the ECEF array
+    assert peak < 3 * posts.ecef.nbytes
 
 
 def test_flat_grid_mapping_stays_local():
