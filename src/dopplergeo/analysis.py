@@ -16,8 +16,9 @@ from .cone import DopplerMeasurement, VehicleState, build_cone, semi_angle
 from .geodesy import SPEED_OF_LIGHT, WGS84, Ellipsoid
 from .intersect import DEFAULT_SAMPLES, intersect_cone_ellipsoid
 
-# points of curve A per block in point_to_polyline_distance: ~34 MiB of
-# temporaries against a 1440-point curve B instead of ~190 MiB unblocked
+# points of curve A per block in point_to_polyline_distance: the block's
+# point-by-segment matrices are POINT_BLOCK x segments (2.8 MiB of float64
+# against a 1440-point curve B), so memory grows with n_b, not n_a x n_b
 POINT_BLOCK = 256
 
 
@@ -112,9 +113,16 @@ def lorentz_factor(v: float) -> RelativisticFactor:
 def point_to_polyline_distance(points, polyline) -> np.ndarray:
     """Distance from each point to the nearest segment of a polyline.
 
-    A single-vertex polyline degenerates to point distances. Points are
-    taken POINT_BLOCK at a time, so the point-by-segment temporaries stay
-    O(POINT_BLOCK x segments) however long the first curve is.
+    A single-vertex polyline degenerates to point distances. The search is
+    exact but pruned. Each segment gets a bounding sphere (its midpoint and
+    half-length); a point is measured only against the segments whose sphere
+    comes within U + delta of it, U being the distance to the nearest
+    midpoint, which bounds the answer from above. Those pairs go through the
+    one clamp-and-norm formula, so the result equals, bit for bit, the
+    minimum over every segment. Points are taken POINT_BLOCK at a time:
+    memory is O(POINT_BLOCK x segments) however long the first curve is,
+    and time is still O(points x segments), with the all-pairs part a single
+    matrix product per block.
     """
     p = np.atleast_2d(np.asarray(points, dtype=float))
     line = np.atleast_2d(np.asarray(polyline, dtype=float))
@@ -122,15 +130,54 @@ def point_to_polyline_distance(points, polyline) -> np.ndarray:
         return np.linalg.norm(p - line[0], axis=1)
     a = line[:-1]
     ab = line[1:] - a
-    ab_len2 = np.einsum("ij,ij->i", ab, ab)
-    ab_len2 = np.where(ab_len2 == 0.0, 1.0, ab_len2)
+    seg_len2 = np.einsum("ij,ij->i", ab, ab)
+    ab_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
+    # spheres in a frame centred on the polyline, so that the expanded
+    # square below rounds relative to the curves' extent, not to ECEF
+    centre = 0.5 * (line.min(axis=0) + line.max(axis=0))
+    mid = (a - centre) + 0.5 * ab
+    mid2 = np.einsum("ij,ij->i", mid, mid)
+    q = p - centre
+    q2 = np.einsum("ij,ij->i", q, q)
+    # [q, 1, |q|^2] . [-2m, |m|^2, 1] = |q - m|^2, the expanded square
+    q_aug = np.column_stack([q, np.ones(len(q)), q2])
+    mid_aug = np.column_stack([-2.0 * mid, mid2, np.ones(len(mid))])
+    # Slack delta (m) on the pruning test, with u = 2**-53:
+    # - the expanded square is a 5-term dot product of rounded squares, off
+    #   by at most ~8u (|q| + |m|)^2, so its root is off by at most
+    #   sqrt(8u) R = 3.0e-8 R, with R = max |q| + max |m| (centring and
+    #   midpoint rounding add a few u R); the test compares two such roots
+    #   (the kept sphere and the nearest one): 6.0e-8 R, bounded by 1e-7 R.
+    # - the clamp-and-norm formula runs on ECEF coordinates of size X
+    #   (about 6.4e6 m) and is off by at most ~30u X, counted for two
+    #   segments: 6.7e-15 X, bounded by 1e-13 X (6.4e-7 m).
+    # A fixed slack in m or m^2 would not do: R reaches hundreds of km
+    # between LEO curves, and the first bound grows with it.
+    delta = (1e-7 * (np.sqrt(q2.max(initial=0.0)) + np.sqrt(mid2.max()))
+             + 1e-13 * (np.abs(p).max(initial=0.0) + np.abs(line).max()))
+    reach = 0.5 * np.sqrt(seg_len2) + delta
     d = np.empty(len(p))
+    buffer = np.empty((min(POINT_BLOCK, len(p)), len(mid)))  # reused by every block
     for start in range(0, len(p), POINT_BLOCK):
-        block = p[start:start + POINT_BLOCK, None, :]
-        # t[i, j]: projection of point i onto segment j, clamped to the segment
-        t = np.clip(((block - a) * ab).sum(-1) / ab_len2, 0.0, 1.0)
-        closest = a + t[:, :, None] * ab
-        d[start:start + POINT_BLOCK] = np.linalg.norm(block - closest, axis=2).min(axis=1)
+        stop = min(start + POINT_BLOCK, len(p))
+        # dist[i, j] = |q_i - m_j|
+        dist = np.matmul(q_aug[start:stop], mid_aug.T, out=buffer[:stop - start])
+        np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+        upper = dist.min(axis=1)
+        dist -= reach
+        # a segment whose sphere lies beyond U + delta cannot be the
+        # nearest; NaN keeps every pair, so NaN input gives NaN, as the
+        # minimum over every segment does
+        row, col = np.divmod(np.flatnonzero(~(dist > upper[:, None])), len(mid))
+        row += start
+        pts, seg_a, seg_ab = p[row], a[col], ab[col]
+        # t: projection of each point onto its segment, clamped to the segment
+        t = np.clip(((pts - seg_a) * seg_ab).sum(-1) / ab_len2[col], 0.0, 1.0)
+        closest = seg_a + t[:, None] * seg_ab
+        pair_d = np.linalg.norm(pts - closest, axis=1)
+        # row is sorted and holds every point of the block at least once
+        # (its nearest sphere is always kept)
+        d[start:stop] = np.minimum.reduceat(pair_d, np.searchsorted(row, np.arange(start, stop)))
     return d
 
 

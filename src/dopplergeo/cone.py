@@ -101,7 +101,9 @@ class DopplerCone:
     A zero shift gives semi_angle pi/2: d is infinite, quad_form is
     -axis axis^T and kind is "plane" (the plane through the apex normal to
     the velocity). A zero semi-angle raises InfeasibleShift: its locus is
-    the velocity line, not a cone.
+    the velocity line, not a cone. So does one small enough (below about
+    7.5e-155 rad) that d ** -2 overflows, so every accepted cone has a
+    finite quad_form and quad_form_scale.
     """
 
     apex: np.ndarray
@@ -119,14 +121,19 @@ class DopplerCone:
         axis = axis / n
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "axis", axis)
-        if self.semi_angle == 0.0:
-            raise InfeasibleShift("zero semi-angle: the locus is the velocity line, not a cone")
-        if not 0.0 < self.semi_angle <= math.pi / 2.0:
+        if not 0.0 <= self.semi_angle <= math.pi / 2.0:
             raise ValueError(f"semi-angle {self.semi_angle} outside (0, pi/2]")
         d = math.inf if self.semi_angle == math.pi / 2.0 else math.tan(self.semi_angle)
+        try:
+            inv_d2 = d ** -2
+        except (ZeroDivisionError, OverflowError):
+            # psi = 0, or psi below ~7.5e-155 rad, where 1/d^2 overflows
+            raise InfeasibleShift(
+                f"zero semi-angle ({self.semi_angle!r} rad to float precision): "
+                "the locus is the velocity line, not a cone") from None
         r = rotation_from_axis(axis)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "quad_form", r @ np.diag([d ** -2, d ** -2, -1.0]) @ r.T)
+        object.__setattr__(self, "quad_form", r @ np.diag([inv_d2, inv_d2, -1.0]) @ r.T)
 
     @property
     def kind(self) -> str:

@@ -109,9 +109,10 @@ def _solve_ray_quadratics(origin, dirs, e: Ellipsoid):
     sqrt_disc = np.sqrt(np.where(has_roots, disc, 0.0))
     # q/a and c/q ordering avoids cancellation when |b| >> sqrt(|4ac|)
     q = -0.5 * (b_s + np.where(b_s >= 0.0, sqrt_disc, -sqrt_disc))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.where(q != 0.0, q / a_s, 0.0)
-        r2 = np.where(q != 0.0, c_s / q, 0.0)
+    # divide only where roots exist: on a miss q can be tiny and c/q overflow
+    solvable = has_roots & (q != 0.0)
+    r1 = np.divide(q, a_s, out=np.zeros_like(q), where=solvable)
+    r2 = np.divide(c_s, q, out=np.zeros_like(q), where=solvable)
     lo = np.minimum(r1, r2)
     hi = np.maximum(r1, r2)
 

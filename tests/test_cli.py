@@ -83,6 +83,8 @@ def test_conflicting_velocity_sources_exit_4(tmp_path, capsys):
     ("intersect", "sweep", {"n_samples": "many"}),
     # a zero semi-angle's locus is the velocity line, not a cone
     ("intersect", "measurement", {"semi_angle_deg": 0}),
+    # so small that 1/d^2 overflows: zero to float precision
+    ("cone", "measurement", {"semi_angle_deg": 1e-160}),
 ])
 def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
     cfg = dict(STEEP, **{section: values})

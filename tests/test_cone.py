@@ -184,6 +184,18 @@ def test_semi_angle_outside_range_rejected():
             DopplerCone(apex=apex, axis=axis, semi_angle=psi)
 
 
+def test_semi_angle_too_small_for_quad_form_rejected():
+    apex, axis = UAV.position_ecef(), UAV.velocity_dir
+    # below ~7.5e-155 rad d ** -2 overflows: zero to float precision
+    for psi in (1e-160, 5e-324):
+        with pytest.raises(InfeasibleShift, match="zero semi-angle"):
+            DopplerCone(apex=apex, axis=axis, semi_angle=psi)
+    thin = DopplerCone(apex=apex, axis=axis, semi_angle=1e-150)
+    assert thin.kind == KIND_CONE
+    assert np.all(np.isfinite(thin.quad_form))
+    assert math.isfinite(quad_form_scale(thin)) and quad_form_scale(thin) > 1e299
+
+
 def test_doppler_frequency_radial_approach():
     # wavelength c/f0 = 1 m: 50 m/s closing -> +50 Hz
     sep = np.array([-1e6, 0.0, 0.0])

@@ -1,10 +1,12 @@
-"""Golden bytes: `dopplergeo intersect` on every committed config, and
-`dopplergeo terrain` on tiles made with `gen-tile`.
+"""Golden bytes: `dopplergeo intersect` on every committed config,
+`dopplergeo terrain` on tiles made with `gen-tile`, and `dopplergeo shift
+--detail` on the committed config pairs.
 
 The README promises byte-identical output for identical configs; these
 hashes pin the KML, the GeoJSON and the printed report (with the output
-directory masked) so that refactors of the sweep and the terrain search
-cannot move a coordinate digit, a gap or a topology label. Regenerate only
+directory masked) so that refactors of the sweep, the terrain search and
+the curve-shift search cannot move a coordinate digit, a distance, a gap or
+a topology label. Regenerate only
 for a deliberate output change.
 
 The promise holds for one numpy build and CPU dispatch level: numpy's
@@ -155,3 +157,27 @@ def terrain_hashes(case: str, tmp_path, capsys) -> tuple[str, str, str]:
 @pytest.mark.parametrize("case", sorted(TERRAIN_GOLDEN))
 def test_terrain_output_bytes(case, tmp_path, capsys):
     assert terrain_hashes(case, tmp_path, capsys) == TERRAIN_GOLDEN[case][2]
+
+
+# shift cases: the committed config pairs (the same pairs as the benchmark's
+# budget workload) and the sha256 of `shift --detail --samples 1440` stdout
+SHIFT_GOLDEN = {
+    ("leos_offset_true.json", "leos_offset_nominal.json"):
+        "26217d5e6c73113138c717c58ea88a324cade08044295df5eb21f04a8e8c505d",
+    ("uav_offset_true.json", "uav_offset_nominal.json"):
+        "4d2dab35b28c660563a9c2b81d9bc844c61d9d207c659130b92b87f916377518",
+    ("uav_refraction_air.json", "uav_refraction_vacuum.json"):
+        "c037598df5e1aed0ca1fe7e30924f9d1d1eae7ddacc832842d762c0fd3c3dd4c",
+    ("uav_small_angle_air.json", "uav_small_angle_vacuum.json"):
+        "a8bd7aba8ebf6cf3a676b68e4bc9b7eea1f95b0dbbb20fc2fb027bc70b1260e0",
+    ("uav_wide_angle_air.json", "uav_wide_angle_vacuum.json"):
+        "148925434bd0521eaa5673508458dd15cd553ed64c5d83f0618cddcdbbc4eedb",
+}
+
+
+@pytest.mark.parametrize("pair", sorted(SHIFT_GOLDEN), ids=lambda p: f"{p[0][:-5]}+{p[1][:-5]}")
+def test_shift_output_bytes(pair, capsys):
+    capsys.readouterr()
+    assert main(["shift", os.path.join(CONFIG_DIR, pair[0]), os.path.join(CONFIG_DIR, pair[1]),
+                 "--detail", "--samples", "1440"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == SHIFT_GOLDEN[pair]
