@@ -28,7 +28,7 @@ from .cone import (
     cone_from_geometry,
 )
 from .dted import DtedError, level_for_spacing, read_dted, write_dted
-from .export import STYLE_ELLIPSOID, STYLE_TERRAIN, write_geojson, write_kml
+from .export import STYLE_ELLIPSOID, STYLE_TERRAIN, format_positions, write_geojson, write_kml
 from .geodesy import WGS84, AttitudeEuler, GeodeticCoord, ecef_to_geodetic_arrays
 from .gridfile import (
     ParseError,
@@ -147,6 +147,15 @@ def geodetic_rows(points_ecef) -> np.ndarray:
 
 
 def write_outputs(cfg: dict, out_dir: str | None, stem: str, polylines, placemark_sets):
+    """Write the configured documents; each distinct row array is formatted
+    once, before any file is opened, and shared by both writers."""
+    positions = {}
+    for _, rows, _ in (*polylines, *placemark_sets):
+        if id(rows) not in positions:
+            positions[id(rows)] = format_positions(rows)
+    polylines = [(label, positions[id(rows)], style) for label, rows, style in polylines]
+    placemark_sets = [(label, positions[id(rows)], style)
+                      for label, rows, style in placemark_sets]
     output = cfg.get("output", {})
     formats = output.get("formats", ["kml", "geojson"])
     directory = out_dir or output.get("dir", ".")
@@ -258,9 +267,9 @@ def cmd_shift(args) -> int:
     print(f"min shift [m]: {shift.min_shift:.3f}")
     print(f"max shift [m]: {shift.max_shift:.3f}")
     if args.detail:
-        print("index,eta_rad,distance_m")
-        for i, (eta, dist) in enumerate(zip(curve_a.etas_near, shift.per_point)):
-            print(f"{i},{float(eta)!r},{float(dist)!r}")
+        rows = enumerate(zip(curve_a.etas_near.tolist(), shift.per_point.tolist()))
+        print("\n".join(["index,eta_rad,distance_m",
+                         *(f"{i},{eta!r},{dist!r}" for i, (eta, dist) in rows)]))
     return EXIT_OK
 
 
