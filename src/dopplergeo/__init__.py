@@ -43,7 +43,14 @@ from .dted import (
     read_dted,
     write_dted,
 )
-from .export import STYLE_ELLIPSOID, STYLE_TERRAIN, write_geojson, write_kml
+from .export import (
+    STYLE_ELLIPSOID,
+    STYLE_TERRAIN,
+    NonFiniteCoordinate,
+    format_positions,
+    write_geojson,
+    write_kml,
+)
 from .geodesy import (
     EARTH_ROTATION_RATE,
     EARTH_ROTATION_VECTOR,

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from dopplergeo import cli
+from dopplergeo import cli, export
 from dopplergeo.cli import main
+from dopplergeo.export import format_positions
 from dopplergeo.gridfile import write_portable_grid
 from dopplergeo.terrain import VOID_ELEVATION, TerrainGrid
 
@@ -216,6 +217,28 @@ def test_gen_tile_and_terrain_command(tmp_path, capsys):
     deg_gap = np.abs(feats["terrain curve"][:, :2].mean(0)
                      - feats["ellipsoid curve"][:, :2].mean(0))
     assert deg_gap.max() < 93.0 / 111e3
+
+
+def test_write_outputs_formats_each_row_array_once(tmp_path, monkeypatch):
+    formatted = []
+
+    def counting(coords):
+        if not isinstance(coords, export.Positions):
+            formatted.append(len(coords))
+        return format_positions(coords)
+
+    monkeypatch.setattr(cli, "format_positions", counting)
+    monkeypatch.setattr(export, "format_positions", counting)
+    tile = tmp_path / "flat.grid"
+    assert main(["gen-tile", "--kind", "flat", "--format", "grid",
+                 "--out-path", str(tile), "--lat0", "-34.70", "--lon0", "138.80",
+                 "--n-lat", "80", "--n-lon", "80"]) == 0
+    cfg = dict(STEEP)
+    cfg["terrain"] = {"path": str(tile), "format": "grid"}
+    path = write_json(tmp_path / "terrain.json", cfg)
+    assert main(["terrain", "--config", path, "--out", str(tmp_path)]) == 0
+    # ellipsoid rows and terrain rows, each a polyline and a mark set in two files
+    assert len(formatted) == 2 and min(formatted) > 0
 
 
 def test_gen_tile_dted_format(tmp_path):

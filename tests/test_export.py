@@ -1,11 +1,20 @@
 import json
+import math
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dopplergeo import cli
 from dopplergeo.export import (
     STYLE_ELLIPSOID,
     STYLE_TERRAIN,
+    NonFiniteCoordinate,
+    Positions,
+    format_positions,
     write_geojson,
     write_kml,
 )
@@ -90,3 +99,162 @@ def test_outputs_deterministic():
                 placemark_sets=[("marks", MARKS, STYLE_TERRAIN)])
     assert write_kml(**args) == write_kml(**args)
     assert write_geojson(**args) == write_geojson(**args)
+
+
+# --- oracle: the writers as they were before coordinates were formatted once,
+# each formatting every coordinate itself (kept verbatim) ----------------------
+
+_ORACLE_KML_COLORS = {STYLE_TERRAIN: "ff00ffff", STYLE_ELLIPSOID: "ff0000ff"}
+
+
+def _rows(coords) -> np.ndarray:
+    rows = np.asarray(coords, dtype=float)
+    if rows.size == 0:
+        return np.zeros((0, 3))
+    return np.atleast_2d(rows)
+
+
+def _coord_text(coords) -> str:
+    """lat/lon/h rows -> KML 'lon,lat,h' tuples separated by spaces."""
+    return " ".join(f"{lon!r},{lat!r},{h!r}" for lat, lon, h in _rows(coords).tolist())
+
+
+def oracle_write_kml(polylines=(), placemark_sets=(), name: str = "dopplergeo") -> bytes:
+    out = ['<?xml version="1.0" encoding="UTF-8"?>']
+    out.append('<kml xmlns="http://www.opengis.net/kml/2.2">')
+    out.append("<Document>")
+    out.append(f"<name>{escape(name)}</name>")
+    for style_id, color in _ORACLE_KML_COLORS.items():
+        out.append(
+            f'<Style id="{style_id}">'
+            f"<IconStyle><color>{color}</color></IconStyle>"
+            f"<LineStyle><color>{color}</color><width>2</width></LineStyle>"
+            f"</Style>")
+    for label, coords, style in polylines:
+        out.append("<Placemark>")
+        out.append(f"<name>{escape(label)}</name>")
+        out.append(f"<styleUrl>#{style}</styleUrl>")
+        out.append("<LineString><altitudeMode>absolute</altitudeMode>")
+        out.append(f"<coordinates>{_coord_text(coords)}</coordinates>")
+        out.append("</LineString>")
+        out.append("</Placemark>")
+    for label, coords, style in placemark_sets:
+        out.append("<Placemark>")
+        out.append(f"<name>{escape(label)}</name>")
+        out.append(f"<styleUrl>#{style}</styleUrl>")
+        out.append("<MultiGeometry>")
+        for lat, lon, h in _rows(coords).tolist():
+            out.append("<Point><altitudeMode>absolute</altitudeMode>"
+                       f"<coordinates>{lon!r},{lat!r},{h!r}</coordinates></Point>")
+        out.append("</MultiGeometry>")
+        out.append("</Placemark>")
+    out.append("</Document>")
+    out.append("</kml>")
+    return "\n".join(out).encode("utf-8")
+
+
+def oracle_write_geojson(polylines=(), placemark_sets=()) -> bytes:
+    features = []
+    for geometry, sets in (("LineString", polylines), ("MultiPoint", placemark_sets)):
+        for label, coords, style in sets:
+            features.append({
+                "type": "Feature",
+                "properties": {"name": label, "style": style},
+                "geometry": {
+                    "type": geometry,
+                    "coordinates": [[lon, lat, h] for lat, lon, h in _rows(coords).tolist()],
+                },
+            })
+    doc = {"type": "FeatureCollection", "features": features}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, -1e16, -1e300, 1.7976931348623157e308,
+               -10994.0, 0.1]
+COORD = st.one_of(st.sampled_from(EDGE_VALUES),
+                  st.floats(allow_nan=False, allow_infinity=False))
+ROWS = st.lists(st.tuples(COORD, COORD, COORD), max_size=12)
+LABEL = st.text(alphabet=st.one_of(st.sampled_from("<&>\"'"), st.characters()), max_size=12)
+STYLE = st.sampled_from([STYLE_ELLIPSOID, STYLE_TERRAIN])
+
+
+@st.composite
+def row_sets(draw):
+    """An array of rows: (n, 3), a single (3,) row, or an empty set."""
+    rows = draw(ROWS)
+    shape = draw(st.sampled_from(["array", "row", "list"]))
+    if shape == "row" and rows:
+        return np.array(rows[0])
+    if shape == "list":
+        return [list(r) for r in rows]
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
+@st.composite
+def layouts(draw):
+    """(polylines, placemark_sets), where marks may reuse a polyline's array
+    as the terrain command does."""
+    polylines = draw(st.lists(st.tuples(LABEL, row_sets(), STYLE), max_size=3))
+    marks = []
+    for label, rows, style in polylines:
+        if draw(st.booleans()):
+            marks.append((draw(LABEL), rows, style))
+    marks += draw(st.lists(st.tuples(LABEL, row_sets(), STYLE), max_size=2))
+    return polylines, marks
+
+
+def preformatted(sets):
+    return [(label, format_positions(rows), style) for label, rows, style in sets]
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=layouts(), name=LABEL)
+@example(layout=([("a <b> & \"c\" 'd'", np.array([-34.6, 138.8, -0.0]), STYLE_ELLIPSOID)],
+                 [("Zürich ✈ 東京", np.zeros((0, 3)), STYLE_TERRAIN)]), name="<&>\"'")
+def test_writers_match_oracle(layout, name):
+    polylines, marks = layout
+    kml = oracle_write_kml(polylines, marks, name=name)
+    geojson = oracle_write_geojson(polylines, marks)
+    assert write_kml(polylines, marks, name=name) == kml
+    assert write_geojson(polylines, marks) == geojson
+    # the CLI path: rows formatted once, the strings handed to both writers
+    polylines, marks = preformatted(polylines), preformatted(marks)
+    assert write_kml(polylines, marks, name=name) == kml
+    assert write_geojson(polylines, marks) == geojson
+
+
+def test_format_positions_passes_formatted_through():
+    positions = format_positions(CURVE)
+    assert isinstance(positions, Positions)
+    assert format_positions(positions) is positions
+    assert positions[0] == "138.83301234567892,-34.64620123456789,123.456789"
+    assert format_positions(CURVE[0]) == positions[:1]
+    assert format_positions([]) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_non_finite_rows_raise_in_both_writers(bad, column):
+    rows = CURVE.copy()
+    rows[1, column] = bad
+    with pytest.raises(NonFiniteCoordinate, match="row 1"):
+        format_positions(rows)
+    with pytest.raises(NonFiniteCoordinate):
+        write_kml(polylines=[("curve", rows, STYLE_ELLIPSOID)])
+    with pytest.raises(NonFiniteCoordinate):
+        write_kml(placemark_sets=[("marks", rows, STYLE_TERRAIN)])
+    with pytest.raises(NonFiniteCoordinate):
+        write_geojson(polylines=[("curve", rows, STYLE_ELLIPSOID)])
+    with pytest.raises(NonFiniteCoordinate):
+        write_geojson(placemark_sets=[("marks", rows, STYLE_TERRAIN)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rows_leave_no_output_file(bad, tmp_path):
+    rows = MARKS.copy()
+    rows[-1, 2] = bad
+    out_dir = tmp_path / "out"
+    with pytest.raises(NonFiniteCoordinate):
+        cli.write_outputs({}, str(out_dir), "terrain", [("curve", CURVE, STYLE_ELLIPSOID)],
+                          [("marks", rows, STYLE_TERRAIN)])
+    assert not out_dir.exists()
