@@ -31,9 +31,8 @@ n_lon = int((lon.max() + 0.01 - lon0) / spacing) + 2
 grid = dg.make_ridge_grid(lat0, lon0, spacing, spacing, n_lat, n_lon, crest=400.0)
 print(f"ridge tile: {n_lat} x {n_lon} posts, crest 400 m")
 
-posts = dg.grid_to_ecef_posts(grid)
 search = dg.TerrainSearchConfig.for_grid(grid)
-terrain = dg.cone_terrain_curve(curve, cone, posts, search)
+terrain = dg.cone_terrain_curve(curve, cone, grid, search)
 print(f"mapped {len(terrain.points)} of {len(curve.points_near)} points, "
       f"threshold {search.tr:.1f} m, gaps {terrain.gaps or 'none'}")
 

@@ -38,7 +38,7 @@ from .gridfile import (
     write_portable_grid,
 )
 from .intersect import DEFAULT_SAMPLES, MIN_SAMPLES, intersect_cone_ellipsoid
-from .terrain import EmptyGrid, TerrainSearchConfig, cone_terrain_curve, grid_to_ecef_posts
+from .terrain import EmptyGrid, TerrainSearchConfig, cone_terrain_curve
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -127,13 +127,19 @@ def load_terrain(cfg: dict):
     if not t or "path" not in t:
         raise ConfigError("terrain config with a path is required")
     path = t["path"]
+    try:
+        geoid_n = float(t.get("geoid_n_m", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad terrain geoid_n_m: {exc}") from exc
+    if not math.isfinite(geoid_n):
+        raise ConfigError(f"terrain geoid_n_m must be finite, got {geoid_n}")
     fmt = t.get("format")
     if fmt is None:
         fmt = "dted" if os.path.splitext(path)[1].lower().startswith(".dt") else "grid"
     try:
         if fmt == "dted":
             with open(path, "rb") as f:
-                return read_dted(f.read(), geoid_n=float(t.get("geoid_n_m", 0.0)))
+                return read_dted(f.read(), geoid_n=geoid_n)
         return load_portable_grid(path)
     except OSError as exc:
         raise IOError(f"cannot read terrain {path}: {exc}") from exc
@@ -226,9 +232,8 @@ def cmd_terrain(args) -> int:
     cone, vs = cone_from_config(cfg)
     grid = load_terrain(cfg)
     curve = intersect_cone_ellipsoid(cone, WGS84, n_samples_from_config(cfg, args.samples))
-    posts = grid_to_ecef_posts(grid)
     search = TerrainSearchConfig.for_grid(grid)
-    terrain = cone_terrain_curve(curve, cone, posts, search)
+    terrain = cone_terrain_curve(curve, cone, grid, search)
 
     ellipsoid_rows = geodetic_rows(curve.points_near)
     terrain_rows = terrain.points

@@ -86,9 +86,12 @@ def _encode_elevations(column: np.ndarray) -> bytes:
     return raw.tobytes()
 
 
-def _decode_elevations(data: bytes) -> np.ndarray:
-    raw = np.frombuffer(data, dtype=">u2").astype(np.int64)
-    return np.where(raw & 0x8000, -(raw & 0x7FFF), raw).astype(float)
+def _decode_elevations(raw: np.ndarray) -> np.ndarray:
+    """Sign-magnitude 16-bit words -> float heights."""
+    heights = (raw & 0x7FFF).astype(float)
+    # 0x8000, a negative zero, stays +0.0
+    np.negative(heights, out=heights, where=raw > 0x8000)
+    return heights
 
 
 def write_dted(grid: TerrainGrid, level: int) -> bytes:
@@ -146,8 +149,10 @@ def read_dted(data: bytes, geoid_n: float = 0.0) -> TerrainGrid:
     """Parse a DTED byte stream into a TerrainGrid of orthometric heights.
 
     The formats's vertical datum is the geoid; pass geoid_n to attach an
-    undulation (a DTED tile itself carries none). Checksums are verified
-    per record and voids come through as VOID_ELEVATION.
+    undulation (a DTED tile itself carries none). The records are read as
+    one (n_lon, record size) byte array; every record's sentinel and
+    checksum is verified, an error naming the first record that fails, and
+    voids come through as VOID_ELEVATION.
     """
     if len(data) < 4 or data[0:4] != b"UHL1":
         raise BadMagic("stream does not start with 'UHL1'")
@@ -185,16 +190,22 @@ def read_dted(data: bytes, geoid_n: float = 0.0) -> TerrainGrid:
         raise TruncatedFile(
             f"expected {rec_size * n_lon} record bytes, found {len(data) - offset}")
 
-    heights = np.empty((n_lat, n_lon), dtype=float)
-    for j in range(n_lon):
-        rec = data[offset + j * rec_size: offset + (j + 1) * rec_size]
-        if rec[0] != RECORD_SENTINEL:
-            raise InconsistentHeader(f"record {j}: bad sentinel byte {rec[0]:#x}")
-        expected = int.from_bytes(rec[-4:], "big")
-        actual = sum(rec[:-4]) & 0xFFFFFFFF
-        if actual != expected:
-            raise ChecksumMismatch(j, expected, actual)
-        heights[:, j] = _decode_elevations(rec[8:8 + 2 * n_lat])
+    records = np.frombuffer(data, dtype=np.uint8, count=rec_size * n_lon,
+                            offset=offset).reshape(n_lon, rec_size)
+    bad_sentinel = records[:, 0] != RECORD_SENTINEL
+    expected = np.ascontiguousarray(records[:, -4:]).view(">u4")[:, 0]
+    # a uint32 sum wraps modulo 2**32, as the additive checksum does
+    actual = records[:, :-4].sum(axis=1, dtype=np.uint32)
+    bad = np.flatnonzero(bad_sentinel | (actual != expected))
+    if len(bad):
+        # the first failing record; its sentinel is checked before its sum
+        j = int(bad[0])
+        if bad_sentinel[j]:
+            raise InconsistentHeader(f"record {j}: bad sentinel byte {records[j, 0]:#x}")
+        raise ChecksumMismatch(j, int(expected[j]), int(actual[j]))
+    # each record is one longitude column: transpose the words to [lat, lon]
+    heights = _decode_elevations(np.ascontiguousarray(records[:, 8:-4].view(">u2").T,
+                                                      dtype=np.uint16))
 
     return TerrainGrid(lat0=lat0, lon0=lon0, dlat=lat_tenths / 36000.0,
                        dlon=lon_tenths / 36000.0, H=heights, N=geoid_n)

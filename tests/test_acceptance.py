@@ -36,7 +36,7 @@ from dopplergeo.geodesy import (
 )
 from dopplergeo.gridfile import make_flat_grid, make_random_tile
 from dopplergeo.intersect import ellipsoid_residual, intersect_cone_ellipsoid
-from dopplergeo.terrain import TerrainSearchConfig, cone_terrain_curve, grid_to_ecef_posts
+from dopplergeo.terrain import TerrainSearchConfig, cone_terrain_curve
 
 C = SPEED_OF_LIGHT
 
@@ -218,17 +218,15 @@ def test_criterion_6_terrain_flat_earth_equivalence():
     curve = intersect_cone_ellipsoid(cone, n_samples=360)
 
     flat = _covering_grid(curve, height=0.0)
-    posts = grid_to_ecef_posts(flat)
     cfg = TerrainSearchConfig.for_grid(flat)
-    tc = cone_terrain_curve(curve, cone, posts, cfg)
+    tc = cone_terrain_curve(curve, cone, flat, cfg)
     assert len(tc.points) == len(curve.points_near)
     terrain_pts = geodetic_to_ecef_arrays(*tc.points.T)
     flat_dist = point_to_polyline_distance(terrain_pts, curve.points_near).max()
 
     plateau = _covering_grid(curve, height=500.0)
-    posts500 = grid_to_ecef_posts(plateau)
     cfg500 = TerrainSearchConfig.for_grid(plateau)
-    tc500 = cone_terrain_curve(curve, cone, posts500, cfg500)
+    tc500 = cone_terrain_curve(curve, cone, plateau, cfg500)
     assert len(tc500.points) == len(curve.points_near)
     nearer = bool((tc500.s < np.linalg.norm(curve.points_near - cone.apex, axis=1)).all())
     within_tr = bool((tc500.ray_distance <= cfg500.tr).all())

@@ -86,6 +86,13 @@ def test_conflicting_velocity_sources_exit_4(tmp_path, capsys):
     ("intersect", "measurement", {"semi_angle_deg": 0}),
     # so small that 1/d^2 overflows: zero to float precision
     ("cone", "measurement", {"semi_angle_deg": 1e-160}),
+    # an undulation that is not a finite number, caught before the tile is
+    # opened (the path does not exist, which would exit 3)
+    ("terrain", "terrain", {"path": "missing.dt2", "geoid_n_m": "abc"}),
+    ("terrain", "terrain", {"path": "missing.dt2", "geoid_n_m": None}),
+    ("terrain", "terrain", {"path": "missing.dt2", "geoid_n_m": math.nan}),
+    ("terrain", "terrain", {"path": "missing.dt2", "geoid_n_m": math.inf}),
+    ("terrain", "terrain", {"path": "missing.dt2", "geoid_n_m": -math.inf}),
 ])
 def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
     cfg = dict(STEEP, **{section: values})

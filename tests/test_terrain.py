@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dopplergeo.cone import VehicleState, cone_from_geometry
+from dopplergeo import terrain
+from dopplergeo.cone import VehicleState, cone_from_geometry, rotation_from_axis
 from dopplergeo.geodesy import (
     WGS84,
     AttitudeEuler,
@@ -15,13 +16,14 @@ from dopplergeo.geodesy import (
     geodetic_to_ecef_arrays,
 )
 from dopplergeo.gridfile import make_flat_grid
-from dopplergeo.intersect import intersect_cone_ellipsoid
+from dopplergeo.intersect import canonical_ray_direction, intersect_cone_ellipsoid, transform_ray
 from dopplergeo.terrain import (
     VOID_ELEVATION,
     EcefPostSet,
     EmptyGrid,
     TerrainGrid,
     TerrainSearchConfig,
+    _map_posts,
     cone_terrain_curve,
     grid_to_ecef_posts,
     map_point_to_terrain,
@@ -90,9 +92,14 @@ def terrain_ecef(tc):
     return geodetic_to_ecef_arrays(tc.points[:, 0], tc.points[:, 1], tc.points[:, 2])
 
 
-def assert_matches_scan(curve, cone, posts, cfg):
-    """The batched search equals map_point_to_terrain run ray by ray."""
-    tc = cone_terrain_curve(curve, cone, posts, cfg)
+def assert_matches_scan(curve, cone, grid, cfg):
+    """The pruned, batched search equals map_point_to_terrain run ray by ray
+    over every post of the grid."""
+    return assert_posts_match_scan(cone_terrain_curve(curve, cone, grid, cfg), curve, cone,
+                                   grid_to_ecef_posts(grid), cfg)
+
+
+def assert_posts_match_scan(tc, curve, cone, posts, cfg):
     hits = [map_point_to_terrain(p_i, cone.apex, posts, cfg) for p_i in curve.points_near]
     found = [hit is not None for hit in hits]
     hits = [hit for hit in hits if hit is not None]
@@ -260,16 +267,15 @@ def test_equidistant_tie_takes_lowest_grid_index():
     mid = cone.apex + 0.9 * curve.ranges_near[k] * ray
     posts = EcefPostSet(ecef=np.array([mid + 20.0 * side, mid - 20.0 * side]),
                         index=np.array([7, 3]), shape=(5, 5))
-    tc = assert_matches_scan(curve, cone, posts, cfg)
+    tc = assert_posts_match_scan(_map_posts(curve, cone, posts, cfg), curve, cone, posts, cfg)
     assert tuple(tc.grid_index[list(tc.etas).index(curve.etas_near[k])]) == (0, 3)
 
 
 def test_terrain_curve_flat_equivalence():
     cone, curve = steep_scenario()
     grid = covering_grid(curve)
-    posts = grid_to_ecef_posts(grid)
     cfg = TerrainSearchConfig.for_grid(grid)
-    tc = cone_terrain_curve(curve, cone, posts, cfg)
+    tc = cone_terrain_curve(curve, cone, grid, cfg)
     assert len(tc.points) == len(curve.points_near)
     assert tc.gaps == []
     spacing = grid.max_post_spacing_m()
@@ -280,10 +286,9 @@ def test_terrain_curve_flat_equivalence():
 def test_terrain_curve_deterministic():
     cone, curve = steep_scenario()
     grid = covering_grid(curve, height=120.0)
-    posts = grid_to_ecef_posts(grid)
     cfg = TerrainSearchConfig.for_grid(grid)
-    a = cone_terrain_curve(curve, cone, posts, cfg)
-    b = cone_terrain_curve(curve, cone, posts, cfg)
+    a = cone_terrain_curve(curve, cone, grid, cfg)
+    b = cone_terrain_curve(curve, cone, grid, cfg)
     assert np.array_equal(a.grid_index, b.grid_index)
     assert np.array_equal(a.points, b.points)
     assert a.gaps == b.gaps
@@ -299,9 +304,8 @@ def test_terrain_curve_records_gaps():
     lon0 = mid
     n_lon = int((lon.max() + 0.01 - lon0) / SPACING) + 2
     grid = make_flat_grid(lat0, lon0, SPACING, SPACING, n_lat, n_lon)
-    posts = grid_to_ecef_posts(grid)
     cfg = TerrainSearchConfig.for_grid(grid)
-    tc = assert_matches_scan(curve, cone, posts, cfg)
+    tc = assert_matches_scan(curve, cone, grid, cfg)
     assert 0 < len(tc.points) < len(curve.points_near)
     assert len(tc.gaps) >= 1
 
@@ -311,9 +315,8 @@ def test_empty_curve_maps_to_empty_terrain_curve():
     cone = cone_from_geometry(apex, [0.0, 0.0, 1.0], math.radians(30.0))
     curve = intersect_cone_ellipsoid(cone)
     grid = make_flat_grid(-35.0, 138.0, SPACING, SPACING, 4, 4)
-    posts = grid_to_ecef_posts(grid)
     cfg = TerrainSearchConfig.for_grid(grid)
-    tc = cone_terrain_curve(curve, cone, posts, cfg)
+    tc = cone_terrain_curve(curve, cone, grid, cfg)
     assert tc.points.shape == (0, 3) and tc.grid_index.shape == (0, 2)
     assert len(tc.etas) == len(tc.s) == len(tc.ray_distance) == 0 and tc.gaps == []
 
@@ -346,16 +349,14 @@ def test_batched_matches_scan_across_antimeridian(lon_rx, yaw, lon0, psi_deg, n_
     cone = cone_from_geometry(vs.position_ecef(), vs.velocity_dir, math.radians(psi_deg))
     curve = intersect_cone_ellipsoid(cone, n_samples=n_rays)
     grid = make_flat_grid(-34.75, lon0, SPACING, SPACING, 120, 120)
-    posts = grid_to_ecef_posts(grid)
-    tc = assert_matches_scan(curve, cone, posts, TerrainSearchConfig.for_grid(grid))
+    tc = assert_matches_scan(curve, cone, grid, TerrainSearchConfig.for_grid(grid))
     assert len(tc.points) > 0
 
 
 def test_batched_matches_scan_steep():
     cone, curve = steep_scenario()
     grid = covering_grid(curve, height=200.0)
-    posts = grid_to_ecef_posts(grid)
-    assert len(assert_matches_scan(curve, cone, posts, TerrainSearchConfig.for_grid(grid)).points)
+    assert len(assert_matches_scan(curve, cone, grid, TerrainSearchConfig.for_grid(grid)).points)
 
 
 REGIONS = {"mid": (-60.0, 60.0, -170.0, 170.0), "north": (80.0, 85.0, -180.0, 180.0),
@@ -394,4 +395,127 @@ def test_batched_matches_scan_property(region, fractions, plane, n_rays, spacing
     h[rng.random((n, n)) < void_fraction] = VOID_ELEVATION
     h[0, 0] = 0.0  # never an all-void tile
     grid = TerrainGrid(lat0=lat0, lon0=lon0, dlat=spacing, dlon=spacing, H=h)
-    assert_matches_scan(curve, cone, grid_to_ecef_posts(grid), TerrainSearchConfig.for_grid(grid))
+    assert_matches_scan(curve, cone, grid, TerrainSearchConfig.for_grid(grid))
+
+
+BLOCK_SIZES = [1, 3, 16, 10 ** 6]  # 10**6: one block holds the whole tile
+BLOCK_REGIONS = {"mid": (-60.0, 60.0, -170.0, 170.0), "north": (80.5, 86.0, -180.0, 180.0),
+                 "south": (-86.0, -80.5, -180.0, 180.0),
+                 "antimeridian": (-60.0, 60.0, 179.95, 180.05)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(block=st.sampled_from(BLOCK_SIZES), region=st.sampled_from(sorted(BLOCK_REGIONS)),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+       n_rays=st.integers(16, 120), spacing_arcsec=st.sampled_from([1.0, 3.0, 9.0]),
+       n_lat=st.integers(1, 70), n_lon=st.integers(1, 70), relief=st.sampled_from([0.0, 600.0]),
+       void_fraction=st.sampled_from([0.0, 0.2]), void_block=st.booleans(),
+       array_n=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_pruned_search_matches_scan_at_any_block_size(block, region, fractions, n_rays,
+                                                      spacing_arcsec, n_lat, n_lon, relief,
+                                                      void_fraction, void_block, array_n,
+                                                      seed):
+    lat_lo, lat_hi, lon_lo, lon_hi = BLOCK_REGIONS[region]
+    f_lat, f_lon, f_h, f_pitch, f_yaw, f_psi = fractions
+    vs = VehicleState.from_attitude(
+        GeodeticCoord(lat_lo + f_lat * (lat_hi - lat_lo), lon_lo + f_lon * (lon_hi - lon_lo),
+                      300.0 + 4700.0 * f_h),
+        50.0, AttitudeEuler(0.0, -80.0 + 70.0 * f_pitch, 360.0 * f_yaw))
+    cone = cone_from_geometry(vs.position_ecef(), vs.velocity_dir,
+                              math.radians(5.0 + 85.0 * f_psi))
+    curve = intersect_cone_ellipsoid(cone, n_samples=n_rays)
+    rng = np.random.default_rng(seed)
+    # a tile around one curve point (or below the receiver for an empty curve)
+    if len(curve.points_near):
+        lat_c, lon_c, _ = ecef_to_geodetic_arrays(
+            curve.points_near[rng.integers(len(curve.points_near))])
+    else:
+        lat_c, lon_c = vs.position.lat, vs.position.lon
+    spacing = spacing_arcsec / 3600.0
+    lat0 = float(np.clip(lat_c - rng.uniform(0.2, 0.8) * n_lat * spacing,
+                         -89.0, 89.0 - n_lat * spacing))
+    lon0 = float(lon_c - rng.uniform(0.2, 0.8) * n_lon * spacing)
+    h = rng.uniform(-50.0, relief, (n_lat, n_lon))
+    h[rng.random((n_lat, n_lon)) < void_fraction] = VOID_ELEVATION
+    if void_block:  # a void patch wider than the small blocks
+        i, j = rng.integers(n_lat), rng.integers(n_lon)
+        h[i:i + 20, j:j + 20] = VOID_ELEVATION
+    h[rng.integers(n_lat), rng.integers(n_lon)] = 0.0  # never an all-void tile
+    geoid = rng.uniform(-60.0, 60.0, (n_lat, n_lon)) if array_n else float(rng.uniform(-60, 60))
+    grid = TerrainGrid(lat0=lat0, lon0=lon0, dlat=spacing, dlon=spacing, H=h, N=geoid)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(terrain, "POST_BLOCK", block)
+        assert_matches_scan(curve, cone, grid, TerrainSearchConfig.for_grid(grid))
+
+
+def block_at_the_bound(rng, extent):
+    """A cone and a one-block tile whose post nearest the cone surface lies
+    on the block's sphere along the surface normal, and on the ray at
+    eta = 0. The block extends from that post along the normal, so its
+    centre lies tau + r' from the surface, r' the distance from the centre
+    to the post, which the block's radius r bounds: a tight bound along the
+    vertical (r' = r), within ~0.5% along a parallel or a meridian.
+
+    height: two posts at one lat/lon (dlon far below a longitude ulp), H
+    differing by 2 dH; the ray runs horizontally through S, a few mm under
+    the ellipsoid, and the cone's normal there is the vertical.
+    lon / lat: a row / column of 16 posts at H = 0 beside a plane cone whose
+    ray at eta = 0 meets the ellipsoid at S, tau west / south of the first
+    post: the meridian plane through S, swept down along -z from 10 km above
+    it, or the prime vertical plane, swept straight down.
+    """
+    tau = rng.uniform(5.0, 100.0)
+    if extent == "height":
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        psi = math.radians(rng.uniform(20.0, 70.0))
+        probe = cone_from_geometry(np.zeros(3), axis, psi)
+        ray = transform_ray(canonical_ray_direction(probe.d, np.array([0.0])),
+                            rotation_from_axis(probe.axis))[0]
+        normal = probe.axis - (probe.axis @ ray) * ray
+        normal *= rng.choice([-1.0, 1.0]) / np.linalg.norm(normal)
+        lat = math.degrees(math.atan2(normal[2], math.hypot(normal[0], normal[1])))
+        lon = math.degrees(math.atan2(normal[1], normal[0]))
+        # 10 km from the apex; the ray enters the ellipsoid ~250 m before S
+        h_s, d_h = -0.005, rng.uniform(50.0, 2000.0)
+        cone = cone_from_geometry(geodetic_to_ecef_arrays(lat, lon, h_s) - 1e4 * ray,
+                                  probe.axis, psi)
+        return cone, TerrainGrid(lat0=lat, lon0=lon, dlat=1.0 / 3600.0, dlon=1e-300,
+                                 H=np.array([[h_s + tau, h_s + tau + 2.0 * d_h]]))
+    lat, lon = rng.uniform(5.0, 85.0), rng.uniform(-180.0, 180.0)
+    s_point = geodetic_to_ecef_arrays(lat, lon, 0.0)
+    step = rng.uniform(1.0, 3.0) / 3600.0
+    phi, lam = math.radians(lat), math.radians(lon)
+    if extent == "lon":
+        axis = np.array([-math.sin(lam), math.cos(lam), 0.0])
+        apex = s_point + np.array([0.0, 0.0, 1e4])
+        rho = math.hypot(s_point[0], s_point[1])
+        grid = TerrainGrid(lat0=lat, lon0=lon + math.degrees(math.asin(tau / rho)),
+                           dlat=step, dlon=step, H=np.zeros((1, 16)))
+    else:
+        axis = np.array([-math.sin(phi) * math.cos(lam), -math.sin(phi) * math.sin(lam),
+                         math.cos(phi)])
+        apex = geodetic_to_ecef_arrays(lat, lon, 1e4)
+        grid = TerrainGrid(lat0=lat + math.degrees(tau / 6.36e6), lon0=lon, dlat=step,
+                           dlon=step, H=np.zeros((16, 1)))
+    return cone_from_geometry(apex, axis, math.pi / 2.0), grid
+
+
+@pytest.mark.parametrize("extent", ["height", "lon", "lat"])
+def test_block_holding_a_post_at_the_bound_is_kept(extent):
+    # tr is the first post's distance from the ray at eta = 0 to a
+    # nanometre, so its block is kept only by the bound's slack: a radius
+    # short of the bound by more than ~0.5% (~tr 1e-6 along the vertical)
+    # drops the one post that ray hits
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        cone, grid = block_at_the_bound(rng, extent)
+        curve = intersect_cone_ellipsoid(cone, n_samples=360)
+        assert 0.0 in curve.etas_near
+        k = list(curve.etas_near).index(0.0)
+        hit = map_point_to_terrain(curve.points_near[k], cone.apex, grid_to_ecef_posts(grid),
+                                   TerrainSearchConfig(tr=1e3))
+        assert hit.grid_index == (0, 0)
+        cfg = TerrainSearchConfig(tr=hit.ray_distance + 1e-9)
+        tc = assert_matches_scan(curve, cone, grid, cfg)
+        assert 0.0 in tc.etas
