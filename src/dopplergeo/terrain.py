@@ -36,8 +36,9 @@ PREFILTER_SLACK = 1e-6
 # posts per side of the square blocks that cone_terrain_curve keeps or drops
 # as a whole (edge blocks are cut short). On the 600 x 600 1-arcsec tiles of
 # the terrain_wide benchmark, 16 keeps 5.4-7.8% of the posts (1 444 blocks)
-# and 8 keeps 2.7-3.9% (5 625 blocks), but the search takes the same time:
-# what 8 saves in posts it spends on blocks. 4 and 32 are 1.5x slower.
+# and 8 keeps 2.7-3.9% (5 625 blocks), yet the two search equally fast,
+# within run-to-run noise: what 8 saves in posts it spends on blocks. 4 and
+# 32 are 1.2-1.6x slower.
 POST_BLOCK = 16
 
 
