@@ -24,7 +24,6 @@ from .cone import (
     DopplerMeasurement,
     InfeasibleShift,
     VehicleState,
-    ZeroShift,
     axis_direction,
     build_cone,
     cone_from_geometry,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cone import DopplerMeasurement, VehicleState, build_cone, semi_angle
-from .geodesy import SPEED_OF_LIGHT, WGS84, Ellipsoid
+from .geodesy import SPEED_OF_LIGHT
 from .intersect import DEFAULT_SAMPLES, intersect_cone_ellipsoid
 
 # points of curve A per block in point_to_polyline_distance: the block's
@@ -197,8 +197,7 @@ def curve_shift(curve_a, curve_b) -> CurveShift:
 
 
 def frequency_offset_scenario(vs: VehicleState, f_true: float, f_nominal: float,
-                              f_received: float, e: Ellipsoid = WGS84,
-                              n_samples: int = DEFAULT_SAMPLES,
+                              f_received: float, n_samples: int = DEFAULT_SAMPLES,
                               n: float = 1.0):
     """Curves implied by the true vs the nominal reference frequency.
 
@@ -206,10 +205,10 @@ def frequency_offset_scenario(vs: VehicleState, f_true: float, f_nominal: float,
     curve is empty (a cone pointing away from the earth is reported through
     its topology, not raised).
     """
-    cone_true = build_cone(vs, DopplerMeasurement(f_received, f_true), n=n, e=e)
-    cone_nom = build_cone(vs, DopplerMeasurement(f_received, f_nominal), n=n, e=e)
-    curve_true = intersect_cone_ellipsoid(cone_true, e, n_samples)
-    curve_nom = intersect_cone_ellipsoid(cone_nom, e, n_samples)
+    cone_true = build_cone(vs, DopplerMeasurement(f_received, f_true), n=n)
+    cone_nom = build_cone(vs, DopplerMeasurement(f_received, f_nominal), n=n)
+    curve_true = intersect_cone_ellipsoid(cone_true, n_samples=n_samples)
+    curve_nom = intersect_cone_ellipsoid(cone_nom, n_samples=n_samples)
     if len(curve_true) == 0 or len(curve_nom) == 0:
         return curve_true, curve_nom, None
     shift = curve_shift(curve_true.points_near, curve_nom.points_near)

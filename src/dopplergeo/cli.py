@@ -29,7 +29,7 @@ from .cone import (
 )
 from .dted import DtedError, level_for_spacing, read_dted, write_dted
 from .export import STYLE_ELLIPSOID, STYLE_TERRAIN, format_positions, write_geojson, write_kml
-from .geodesy import WGS84, AttitudeEuler, GeodeticCoord, ecef_to_geodetic_arrays
+from .geodesy import AttitudeEuler, GeodeticCoord, ecef_to_geodetic_arrays
 from .gridfile import (
     ParseError,
     load_portable_grid,
@@ -136,6 +136,8 @@ def load_terrain(cfg: dict):
     fmt = t.get("format")
     if fmt is None:
         fmt = "dted" if os.path.splitext(path)[1].lower().startswith(".dt") else "grid"
+    if fmt not in ("dted", "grid"):
+        raise ConfigError(f'terrain format must be "dted" or "grid", got {fmt!r}')
     try:
         if fmt == "dted":
             with open(path, "rb") as f:
@@ -143,7 +145,8 @@ def load_terrain(cfg: dict):
         return load_portable_grid(path)
     except OSError as exc:
         raise IOError(f"cannot read terrain {path}: {exc}") from exc
-    except (DtedError, ParseError) as exc:
+    except (DtedError, ParseError, UnicodeDecodeError) as exc:
+        # a binary tile read as a portable grid fails to decode as UTF-8
         raise IOError(f"cannot parse terrain {path}: {exc}") from exc
 
 
@@ -209,7 +212,7 @@ def cmd_cone(args) -> int:
 def cmd_intersect(args) -> int:
     cfg = load_config(args.config)
     cone, _ = cone_from_config(cfg)
-    curve = intersect_cone_ellipsoid(cone, WGS84, n_samples_from_config(cfg, args.samples))
+    curve = intersect_cone_ellipsoid(cone, n_samples=n_samples_from_config(cfg, args.samples))
     polylines = []
     if len(curve.points_near):
         polylines.append(("ellipsoid curve (visible)", geodetic_rows(curve.points_near),
@@ -231,7 +234,7 @@ def cmd_terrain(args) -> int:
     cfg = load_config(args.config)
     cone, vs = cone_from_config(cfg)
     grid = load_terrain(cfg)
-    curve = intersect_cone_ellipsoid(cone, WGS84, n_samples_from_config(cfg, args.samples))
+    curve = intersect_cone_ellipsoid(cone, n_samples=n_samples_from_config(cfg, args.samples))
     search = TerrainSearchConfig.for_grid(grid)
     terrain = cone_terrain_curve(curve, cone, grid, search)
 
@@ -262,8 +265,10 @@ def cmd_shift(args) -> int:
     cfg_b = load_config(args.config_b)
     cone_a, _ = cone_from_config(cfg_a)
     cone_b, _ = cone_from_config(cfg_b)
-    curve_a = intersect_cone_ellipsoid(cone_a, WGS84, n_samples_from_config(cfg_a, args.samples))
-    curve_b = intersect_cone_ellipsoid(cone_b, WGS84, n_samples_from_config(cfg_b, args.samples))
+    curve_a = intersect_cone_ellipsoid(cone_a,
+                                       n_samples=n_samples_from_config(cfg_a, args.samples))
+    curve_b = intersect_cone_ellipsoid(cone_b,
+                                       n_samples=n_samples_from_config(cfg_b, args.samples))
     if len(curve_a) == 0 or len(curve_b) == 0:
         print("shift undefined: at least one curve is empty "
               f"(topologies {curve_a.topology}, {curve_b.topology})")

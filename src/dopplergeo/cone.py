@@ -14,9 +14,7 @@ import numpy as np
 from .geodesy import (
     EARTH_ROTATION_VECTOR,
     SPEED_OF_LIGHT,
-    WGS84,
     AttitudeEuler,
-    Ellipsoid,
     GeodeticCoord,
     body_to_ecef_direction,
     geodetic_to_ecef,
@@ -30,10 +28,6 @@ KIND_PLANE = "plane"  # zero-shift locus: plane through the apex normal to veloc
 
 class InfeasibleShift(ValueError):
     """Measured shift implies a closing speed above the wave speed; no cone exists."""
-
-
-class ZeroShift(ValueError):
-    """Doppler shift is exactly zero; the locus degenerates to a plane."""
 
 
 @dataclass(frozen=True)
@@ -87,8 +81,8 @@ class VehicleState:
             raise ValueError("velocity must be nonzero")
         return cls(position=position, speed=speed, velocity_dir=v / speed)
 
-    def position_ecef(self, e: Ellipsoid = WGS84) -> np.ndarray:
-        return geodetic_to_ecef(self.position, e)
+    def position_ecef(self) -> np.ndarray:
+        return geodetic_to_ecef(self.position)
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,8 @@ class DopplerCone:
     the velocity). A zero semi-angle raises InfeasibleShift: its locus is
     the velocity line, not a cone. So does one small enough (below about
     7.5e-155 rad) that d ** -2 overflows, so every accepted cone has a
-    finite quad_form and quad_form_scale.
+    finite quad_form and quad_form_scale. rotation is
+    rotation_from_axis(axis), the frame of the sweep and the terrain search.
     """
 
     apex: np.ndarray
@@ -111,6 +106,7 @@ class DopplerCone:
     semi_angle: float
     d: float = field(init=False)
     quad_form: np.ndarray = field(init=False)
+    rotation: np.ndarray = field(init=False)
 
     def __post_init__(self):
         apex = np.asarray(self.apex, dtype=float)
@@ -134,6 +130,7 @@ class DopplerCone:
         r = rotation_from_axis(axis)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "quad_form", r @ np.diag([inv_d2, inv_d2, -1.0]) @ r.T)
+        object.__setattr__(self, "rotation", r)
 
     @property
     def kind(self) -> str:
@@ -146,14 +143,12 @@ def semi_angle(m: DopplerMeasurement, speed: float,
     """Cone semi-angle in radians from the fractional Doppler shift.
 
     cos(psi) = (|shift| / f_reference) / (speed / c_eff). The shift sign is
-    handled by axis_direction, not here.
+    handled by axis_direction, not here. A zero shift gives acos(0), which
+    is exactly pi/2: the plane normal to the velocity.
     """
     if speed <= 0.0:
         raise ValueError("speed must be positive")
-    delta = m.shift
-    if delta == 0.0:
-        raise ZeroShift("zero Doppler shift: locus is the plane normal to velocity")
-    cos_psi = abs(delta) * c_eff / (m.f_reference * speed)
+    cos_psi = abs(m.shift) * c_eff / (m.f_reference * speed)
     if cos_psi > 1.0 + FEASIBILITY_SLACK:
         raise InfeasibleShift(
             f"|shift|*c/(f0*speed) = {cos_psi:.9f} > 1: shift implies superluminal closing speed"
@@ -162,13 +157,10 @@ def semi_angle(m: DopplerMeasurement, speed: float,
 
 
 def axis_direction(velocity_dir, delta: float) -> np.ndarray:
-    """Cone axis: along velocity for a positive shift, opposite for negative."""
+    """Cone axis: opposite the velocity for a negative shift, else along it
+    (for a zero shift, the normal of the plane)."""
     v = np.asarray(velocity_dir, dtype=float)
-    if delta > 0.0:
-        return v.copy()
-    if delta < 0.0:
-        return -v
-    raise ZeroShift("zero Doppler shift has no axis sign")
+    return -v if delta < 0.0 else v.copy()
 
 
 def rotation_from_axis(axis) -> np.ndarray:
@@ -195,23 +187,15 @@ def rotation_from_axis(axis) -> np.ndarray:
     ])
 
 
-def build_cone(vs: VehicleState, m: DopplerMeasurement, n: float = 1.0,
-               e: Ellipsoid = WGS84, n_scales_cos: bool = True) -> DopplerCone:
+def build_cone(vs: VehicleState, m: DopplerMeasurement, n: float = 1.0) -> DopplerCone:
     """Assemble the Doppler cone for a vehicle state and measurement.
 
-    `n` is the air refractive index. With n_scales_cos (the default) the
-    index multiplies the semi-angle cosine, shrinking the angle, which is
-    the convention the reference example values follow; with it off the
-    wave speed c/n is substituted directly, which widens the angle instead.
+    `n` is the air refractive index. It multiplies the semi-angle cosine,
+    shrinking the angle, which is the convention the reference example
+    values follow. A zero shift gives the plane (semi-angle pi/2).
     """
-    delta = m.shift
-    apex = vs.position_ecef(e)
-    if delta == 0.0:
-        return DopplerCone(apex=apex, axis=vs.velocity_dir, semi_angle=math.pi / 2.0)
-    c_eff = SPEED_OF_LIGHT * n if n_scales_cos else SPEED_OF_LIGHT / n
-    psi = semi_angle(m, vs.speed, c_eff)
-    return DopplerCone(apex=apex, axis=axis_direction(vs.velocity_dir, delta),
-                       semi_angle=psi)
+    return DopplerCone(apex=vs.position_ecef(), axis=axis_direction(vs.velocity_dir, m.shift),
+                       semi_angle=semi_angle(m, vs.speed, SPEED_OF_LIGHT * n))
 
 
 def cone_from_geometry(apex, axis, semi_angle_rad: float) -> DopplerCone:

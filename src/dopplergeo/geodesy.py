@@ -1,6 +1,7 @@
 # geodesy.py
 # -------------------------------------------------------------
-# WGS84 ellipsoid constants and coordinate transformations:
+# WGS84 ellipsoid constants (the one earth model every conversion reads)
+# and coordinate transformations:
 # - geodetic <-> ECEF (closed form both ways)
 # - ECEF deltas <-> local ENU
 # - body frame (roll/pitch/yaw) -> ENU
@@ -87,25 +88,25 @@ class AttitudeEuler:
                 raise ValueError("attitude angles must be finite")
 
 
-def geodetic_to_ecef(g: GeodeticCoord, e: Ellipsoid = WGS84) -> np.ndarray:
+def geodetic_to_ecef(g: GeodeticCoord) -> np.ndarray:
     """Geodetic coordinates -> ECEF position vector [m]."""
-    return geodetic_to_ecef_arrays(g.lat, g.lon, g.h, e)
+    return geodetic_to_ecef_arrays(g.lat, g.lon, g.h)
 
 
-def geodetic_to_ecef_arrays(lat_deg, lon_deg, h, e: Ellipsoid = WGS84) -> np.ndarray:
+def geodetic_to_ecef_arrays(lat_deg, lon_deg, h) -> np.ndarray:
     """Vectorized geodetic -> ECEF; returns array with trailing axis (x, y, z)."""
     lat = np.radians(np.asarray(lat_deg, dtype=float))
     lon = np.radians(np.asarray(lon_deg, dtype=float))
     h = np.asarray(h, dtype=float)
     s, c = np.sin(lat), np.cos(lat)
-    chi = np.sqrt(1.0 - e.e2 * s * s)
-    x = (e.a / chi + h) * c * np.cos(lon)
-    y = (e.a / chi + h) * c * np.sin(lon)
-    z = (e.a * (1.0 - e.e2) / chi + h) * s
+    chi = np.sqrt(1.0 - WGS84.e2 * s * s)
+    x = (WGS84.a / chi + h) * c * np.cos(lon)
+    y = (WGS84.a / chi + h) * c * np.sin(lon)
+    z = (WGS84.a * (1.0 - WGS84.e2) / chi + h) * s
     return np.stack([x, y, z], axis=-1)
 
 
-def ecef_to_geodetic(p, e: Ellipsoid = WGS84, lon_at_axis: float | None = None) -> GeodeticCoord:
+def ecef_to_geodetic(p, lon_at_axis: float | None = None) -> GeodeticCoord:
     """ECEF position -> geodetic coordinates.
 
     Closed-form evaluation plus one fixed-point correction of the parametric
@@ -124,16 +125,16 @@ def ecef_to_geodetic(p, e: Ellipsoid = WGS84, lon_at_axis: float | None = None) 
                 f"point within {rho:.3g} m of the polar axis; longitude undefined"
             )
         lat = math.copysign(90.0, z) if z != 0.0 else 0.0
-        return GeodeticCoord(lat=lat, lon=lon_at_axis, h=abs(z) - e.b)
-    lat_deg, lon_deg, h = ecef_to_geodetic_arrays(p, e)
+        return GeodeticCoord(lat=lat, lon=lon_at_axis, h=abs(z) - WGS84.b)
+    lat_deg, lon_deg, h = ecef_to_geodetic_arrays(p)
     return GeodeticCoord(lat=float(lat_deg), lon=float(lon_deg), h=float(h))
 
 
-def ecef_to_geodetic_arrays(p, e: Ellipsoid = WGS84):
+def ecef_to_geodetic_arrays(p):
     """Vectorized ECEF -> (lat_deg, lon_deg, h). No axis handling; see ecef_to_geodetic."""
     p = np.asarray(p, dtype=float)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    a, f, e2 = e.a, e.f, e.e2
+    a, f, e2 = WGS84.a, WGS84.f, WGS84.e2
     lon = np.arctan2(y, x)
     rho = np.hypot(x, y)
     r = np.hypot(rho, z)

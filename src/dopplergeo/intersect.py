@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import DopplerCone, rotation_from_axis
+from .cone import DopplerCone
 from .geodesy import WGS84, Ellipsoid
 
 TOPOLOGY_EMPTY = "empty"
@@ -125,11 +125,11 @@ def _solve_ray_quadratics(origin, dirs, e: Ellipsoid):
     return s_near, s_far, tangent
 
 
-def ellipsoid_residual(points, e: Ellipsoid = WGS84) -> np.ndarray:
-    """|x^2/a^2 + y^2/a^2 + z^2/b^2 - 1| per point (relative residual)."""
+def ellipsoid_residual(points) -> np.ndarray:
+    """|x^2/a^2 + y^2/a^2 + z^2/b^2 - 1| per point (relative residual, WGS84)."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.abs(p[:, 0] ** 2 / e.a ** 2 + p[:, 1] ** 2 / e.a ** 2
-                  + p[:, 2] ** 2 / e.b ** 2 - 1.0)
+    return np.abs(p[:, 0] ** 2 / WGS84.a ** 2 + p[:, 1] ** 2 / WGS84.a ** 2
+                  + p[:, 2] ** 2 / WGS84.b ** 2 - 1.0)
 
 
 def polyline_length(points, closed: bool = False) -> float:
@@ -223,8 +223,7 @@ def intersect_cone_ellipsoid(cone: DopplerCone, e: Ellipsoid = WGS84,
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
     etas = np.arange(n_samples) * (2.0 * math.pi / n_samples)
-    rotation = rotation_from_axis(cone.axis)
-    dirs = transform_ray(canonical_ray_direction(cone.d, etas), rotation)
+    dirs = transform_ray(canonical_ray_direction(cone.d, etas), cone.rotation)
     s_near, s_far, tangent = _solve_ray_quadratics(cone.apex, dirs, e)
 
     hit = ~np.isnan(s_near)

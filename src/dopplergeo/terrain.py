@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import DopplerCone, rotation_from_axis
+from .cone import DopplerCone
 from .geodesy import (
     WGS84,
-    Ellipsoid,
     ecef_to_geodetic_arrays,
     geodetic_to_ecef_arrays,
     normalize_longitude,
@@ -94,12 +93,12 @@ class TerrainGrid:
     def lons(self) -> np.ndarray:
         return self.lon0 + self.dlon * np.arange(self.n_lon)
 
-    def max_post_spacing_m(self, e: Ellipsoid = WGS84) -> float:
+    def max_post_spacing_m(self) -> float:
         """Largest metric post spacing over the grid (lat step vs lon step).
 
         Longitude steps are widest at the grid latitude nearest the equator.
         """
-        deg = math.pi / 180.0 * e.a
+        deg = math.pi / 180.0 * WGS84.a
         lat_hi = self.lat0 + self.dlat * (self.n_lat - 1)
         if self.lat0 <= 0.0 <= lat_hi:
             cos_max = 1.0
@@ -136,9 +135,9 @@ class TerrainSearchConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
     @classmethod
-    def for_grid(cls, grid: TerrainGrid, strategy: str = STRATEGY_GLOBAL,
-                 e: Ellipsoid = WGS84) -> "TerrainSearchConfig":
-        return cls(tr=0.75 * grid.max_post_spacing_m(e), strategy=strategy)
+    def for_grid(cls, grid: TerrainGrid,
+                 strategy: str = STRATEGY_GLOBAL) -> "TerrainSearchConfig":
+        return cls(tr=0.75 * grid.max_post_spacing_m(), strategy=strategy)
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ class TerrainCurve:
     gaps: list = field(default_factory=list)
 
 
-def _posts_ecef(grid: TerrainGrid, e: Ellipsoid, index: np.ndarray | None = None) -> np.ndarray:
+def _posts_ecef(grid: TerrainGrid, index: np.ndarray | None = None) -> np.ndarray:
     """ECEF of the posts at flat grid `index`, as (n, 3), at their ellipsoid
     heights (H + N); without an index, of every post as (n_lat, n_lon, 3),
     a column of latitudes broadcast against a row of longitudes.
@@ -191,10 +190,10 @@ def _posts_ecef(grid: TerrainGrid, e: Ellipsoid, index: np.ndarray | None = None
     lat = np.radians(grid.lats())
     lon = np.radians(lon)
     s, c = np.sin(lat)[rows], np.cos(lat)[rows]
-    chi = np.sqrt(1.0 - e.e2 * s * s)
-    x = (e.a / chi + h) * c * np.cos(lon)[cols]
-    y = (e.a / chi + h) * c * np.sin(lon)[cols]
-    z = (e.a * (1.0 - e.e2) / chi + h) * s
+    chi = np.sqrt(1.0 - WGS84.e2 * s * s)
+    x = (WGS84.a / chi + h) * c * np.cos(lon)[cols]
+    y = (WGS84.a / chi + h) * c * np.sin(lon)[cols]
+    z = (WGS84.a * (1.0 - WGS84.e2) / chi + h) * s
     return np.stack([x, y, z], axis=-1)
 
 
@@ -206,19 +205,19 @@ def _require_posts(grid: TerrainGrid) -> np.ndarray:
     return valid
 
 
-def grid_to_ecef_posts(grid: TerrainGrid, e: Ellipsoid = WGS84) -> EcefPostSet:
+def grid_to_ecef_posts(grid: TerrainGrid) -> EcefPostSet:
     """Convert every non-void post to ECEF at its ellipsoid height (H + N).
 
     A column of latitudes is broadcast against a row of longitudes, so no
     lat/lon grid is built; longitudes past +-180 are folded (_posts_ecef).
     """
     valid = _require_posts(grid)
-    return EcefPostSet(ecef=_posts_ecef(grid, e)[valid], index=np.flatnonzero(valid),
+    return EcefPostSet(ecef=_posts_ecef(grid)[valid], index=np.flatnonzero(valid),
                        shape=grid.H.shape)
 
 
-def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float, far: float,
-                     e: Ellipsoid) -> EcefPostSet:
+def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float,
+                     far: float) -> EcefPostSet:
     """The non-void posts of the POST_BLOCK x POST_BLOCK blocks that can hold
     a candidate of the cone-frame prefilter (|off| <= reach, range <= far).
 
@@ -258,7 +257,7 @@ def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float, far: fl
     lat_a, lat_b = lats[first_row], lats[last_row]
     h_c = 0.5 * (lo + hi)
     centre = geodetic_to_ecef_arrays(0.5 * (lat_a + lat_b)[:, np.newaxis],
-                                     0.5 * (lons[first_col] + lons[last_col]), h_c, e)
+                                     0.5 * (lons[first_col] + lons[last_col]), h_c)
     # Radius r. Go from c = (lat_c, lon_c, h_c) to a post (lat, lon, h) of
     # the block along the meridian to lat, then along the parallel to lon,
     # both at height h_c, then along the normal to h. The meridian leg is
@@ -274,7 +273,7 @@ def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float, far: fl
     cos_max = np.where((lat_a <= 0.0) & (lat_b >= 0.0), 1.0,
                        np.maximum(np.abs(np.cos(np.radians(lat_a))),
                                   np.abs(np.cos(np.radians(lat_b)))))
-    r = 0.5 * (hi - lo) + (e.a * e.a / e.b + np.abs(h_c)) * (
+    r = 0.5 * (hi - lo) + (WGS84.a * WGS84.a / WGS84.b + np.abs(h_c)) * (
         half_lat[:, np.newaxis] + cos_max[:, np.newaxis] * half_lon)
     # Rounding: the computed off and range of a post, and of c, are each
     # within ~30u (|x| + |apex|) of their exact values (u = 2**-53; the
@@ -284,17 +283,16 @@ def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float, far: fl
     # tens of metres wide.
     r += 1e-12 * (np.linalg.norm(centre, axis=-1) + np.linalg.norm(cone.apex))
 
-    frame = (centre - cone.apex) @ rotation_from_axis(cone.axis)
+    frame = (centre - cone.apex) @ cone.rotation
     rho = np.hypot(frame[..., 0], frame[..., 1])
     off_cone = rho * math.cos(cone.semi_angle) - frame[..., 2] * math.sin(cone.semi_angle)
     keep = solid & (np.abs(off_cone) <= reach + r) & (np.hypot(rho, frame[..., 2]) - r <= far)
     keep = np.broadcast_to(keep[:, np.newaxis, :, np.newaxis], blocks.shape).reshape(h.shape)
     index = np.flatnonzero(keep[:n_lat, :n_lon] & valid)
-    return EcefPostSet(ecef=_posts_ecef(grid, e, index), index=index, shape=grid.H.shape)
+    return EcefPostSet(ecef=_posts_ecef(grid, index), index=index, shape=grid.H.shape)
 
 
-def map_point_to_terrain(p_i, receiver, posts: EcefPostSet,
-                         cfg: TerrainSearchConfig, e: Ellipsoid = WGS84):
+def map_point_to_terrain(p_i, receiver, posts: EcefPostSet, cfg: TerrainSearchConfig):
     """Map one ellipsoid intersection point by scanning every post: the
     reference cone_terrain_curve is tested against.
 
@@ -332,24 +330,21 @@ def map_point_to_terrain(p_i, receiver, posts: EcefPostSet,
                       grid_index=tuple(np.unravel_index(int(posts.index[k]), posts.shape)))
 
 
-def _prefilter_bounds(cfg: TerrainSearchConfig, ray_len: np.ndarray) -> tuple[float, float]:
-    """reach and far of the cone-frame prefilter: tr and the far bound of the
-    longest ray, each widened by PREFILTER_SLACK."""
-    return (cfg.tr * (1.0 + PREFILTER_SLACK),
-            FAR_BOUND_FACTOR * ray_len.max(initial=0.0) * (1.0 + PREFILTER_SLACK))
-
-
-def _ray_lengths(curve: IntersectionCurve, cone: DopplerCone) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets from the apex to the visible points, and their lengths."""
+def _rays(curve: IntersectionCurve, cone: DopplerCone,
+          cfg: TerrainSearchConfig) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Unit directions from the apex to the visible points, their lengths,
+    and the reach and far bound of the cone-frame prefilter: tr and the far
+    bound of the longest ray, each widened by PREFILTER_SLACK."""
     sep = curve.points_near - cone.apex
     ray_len = np.linalg.norm(sep, axis=1)
     if (ray_len == 0.0).any():
         raise ValueError("intersection point coincides with the receiver")
-    return sep, ray_len
+    return (sep / ray_len[:, np.newaxis], ray_len, cfg.tr * (1.0 + PREFILTER_SLACK),
+            FAR_BOUND_FACTOR * ray_len.max(initial=0.0) * (1.0 + PREFILTER_SLACK))
 
 
 def cone_terrain_curve(curve: IntersectionCurve, cone: DopplerCone, grid: TerrainGrid,
-                       cfg: TerrainSearchConfig, e: Ellipsoid = WGS84) -> TerrainCurve:
+                       cfg: TerrainSearchConfig) -> TerrainCurve:
     """Map every visible point of `curve`, the sweep of `cone`, onto the grid.
 
     Only the posts of the POST_BLOCK-square blocks whose bounding spheres
@@ -357,13 +352,13 @@ def cone_terrain_curve(curve: IntersectionCurve, cone: DopplerCone, grid: Terrai
     dropped block holds no post the prefilter keeps, so the result equals
     the search over every post. Raises EmptyGrid when every post is void.
     """
-    _, ray_len = _ray_lengths(curve, cone)
-    reach, far = _prefilter_bounds(cfg, ray_len)
-    return _map_posts(curve, cone, _posts_near_cone(grid, cone, reach, far, e), cfg, e)
+    rays = _rays(curve, cone, cfg)
+    _, _, reach, far = rays
+    return _map_posts(curve, cone, _posts_near_cone(grid, cone, reach, far), cfg, rays)
 
 
 def _map_posts(curve: IntersectionCurve, cone: DopplerCone, posts: EcefPostSet,
-               cfg: TerrainSearchConfig, e: Ellipsoid = WGS84) -> TerrainCurve:
+               cfg: TerrainSearchConfig, rays: tuple) -> TerrainCurve:
     """Map every visible point of `curve`, the sweep of `cone`, onto the posts.
 
     Every ray leaves the cone apex, so the posts are rotated once into the
@@ -374,15 +369,14 @@ def _map_posts(curve: IntersectionCurve, cone: DopplerCone, posts: EcefPostSet,
     eta lies within asin(tr / rho) of phi (every ray when rho <= tr). The
     rule of map_point_to_terrain then picks each ray's post among its pairs,
     so the result equals that scan run ray by ray. Hits are reported in
-    sweep order; runs of missed rays become gap intervals.
+    sweep order; runs of missed rays become gap intervals. `rays` is
+    _rays(curve, cone, cfg).
     """
     etas = curve.etas_near
-    sep, ray_len = _ray_lengths(curve, cone)
-    dirs = sep / ray_len[:, np.newaxis]
+    dirs, ray_len, reach, far = rays
 
-    frame = (posts.ecef - cone.apex) @ rotation_from_axis(cone.axis)
+    frame = (posts.ecef - cone.apex) @ cone.rotation
     rho = np.hypot(frame[:, 0], frame[:, 1])
-    reach, far = _prefilter_bounds(cfg, ray_len)
     off_cone = rho * math.cos(cone.semi_angle) - frame[:, 2] * math.sin(cone.semi_angle)
     cand = np.flatnonzero((np.abs(off_cone) <= reach) & (np.hypot(rho, frame[:, 2]) <= far))
     rho = rho[cand]
@@ -415,7 +409,7 @@ def _map_posts(curve: IntersectionCurve, cone: DopplerCone, posts: EcefPostSet,
     tied = tied[np.lexsort((posts.index[post[tied]], ray[tied]))]
     pick = tied[np.diff(ray[tied], prepend=-1) != 0]
 
-    lat, lon, h = ecef_to_geodetic_arrays(posts.ecef[post[pick]], e)
+    lat, lon, h = ecef_to_geodetic_arrays(posts.ecef[post[pick]])
     missed = np.ones(len(etas), dtype=bool)
     missed[ray] = False
     edges = np.diff(missed.astype(int), prepend=0, append=0)

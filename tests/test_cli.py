@@ -93,6 +93,9 @@ def test_conflicting_velocity_sources_exit_4(tmp_path, capsys):
     ("terrain", "terrain", {"path": "missing.dt2", "geoid_n_m": math.nan}),
     ("terrain", "terrain", {"path": "missing.dt2", "geoid_n_m": math.inf}),
     ("terrain", "terrain", {"path": "missing.dt2", "geoid_n_m": -math.inf}),
+    # a tile format is "dted" or "grid", in lower case
+    ("terrain", "terrain", {"path": "missing.dt2", "format": "xyz"}),
+    ("terrain", "terrain", {"path": "missing.dt2", "format": "DTED"}),
 ])
 def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
     cfg = dict(STEEP, **{section: values})
@@ -274,6 +277,17 @@ def test_terrain_corrupt_file_exit_3(tmp_path, capsys):
     cfg["terrain"] = {"path": str(bad), "format": "grid"}
     path = write_json(tmp_path / "t.json", cfg)
     assert main(["terrain", "--config", path, "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("name, fmt", [("tile.grid", None), ("tile.dt1", "grid")])
+def test_terrain_dted_tile_read_as_grid_exit_3(tmp_path, capsys, name, fmt):
+    tile = tmp_path / name
+    assert main(["gen-tile", "--kind", "flat", "--format", "dted", "--out-path", str(tile),
+                 "--lat0", "-34.70", "--lon0", "138.80", "--n-lat", "10", "--n-lon", "10"]) == 0
+    cfg = dict(STEEP, terrain={"path": str(tile), "format": fmt})
+    path = write_json(tmp_path / "t.json", cfg)
+    assert main(["terrain", "--config", path, "--out", str(tmp_path)]) == 3
+    assert "cannot parse terrain" in capsys.readouterr().err
 
 
 def test_shift_identical_configs_zero(capsys):

@@ -19,6 +19,7 @@ from dopplergeo.geodesy import (
     WGS84,
     AttitudeEuler,
     GeodeticCoord,
+    body_to_ecef_direction,
     geodetic_to_ecef_arrays,
 )
 from dopplergeo.intersect import (
@@ -217,10 +218,12 @@ def _has_break_loop(points, closed):
     return False
 
 
+AXES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(lat=st.floats(-89.0, 89.0), lon=st.floats(-180.0, 180.0),
-       height=st.floats(100.0, 2.0e6),
-       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+       height=st.floats(100.0, 2.0e6), axis=AXES,
        psi_deg=st.floats(1.0, 89.0), n_samples=st.integers(16, 1500))
 def test_has_break_matches_loop_on_cones(lat, lon, height, axis, psi_deg, n_samples):
     apex = geodetic_to_ecef_arrays(lat, lon, height)
@@ -229,6 +232,30 @@ def test_has_break_matches_loop_on_cones(lat, lon, height, axis, psi_deg, n_samp
     points = intersect_cone_ellipsoid(cone, n_samples=n_samples).points_near
     for closed in (True, False):
         assert _has_break(points, closed) == _has_break_loop(points, closed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lat=st.floats(-89.0, 89.0), lon=st.floats(-180.0, 180.0),
+       height=st.one_of(st.floats(100.0, 5000.0), st.floats(150e3, 800e3)), axis=AXES,
+       psi_deg=st.floats(1.0, 89.0), grazing=st.booleans(), graze_psi_deg=st.floats(5.0, 30.0),
+       skim_deg=st.floats(-0.02, 0.02), yaw=st.floats(0.0, 360.0),
+       n_samples=st.integers(16, 1500))
+def test_curve_points_lie_on_both_surfaces(lat, lon, height, axis, psi_deg, grazing,
+                                           graze_psi_deg, skim_deg, yaw, n_samples):
+    # UAV and LEO apexes with random axes, or, as in acceptance criterion 4,
+    # near-grazing cones whose upper ray skims the horizon
+    if grazing:
+        dip = math.degrees(math.acos(WGS84.a / (WGS84.a + height)))
+        psi_deg = graze_psi_deg
+        axis = body_to_ecef_direction(AttitudeEuler(0.0, skim_deg - dip - psi_deg, yaw),
+                                      GeodeticCoord(lat, lon, height))
+    cone = cone_from_geometry(geodetic_to_ecef_arrays(lat, lon, height),
+                              np.asarray(axis) / np.linalg.norm(axis), math.radians(psi_deg))
+    curve = intersect_cone_ellipsoid(cone, n_samples=n_samples)
+    for pts in (curve.points_near, curve.points_far):
+        if len(pts):
+            assert ellipsoid_residual(pts).max() < 1e-9
+            assert cone_surface_residual(cone, pts).max() / quad_form_scale(cone) < 1e-9
 
 
 @settings(max_examples=200, deadline=None)

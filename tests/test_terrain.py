@@ -24,6 +24,7 @@ from dopplergeo.terrain import (
     TerrainGrid,
     TerrainSearchConfig,
     _map_posts,
+    _rays,
     cone_terrain_curve,
     grid_to_ecef_posts,
     map_point_to_terrain,
@@ -267,7 +268,8 @@ def test_equidistant_tie_takes_lowest_grid_index():
     mid = cone.apex + 0.9 * curve.ranges_near[k] * ray
     posts = EcefPostSet(ecef=np.array([mid + 20.0 * side, mid - 20.0 * side]),
                         index=np.array([7, 3]), shape=(5, 5))
-    tc = assert_posts_match_scan(_map_posts(curve, cone, posts, cfg), curve, cone, posts, cfg)
+    tc = assert_posts_match_scan(_map_posts(curve, cone, posts, cfg, _rays(curve, cone, cfg)),
+                                 curve, cone, posts, cfg)
     assert tuple(tc.grid_index[list(tc.etas).index(curve.etas_near[k])]) == (0, 3)
 
 
