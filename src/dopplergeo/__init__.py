@@ -56,14 +56,9 @@ from .geodesy import (
     SPEED_OF_LIGHT,
     WGS84,
     AttitudeEuler,
-    AxisDegeneracy,
     Ellipsoid,
     GeodeticCoord,
     body_to_ecef_direction,
-    body_to_enu_direction,
-    ecef_delta_to_enu,
-    ecef_to_geodetic,
-    enu_to_ecef_delta,
     geodetic_to_ecef,
 )
 from .gridfile import (
@@ -77,11 +72,8 @@ from .gridfile import (
 )
 from .intersect import (
     IntersectionCurve,
-    canonical_ray_direction,
     ellipsoid_residual,
     intersect_cone_ellipsoid,
-    polyline_length,
-    transform_ray,
 )
 from .terrain import (
     EcefPostSet,

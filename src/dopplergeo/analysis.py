@@ -34,8 +34,9 @@ class TotalInternalReflection(ValueError):
 class AtmosphereModel:
     """Refractive-index model: vacuum, one constant index, or flat layers.
 
-    layers lists (top altitude m, index) in increasing altitude; space above
-    the last top is vacuum. Indices must be >= 1.
+    layers lists (top altitude m, index) with finite tops in increasing
+    altitude; space above the last top is vacuum. Indices must be finite
+    and >= 1.
     """
 
     kind: str = "vacuum"
@@ -45,14 +46,14 @@ class AtmosphereModel:
     def __post_init__(self):
         if self.kind not in ("vacuum", "constant_index", "two_layer"):
             raise ValueError(f"unknown atmosphere kind {self.kind!r}")
-        if self.n < 1.0:
-            raise ValueError("refractive index must be >= 1")
+        if not (math.isfinite(self.n) and self.n >= 1.0):
+            raise ValueError(f"refractive index must be finite and >= 1, got {self.n}")
         layers = tuple((float(top), float(n)) for top, n in self.layers)
         tops = [top for top, _ in layers]
-        if any(n < 1.0 for _, n in layers):
-            raise ValueError("layer indices must be >= 1")
-        if any(b <= a for a, b in zip(tops, tops[1:])):
-            raise ValueError("layer tops must be strictly increasing")
+        if not all(math.isfinite(n) and n >= 1.0 for _, n in layers):
+            raise ValueError("layer indices must be finite and >= 1")
+        if not all(map(math.isfinite, tops)) or any(b <= a for a, b in zip(tops, tops[1:])):
+            raise ValueError("layer tops must be finite and strictly increasing")
         object.__setattr__(self, "layers", layers)
 
     def index_at(self, altitude_m: float) -> float:

@@ -105,7 +105,7 @@ def cone_from_config(cfg: dict) -> tuple[DopplerCone, VehicleState]:
         meas = DopplerMeasurement(float(m["f_received_hz"]), float(m["f_reference_hz"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(
-            "measurement needs f_received_hz and f_reference_hz (or semi_angle_deg)"
+            f"measurement needs f_received_hz and f_reference_hz (or semi_angle_deg): {exc}"
         ) from exc
     return build_cone(vs, meas, n=atmosphere.index_at(vs.position.h)), vs
 
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     except EmptyGrid as exc:
         print(f"terrain error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, DtedError, ParseError) as exc:
+    except (ConfigError, DtedError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -30,6 +30,16 @@ class InfeasibleShift(ValueError):
     """Measured shift implies a closing speed above the wave speed; no cone exists."""
 
 
+def _unit_vector(v, name: str) -> np.ndarray:
+    """v as a float array divided by its norm, which must lie within 1e-9
+    of 1; a NaN or infinite norm fails too."""
+    v = np.asarray(v, dtype=float)
+    n = np.linalg.norm(v)
+    if not abs(n - 1.0) <= 1e-9:
+        raise ValueError(f"{name} norm {n} is not 1")
+    return v / n
+
+
 @dataclass(frozen=True)
 class DopplerMeasurement:
     """Received and reference carrier frequencies in Hz."""
@@ -38,8 +48,9 @@ class DopplerMeasurement:
     f_reference: float
 
     def __post_init__(self):
-        if self.f_received <= 0.0 or self.f_reference <= 0.0:
-            raise ValueError("frequencies must be positive")
+        for f in (self.f_received, self.f_reference):
+            if not (math.isfinite(f) and f > 0.0):
+                raise ValueError(f"frequencies must be finite and positive, got {f}")
 
     @property
     def shift(self) -> float:
@@ -57,13 +68,9 @@ class VehicleState:
     attitude: AttitudeEuler | None = None
 
     def __post_init__(self):
-        if not self.speed > 0.0:
-            raise ValueError("speed must be positive")
-        v = np.asarray(self.velocity_dir, dtype=float)
-        n = np.linalg.norm(v)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"velocity_dir norm {n} is not 1")
-        object.__setattr__(self, "velocity_dir", v / n)
+        if not (math.isfinite(self.speed) and self.speed > 0.0):
+            raise ValueError(f"speed must be finite and positive, got {self.speed}")
+        object.__setattr__(self, "velocity_dir", _unit_vector(self.velocity_dir, "velocity_dir"))
 
     @classmethod
     def from_attitude(cls, position: GeodeticCoord, speed: float,
@@ -77,8 +84,8 @@ class VehicleState:
         """Velocity supplied directly in ECEF, e.g. from GPS."""
         v = np.asarray(velocity_ecef, dtype=float)
         speed = float(np.linalg.norm(v))
-        if speed <= 0.0:
-            raise ValueError("velocity must be nonzero")
+        if not (math.isfinite(speed) and speed > 0.0):
+            raise ValueError(f"velocity must be finite and nonzero, got norm {speed}")
         return cls(position=position, speed=speed, velocity_dir=v / speed)
 
     def position_ecef(self) -> np.ndarray:
@@ -110,11 +117,7 @@ class DopplerCone:
 
     def __post_init__(self):
         apex = np.asarray(self.apex, dtype=float)
-        axis = np.asarray(self.axis, dtype=float)
-        n = np.linalg.norm(axis)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError("cone axis must be a unit vector")
-        axis = axis / n
+        axis = _unit_vector(self.axis, "cone axis")
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "axis", axis)
         if not 0.0 <= self.semi_angle <= math.pi / 2.0:

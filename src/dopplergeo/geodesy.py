@@ -2,9 +2,8 @@
 # -------------------------------------------------------------
 # WGS84 ellipsoid constants (the one earth model every conversion reads)
 # and coordinate transformations:
-# - geodetic <-> ECEF (closed form both ways)
-# - ECEF deltas <-> local ENU
-# - body frame (roll/pitch/yaw) -> ENU
+# - geodetic <-> ECEF (closed form both ways; ECEF -> geodetic on arrays)
+# - body frame (roll/pitch/yaw) -> local ENU -> ECEF
 #
 # Angles cross the public API in degrees; radians are internal.
 
@@ -14,10 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class AxisDegeneracy(ValueError):
-    """ECEF point is on (or within 1 m of) the polar axis: longitude undefined."""
 
 
 @dataclass(frozen=True)
@@ -98,40 +93,28 @@ def geodetic_to_ecef_arrays(lat_deg, lon_deg, h) -> np.ndarray:
     lat = np.radians(np.asarray(lat_deg, dtype=float))
     lon = np.radians(np.asarray(lon_deg, dtype=float))
     h = np.asarray(h, dtype=float)
-    s, c = np.sin(lat), np.cos(lat)
-    chi = np.sqrt(1.0 - WGS84.e2 * s * s)
-    x = (WGS84.a / chi + h) * c * np.cos(lon)
-    y = (WGS84.a / chi + h) * c * np.sin(lon)
-    z = (WGS84.a * (1.0 - WGS84.e2) / chi + h) * s
+    return _ecef_from_trig(np.sin(lat), np.cos(lat), np.sin(lon), np.cos(lon), h)
+
+
+def _ecef_from_trig(sin_lat, cos_lat, sin_lon, cos_lon, h) -> np.ndarray:
+    """ECEF (x, y, z) on a trailing axis from the sines and cosines of
+    latitude and longitude and the ellipsoid height; the arguments broadcast."""
+    chi = np.sqrt(1.0 - WGS84.e2 * sin_lat * sin_lat)
+    x = (WGS84.a / chi + h) * cos_lat * cos_lon
+    y = (WGS84.a / chi + h) * cos_lat * sin_lon
+    z = (WGS84.a * (1.0 - WGS84.e2) / chi + h) * sin_lat
     return np.stack([x, y, z], axis=-1)
 
 
-def ecef_to_geodetic(p, lon_at_axis: float | None = None) -> GeodeticCoord:
-    """ECEF position -> geodetic coordinates.
+def ecef_to_geodetic_arrays(p):
+    """Vectorized ECEF -> (lat_deg, lon_deg, h).
 
     Closed-form evaluation plus one fixed-point correction of the parametric
     latitude, which holds the round-trip error below 1e-8 m for |h| < 500 km
-    (the plain closed form tops out near 1.5e-6 m).
-
-    Raises AxisDegeneracy within 1 m of the polar axis unless `lon_at_axis`
-    supplies the longitude to report there.
+    (the plain closed form tops out near 1.5e-6 m). A point on the polar
+    axis converts to latitude +-90 and longitude 0 (numpy warns of the
+    division by zero on the way).
     """
-    p = np.asarray(p, dtype=float)
-    x, y, z = p
-    rho = math.hypot(x, y)
-    if rho < 1.0:
-        if lon_at_axis is None:
-            raise AxisDegeneracy(
-                f"point within {rho:.3g} m of the polar axis; longitude undefined"
-            )
-        lat = math.copysign(90.0, z) if z != 0.0 else 0.0
-        return GeodeticCoord(lat=lat, lon=lon_at_axis, h=abs(z) - WGS84.b)
-    lat_deg, lon_deg, h = ecef_to_geodetic_arrays(p)
-    return GeodeticCoord(lat=float(lat_deg), lon=float(lon_deg), h=float(h))
-
-
-def ecef_to_geodetic_arrays(p):
-    """Vectorized ECEF -> (lat_deg, lon_deg, h). No axis handling; see ecef_to_geodetic."""
     p = np.asarray(p, dtype=float)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
     a, f, e2 = WGS84.a, WGS84.f, WGS84.e2
@@ -165,21 +148,11 @@ def enu_matrix(origin: GeodeticCoord) -> np.ndarray:
     ])
 
 
-def ecef_delta_to_enu(delta, origin: GeodeticCoord) -> np.ndarray:
-    """ECEF displacement -> (de, dn, du) in meters at `origin`."""
-    return enu_matrix(origin) @ np.asarray(delta, dtype=float)
-
-
-def enu_to_ecef_delta(enu, origin: GeodeticCoord) -> np.ndarray:
-    """Inverse of ecef_delta_to_enu (transpose of the ENU matrix)."""
-    return enu_matrix(origin).T @ np.asarray(enu, dtype=float)
-
-
 def body_to_enu_matrix(att: AttitudeEuler) -> np.ndarray:
     """Rotation taking body-frame vectors to ENU.
 
     Zero attitude points the body x-axis north, y east, z down. Composition
-    is the aerospace yaw -> pitch -> roll sequence; the result is verified
+    is the aerospace yaw -> pitch -> roll sequence; the result is
     orthonormal with determinant +1.
     """
     r = math.radians(att.roll)
@@ -194,17 +167,9 @@ def body_to_enu_matrix(att: AttitudeEuler) -> np.ndarray:
     ned_from_body = rz @ ry @ rx
     # NED -> ENU: swap north/east, flip down to up
     ned_to_enu = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-    m = ned_to_enu @ ned_from_body
-    if not np.allclose(m @ m.T, np.eye(3), atol=1e-9):
-        raise ValueError("attitude rotation failed orthonormality check")
-    return m
-
-
-def body_to_enu_direction(att: AttitudeEuler) -> np.ndarray:
-    """ENU unit vector of the body x-axis (vehicle forward)."""
-    return body_to_enu_matrix(att)[:, 0]
+    return ned_to_enu @ ned_from_body
 
 
 def body_to_ecef_direction(att: AttitudeEuler, origin: GeodeticCoord) -> np.ndarray:
-    """ECEF unit vector of the body x-axis for a vehicle at `origin`."""
-    return enu_to_ecef_delta(body_to_enu_direction(att), origin)
+    """ECEF unit vector of the body x-axis (vehicle forward) at `origin`."""
+    return enu_matrix(origin).T @ body_to_enu_matrix(att)[:, 0]

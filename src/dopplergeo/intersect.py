@@ -57,34 +57,20 @@ class IntersectionCurve:
         return len(self.points_near)
 
 
-def ray_elevation(d: float) -> float:
-    """Elevation zeta of the canonical cone's rays above its x-y plane.
+def _ray_directions(cone: DopplerCone, etas: np.ndarray) -> np.ndarray:
+    """World-frame unit directions of the cone's surface rays at sweep
+    angles etas, as (n, 3).
 
-    tan(zeta) = 1/d, so zeta = pi/2 - semi_angle; the zero-shift plane
-    (d = inf) gives zeta = 0.
+    In the cone frame (apex at the origin, axis +z) the ray at eta is
+    (cos z cos eta, cos z sin eta, sin z) with elevation z = atan2(1, d) =
+    pi/2 - semi_angle, so x^2/d^2 + y^2/d^2 = z^2; the zero-shift plane
+    (d = inf) gives z = 0. cone.rotation maps it into the world frame.
     """
-    if d <= 0.0:
-        raise ValueError("cone parameter d must be positive")
-    return math.atan2(1.0, d)
-
-
-def canonical_ray_direction(d: float, eta) -> np.ndarray:
-    """Unit direction(s) of the canonical cone's surface ray at sweep angle eta.
-
-    The canonical cone has apex at the origin and axis +z; the returned
-    vector (cos z cos e, cos z sin e, sin z) satisfies x^2/d^2 + y^2/d^2 = z^2.
-    """
-    zeta = ray_elevation(d)
-    eta = np.asarray(eta, dtype=float)
+    zeta = math.atan2(1.0, cone.d)
     cz = math.cos(zeta)
-    return np.stack([cz * np.cos(eta), cz * np.sin(eta),
-                     np.full_like(eta, math.sin(zeta))], axis=-1)
-
-
-def transform_ray(d_r, rotation) -> np.ndarray:
-    """Map canonical-frame ray direction(s) into the world frame."""
-    d_r = np.asarray(d_r, dtype=float)
-    return d_r @ np.asarray(rotation, dtype=float).T
+    canonical = np.stack([cz * np.cos(etas), cz * np.sin(etas),
+                          np.full_like(etas, math.sin(zeta))], axis=-1)
+    return canonical @ cone.rotation.T
 
 
 def _solve_ray_quadratics(origin, dirs, e: Ellipsoid):
@@ -130,17 +116,6 @@ def ellipsoid_residual(points) -> np.ndarray:
     p = np.atleast_2d(np.asarray(points, dtype=float))
     return np.abs(p[:, 0] ** 2 / WGS84.a ** 2 + p[:, 1] ** 2 / WGS84.a ** 2
                   + p[:, 2] ** 2 / WGS84.b ** 2 - 1.0)
-
-
-def polyline_length(points, closed: bool = False) -> float:
-    """Total length of a polyline given as an (n, 3) array."""
-    p = np.asarray(points, dtype=float)
-    if len(p) < 2:
-        return 0.0
-    length = float(np.linalg.norm(np.diff(p, axis=0), axis=1).sum())
-    if closed:
-        length += float(np.linalg.norm(p[-1] - p[0]))
-    return length
 
 
 def _circular_runs(mask: np.ndarray) -> list[np.ndarray]:
@@ -223,7 +198,7 @@ def intersect_cone_ellipsoid(cone: DopplerCone, e: Ellipsoid = WGS84,
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
     etas = np.arange(n_samples) * (2.0 * math.pi / n_samples)
-    dirs = transform_ray(canonical_ray_direction(cone.d, etas), cone.rotation)
+    dirs = _ray_directions(cone, etas)
     s_near, s_far, tangent = _solve_ray_quadratics(cone.apex, dirs, e)
 
     hit = ~np.isnan(s_near)

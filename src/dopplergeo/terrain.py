@@ -15,6 +15,7 @@ import numpy as np
 from .cone import DopplerCone
 from .geodesy import (
     WGS84,
+    _ecef_from_trig,
     ecef_to_geodetic_arrays,
     geodetic_to_ecef_arrays,
     normalize_longitude,
@@ -175,8 +176,8 @@ def _posts_ecef(grid: TerrainGrid, index: np.ndarray | None = None) -> np.ndarra
     ecef_to_geodetic_arrays returns, so a tile running past the antimeridian
     converts like any other; in-range longitudes are kept bit for bit. The
     trig runs on the whole latitude column and the whole folded longitude
-    row and is gathered afterwards, and the rest is the arithmetic of
-    geodetic_to_ecef_arrays in its order, so a post gets the same bits in
+    row and is gathered afterwards, and the rest is _ecef_from_trig, the
+    arithmetic of geodetic_to_ecef_arrays, so a post gets the same bits in
     any subset it is converted with.
     """
     if index is None:
@@ -189,12 +190,8 @@ def _posts_ecef(grid: TerrainGrid, index: np.ndarray | None = None) -> np.ndarra
     lon[wrap] = 180.0 - (180.0 - lon[wrap]) % 360.0
     lat = np.radians(grid.lats())
     lon = np.radians(lon)
-    s, c = np.sin(lat)[rows], np.cos(lat)[rows]
-    chi = np.sqrt(1.0 - WGS84.e2 * s * s)
-    x = (WGS84.a / chi + h) * c * np.cos(lon)[cols]
-    y = (WGS84.a / chi + h) * c * np.sin(lon)[cols]
-    z = (WGS84.a * (1.0 - WGS84.e2) / chi + h) * s
-    return np.stack([x, y, z], axis=-1)
+    return _ecef_from_trig(np.sin(lat)[rows], np.cos(lat)[rows],
+                           np.sin(lon)[cols], np.cos(lon)[cols], h)
 
 
 def _require_posts(grid: TerrainGrid) -> np.ndarray:

@@ -96,6 +96,19 @@ def test_conflicting_velocity_sources_exit_4(tmp_path, capsys):
     # a tile format is "dted" or "grid", in lower case
     ("terrain", "terrain", {"path": "missing.dt2", "format": "xyz"}),
     ("terrain", "terrain", {"path": "missing.dt2", "format": "DTED"}),
+    # frequencies, speed and velocity must be finite: NaN and infinity used
+    # to end in a traceback or a curve of the wrong cone
+    ("cone", "measurement", {"f_received_hz": math.nan, "f_reference_hz": 299792458.0}),
+    ("cone", "measurement", {"f_received_hz": 299792501.3, "f_reference_hz": math.inf}),
+    ("intersect", "vehicle", dict(STEEP["vehicle"], speed_ms=math.inf)),
+    ("intersect", "vehicle", {"lat_deg": -34.6462, "lon_deg": 138.833, "h_m": 1500.0,
+                              "velocity_ecef_ms": [math.inf, 0.0, 0.0]}),
+    # so must refractive indices: beside a frequency measurement a NaN index
+    # ended in a traceback and an infinite one in exit 2
+    ("cone", "atmosphere", {"kind": "constant_index", "n": math.nan}),
+    ("cone", "atmosphere", {"kind": "two_layer", "layers": [[1e4, math.inf]]}),
+    # a NaN layer top was never below the vehicle: the layer was vacuum
+    ("cone", "atmosphere", {"kind": "two_layer", "layers": [[math.nan, 1.0003]]}),
 ])
 def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
     cfg = dict(STEEP, **{section: values})

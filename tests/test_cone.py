@@ -20,7 +20,7 @@ from dopplergeo.cone import (
     semi_angle,
 )
 from dopplergeo.geodesy import SPEED_OF_LIGHT, AttitudeEuler, GeodeticCoord
-from dopplergeo.intersect import canonical_ray_direction, transform_ray
+from dopplergeo.intersect import _ray_directions
 
 C = SPEED_OF_LIGHT
 
@@ -144,7 +144,7 @@ def test_trivial_quad_form():
 def test_cone_surface_rays_satisfy_quad_form():
     cone = cone_from_geometry(UAV.position_ecef(), UAV.velocity_dir, math.radians(26.56))
     etas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    dirs = transform_ray(canonical_ray_direction(cone.d, etas), rotation_from_axis(cone.axis))
+    dirs = _ray_directions(cone, etas)
     points = cone.apex + np.linspace(10.0, 5e6, 64)[:, None] * dirs
     res = cone_surface_residual(cone, points)
     assert res.max() < 1e-9 * quad_form_scale(cone)

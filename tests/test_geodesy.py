@@ -6,16 +6,12 @@ import pytest
 from dopplergeo.geodesy import (
     WGS84,
     AttitudeEuler,
-    AxisDegeneracy,
     Ellipsoid,
     GeodeticCoord,
-    body_to_enu_direction,
+    body_to_ecef_direction,
     body_to_enu_matrix,
-    ecef_delta_to_enu,
-    ecef_to_geodetic,
     ecef_to_geodetic_arrays,
     enu_matrix,
-    enu_to_ecef_delta,
     geodetic_to_ecef,
     geodetic_to_ecef_arrays,
     normalize_longitude,
@@ -55,19 +51,8 @@ def test_uav_position_forward():
 
 
 def test_inverse_simple_points():
-    g = ecef_to_geodetic(np.array([6378137.0, 0.0, 0.0]))
-    assert abs(g.lat) < 1e-9 and abs(g.lon) < 1e-9 and abs(g.h) < 1e-6
-
-
-def test_inverse_pole_with_axis_longitude():
-    g = ecef_to_geodetic(np.array([0.0, 0.0, 6356752.314245]), lon_at_axis=0.0)
-    assert abs(g.lat - 90.0) < 1e-9
-    assert abs(g.h) < 1e-6
-
-
-def test_inverse_axis_degeneracy():
-    with pytest.raises(AxisDegeneracy):
-        ecef_to_geodetic(np.array([0.0, 0.0, 6356752.314245]))
+    lat, lon, h = ecef_to_geodetic_arrays(np.array([6378137.0, 0.0, 0.0]))
+    assert abs(lat) < 1e-9 and abs(lon) < 1e-9 and abs(h) < 1e-6
 
 
 def test_polar_axis_arrays_stay_finite():
@@ -107,8 +92,8 @@ def test_surface_points_satisfy_ellipsoid_equation():
 
 def test_enu_axes_at_origin():
     origin = GeodeticCoord(0.0, 0.0, 0.0)
-    assert np.allclose(ecef_delta_to_enu([0.0, 1.0, 0.0], origin), [1.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(ecef_delta_to_enu([1.0, 0.0, 0.0], origin), [0.0, 0.0, 1.0], atol=1e-12)
+    assert np.allclose(enu_matrix(origin) @ [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(enu_matrix(origin) @ [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_enu_matrix_orthogonal():
@@ -123,17 +108,20 @@ def test_enu_matrix_orthogonal():
 def test_enu_inverse_is_transpose():
     origin = GeodeticCoord(-34.0, 139.0, 500.0)
     delta = np.array([123.4, -56.7, 89.0])
-    assert np.allclose(enu_to_ecef_delta(ecef_delta_to_enu(delta, origin), origin),
-                       delta, atol=1e-9)
+    m = enu_matrix(origin)
+    assert np.allclose(m.T @ (m @ delta), delta, atol=1e-9)
 
 
 def test_zero_attitude_points_north():
-    assert np.allclose(body_to_enu_direction(AttitudeEuler(0.0, 0.0, 0.0)),
-                       [0.0, 1.0, 0.0], atol=1e-12)
+    att = AttitudeEuler(0.0, 0.0, 0.0)
+    assert np.allclose(body_to_enu_matrix(att)[:, 0], [0.0, 1.0, 0.0], atol=1e-12)
+    # north at the equator and prime meridian is ECEF +z
+    assert np.allclose(body_to_ecef_direction(att, GeodeticCoord(0.0, 0.0)),
+                       [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_pitch_down_yaw_190_direction():
-    d = body_to_enu_direction(AttitudeEuler(0.0, -30.0, 190.0))
+    d = body_to_enu_matrix(AttitudeEuler(0.0, -30.0, 190.0))[:, 0]
     cb = math.cos(math.radians(-30.0))
     expected = np.array([cb * math.sin(math.radians(190.0)),
                          cb * math.cos(math.radians(190.0)),
@@ -148,7 +136,7 @@ def test_body_direction_unit_norm():
     rng = np.random.default_rng(3)
     for _ in range(200):
         att = AttitudeEuler(*rng.uniform(-180, 180, 3))
-        d = body_to_enu_direction(att)
+        d = body_to_enu_matrix(att)[:, 0]
         assert abs(np.linalg.norm(d) - 1.0) < 1e-12
 
 
@@ -168,6 +156,15 @@ def test_longitude_normalization_idempotent():
     assert normalize_longitude(180.0) == 180.0
     assert normalize_longitude(-180.0) == 180.0
     assert GeodeticCoord(0.0, 190.0).lon == pytest.approx(-170.0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "normalize_longitude folds with (lon + 180) % 360 - 180, which moves an "
+    "in-range longitude by an ulp; mending it re-records every UAV golden"))
+def test_in_range_longitude_survives():
+    # 138.833 is the longitude of 9 of the 11 committed configs
+    assert GeodeticCoord(0.0, 138.833).lon == 138.833
+    assert normalize_longitude(138.833) == 138.833
 
 
 def test_latitude_range_enforced():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dopplergeo.gridfile import (
     ParseError,
@@ -20,6 +23,34 @@ def test_two_by_two_round_trip():
     assert back.dlat == grid.dlat and back.dlon == grid.dlon
     assert np.array_equal(back.H, grid.H)
     assert back.N == grid.N
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# voids, both zeros and any height out to 1e+-300, subnormals included
+HEIGHTS = st.one_of(st.sampled_from([VOID_ELEVATION, -0.0, 0.0]),
+                    st.floats(min_value=-1e300, max_value=1e300))
+
+
+@st.composite
+def tiles(draw):
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    spacing = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    return TerrainGrid(lat0=draw(FINITE), lon0=draw(FINITE), dlat=draw(spacing),
+                       dlon=draw(spacing), H=draw(arrays(float, shape, elements=HEIGHTS)),
+                       N=draw(FINITE))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=tiles())
+def test_round_trip_property(grid):
+    back = read_portable_grid(write_portable_grid(grid))
+
+    def header(g):
+        # bytes, so that -0.0 and 0.0 differ
+        return np.array([g.lat0, g.lon0, g.dlat, g.dlon, g.N]).tobytes(), g.H.shape
+
+    assert header(back) == header(grid)
+    assert back.H.tobytes() == grid.H.tobytes()
 
 
 def test_missing_key_names_key():

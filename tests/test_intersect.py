@@ -12,7 +12,6 @@ from dopplergeo.cone import (
     cone_from_geometry,
     cone_surface_residual,
     quad_form_scale,
-    rotation_from_axis,
 )
 from dopplergeo.geodesy import (
     SPEED_OF_LIGHT,
@@ -25,12 +24,10 @@ from dopplergeo.geodesy import (
 from dopplergeo.intersect import (
     BREAK_FACTOR,
     _has_break,
+    _ray_directions,
     _solve_ray_quadratics,
-    canonical_ray_direction,
     ellipsoid_residual,
     intersect_cone_ellipsoid,
-    polyline_length,
-    transform_ray,
 )
 
 A = WGS84.a
@@ -48,10 +45,15 @@ def make_tangent_cone():
     return cone_from_geometry(apex, axis, psi)
 
 
+def canonical_cone(d):
+    """Cone with apex at the origin and axis +z, whose rotation is the identity."""
+    return cone_from_geometry(np.zeros(3), [0.0, 0.0, 1.0], math.atan(d))
+
+
 def test_canonical_direction_d1():
     r = math.sqrt(2.0) / 2.0
-    assert np.allclose(canonical_ray_direction(1.0, 0.0), [r, 0.0, r], atol=1e-12)
-    assert np.allclose(canonical_ray_direction(1.0, math.pi), [-r, 0.0, r], atol=1e-12)
+    dirs = _ray_directions(canonical_cone(1.0), np.array([0.0, math.pi]))
+    assert np.allclose(dirs, [[r, 0.0, r], [-r, 0.0, r]], atol=1e-12)
 
 
 def test_canonical_direction_on_cone():
@@ -59,18 +61,26 @@ def test_canonical_direction_on_cone():
     for _ in range(200):
         d = rng.uniform(0.05, 20.0)
         eta = rng.uniform(0.0, 2.0 * math.pi)
-        x, y, z = canonical_ray_direction(d, eta)
-        assert abs(x * x / d ** 2 + y * y / d ** 2 - z * z) < 1e-12
+        cone = canonical_cone(d)
+        [(x, y, z)] = _ray_directions(cone, np.array([eta]))
+        assert abs(x * x / cone.d ** 2 + y * y / cone.d ** 2 - z * z) < 1e-12
 
 
 def test_transform_ray_identity():
-    d_r = canonical_ray_direction(1.0, 0.3)
-    assert np.allclose(transform_ray(d_r, np.eye(3)), d_r)
+    # the +z axis leaves the canonical rays (cos z cos eta, cos z sin eta, sin z)
+    cone = canonical_cone(1.7)
+    etas = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+    zeta = math.pi / 2.0 - cone.semi_angle
+    canonical = np.column_stack([math.cos(zeta) * np.cos(etas), math.cos(zeta) * np.sin(etas),
+                                 np.full(12, math.sin(zeta))])
+    assert np.allclose(_ray_directions(cone, etas), canonical, atol=1e-12)
 
 
 def test_transform_ray_down_axis_center():
-    r = rotation_from_axis([0.0, 0.0, -1.0])
-    assert np.allclose(transform_ray(np.array([0.0, 0.0, 1.0]), r), [0.0, 0.0, -1.0])
+    # the rays of a cone pointing down average to cos(psi) times its axis
+    cone = cone_from_geometry(np.zeros(3), [0.0, 0.0, -1.0], math.radians(35.0))
+    dirs = _ray_directions(cone, np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+    assert np.allclose(dirs.mean(axis=0), [0.0, 0.0, -math.cos(cone.semi_angle)], atol=1e-12)
 
 
 def test_transform_ray_preserves_norm():
@@ -78,9 +88,10 @@ def test_transform_ray_preserves_norm():
     for _ in range(1000):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        d_r = canonical_ray_direction(rng.uniform(0.1, 5.0), rng.uniform(0, 2 * math.pi))
-        d_t = transform_ray(d_r, rotation_from_axis(axis))
+        cone = cone_from_geometry(np.zeros(3), axis, math.atan(rng.uniform(0.1, 5.0)))
+        [d_t] = _ray_directions(cone, np.array([rng.uniform(0, 2 * math.pi)]))
         assert abs(np.linalg.norm(d_t) - 1.0) < 1e-12
+        assert abs(d_t @ cone.axis - math.cos(cone.semi_angle)) < 1e-12
 
 
 def _random_rays(n, seed):
@@ -181,7 +192,9 @@ def test_refinement_convergence():
     lengths = []
     for n in (360, 720):
         curve = intersect_cone_ellipsoid(cone, n_samples=n)
-        lengths.append(polyline_length(curve.points_near, closed=True))
+        p = curve.points_near
+        # closed length: the last segment runs back to the first point
+        lengths.append(np.linalg.norm(np.diff(p, axis=0, append=p[:1]), axis=1).sum())
     assert abs(lengths[1] - lengths[0]) / lengths[0] < 1e-3
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dopplergeo import terrain
-from dopplergeo.cone import VehicleState, cone_from_geometry, rotation_from_axis
+from dopplergeo.cone import VehicleState, cone_from_geometry
 from dopplergeo.geodesy import (
     WGS84,
     AttitudeEuler,
@@ -16,7 +16,7 @@ from dopplergeo.geodesy import (
     geodetic_to_ecef_arrays,
 )
 from dopplergeo.gridfile import make_flat_grid
-from dopplergeo.intersect import canonical_ray_direction, intersect_cone_ellipsoid, transform_ray
+from dopplergeo.intersect import _ray_directions, intersect_cone_ellipsoid
 from dopplergeo.terrain import (
     VOID_ELEVATION,
     EcefPostSet,
@@ -435,8 +435,7 @@ def block_at_the_bound(rng, extent):
         axis /= np.linalg.norm(axis)
         psi = math.radians(rng.uniform(20.0, 70.0))
         probe = cone_from_geometry(np.zeros(3), axis, psi)
-        ray = transform_ray(canonical_ray_direction(probe.d, np.array([0.0])),
-                            rotation_from_axis(probe.axis))[0]
+        ray = _ray_directions(probe, np.array([0.0]))[0]
         normal = probe.axis - (probe.axis @ ray) * ray
         normal *= rng.choice([-1.0, 1.0]) / np.linalg.norm(normal)
         lat = math.degrees(math.atan2(normal[2], math.hypot(normal[0], normal[1])))
