@@ -16,10 +16,14 @@ from .cone import DopplerMeasurement, VehicleState, build_cone, semi_angle
 from .geodesy import SPEED_OF_LIGHT
 from .intersect import DEFAULT_SAMPLES, intersect_cone_ellipsoid
 
-# points of curve A per block in point_to_polyline_distance: the block's
-# point-by-segment matrices are POINT_BLOCK x segments (2.8 MiB of float64
-# against a 1440-point curve B), so memory grows with n_b, not n_a x n_b
+# points of curve A per block in point_to_polyline_distance: a block's
+# arrays are POINT_BLOCK x groups plus its kept pairs, so memory does not
+# grow with n_a (traced peak of a 1440 x 1440 search: 1.2 MiB, against
+# 2.8 MiB in one block)
 POINT_BLOCK = 256
+# consecutive segments per group sphere of that search: 8 and 32 took 1.19x
+# and 1.08x as long on the 38 curve pairs of the budget benchmark
+SEGMENT_GROUP = 16
 
 
 class Superluminal(ValueError):
@@ -115,70 +119,97 @@ def point_to_polyline_distance(points, polyline) -> np.ndarray:
     """Distance from each point to the nearest segment of a polyline.
 
     A single-vertex polyline degenerates to point distances. The search is
-    exact but pruned. Each segment gets a bounding sphere (its midpoint and
-    half-length); a point is measured only against the segments whose sphere
-    comes within U + delta of it, U being the distance to the nearest
-    midpoint, which bounds the answer from above. Those pairs go through the
-    one clamp-and-norm formula, so the result equals, bit for bit, the
-    minimum over every segment. Points are taken POINT_BLOCK at a time:
-    memory is O(POINT_BLOCK x segments) however long the first curve is,
-    and time is still O(points x segments), with the all-pairs part a single
-    matrix product per block.
+    exact but pruned in two levels. The segments are cut into groups of
+    SEGMENT_GROUP consecutive ones, and each group gets a sphere: centre c
+    at the middle of its vertices' bounding box, radius R to the farthest
+    vertex, and e, the distance to the nearest one. U = min over groups of
+    |q - c| + e bounds a point's answer from above, since that vertex lies
+    on a segment of its group. A group whose sphere lies beyond U + delta is
+    dropped; the segments of the kept groups are tested in turn against
+    their own spheres (midpoint, half-length), and the survivors go through
+    the one clamp-and-norm formula, so the result equals, bit for bit, the
+    minimum over every segment. No step forms a points x segments array or
+    calls BLAS, and points are taken POINT_BLOCK at a time.
     """
     p = np.atleast_2d(np.asarray(points, dtype=float))
     line = np.atleast_2d(np.asarray(polyline, dtype=float))
     if len(line) == 1:
         return np.linalg.norm(p - line[0], axis=1)
-    a = line[:-1]
-    ab = line[1:] - a
+    n_seg = len(line) - 1
+    n_group = -(-n_seg // SEGMENT_GROUP)
+    # vertices of each group, the last group padded with the final vertex
+    ends = np.minimum(np.arange(n_group)[:, None] * SEGMENT_GROUP
+                      + np.arange(SEGMENT_GROUP + 1), n_seg)
+    lx, ly, lz = line.T
+    vx, vy, vz = lx[ends], ly[ends], lz[ends]
+    cx = 0.5 * (vx.min(axis=1) + vx.max(axis=1))
+    cy = 0.5 * (vy.min(axis=1) + vy.max(axis=1))
+    cz = 0.5 * (vz.min(axis=1) + vz.max(axis=1))
+    to_vert = np.sqrt((vx - cx[:, None]) ** 2 + (vy - cy[:, None]) ** 2
+                      + (vz - cz[:, None]) ** 2)
+    radius, nearest = to_vert.max(axis=1), to_vert.min(axis=1)
+    # segments as x/y/z columns, padded to whole groups by repeating the last
+    # segment: a repeat only adds an equal pair to its point's minimum
+    seg = np.minimum(ends[:, :-1].ravel(), n_seg - 1)
+    ab = line[1:] - line[:-1]
     seg_len2 = np.einsum("ij,ij->i", ab, ab)
-    ab_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
-    # spheres in a frame centred on the polyline, so that the expanded
-    # square below rounds relative to the curves' extent, not to ECEF
-    centre = 0.5 * (line.min(axis=0) + line.max(axis=0))
-    mid = (a - centre) + 0.5 * ab
-    mid2 = np.einsum("ij,ij->i", mid, mid)
-    q = p - centre
-    q2 = np.einsum("ij,ij->i", q, q)
-    # [q, 1, |q|^2] . [-2m, |m|^2, 1] = |q - m|^2, the expanded square
-    q_aug = np.column_stack([q, np.ones(len(q)), q2])
-    mid_aug = np.column_stack([-2.0 * mid, mid2, np.ones(len(mid))])
-    # Slack delta (m) on the pruning test, with u = 2**-53:
-    # - the expanded square is a 5-term dot product of rounded squares, off
-    #   by at most ~8u (|q| + |m|)^2, so its root is off by at most
-    #   sqrt(8u) R = 3.0e-8 R, with R = max |q| + max |m| (centring and
-    #   midpoint rounding add a few u R); the test compares two such roots
-    #   (the kept sphere and the nearest one): 6.0e-8 R, bounded by 1e-7 R.
-    # - the clamp-and-norm formula runs on ECEF coordinates of size X
-    #   (about 6.4e6 m) and is off by at most ~30u X, counted for two
-    #   segments: 6.7e-15 X, bounded by 1e-13 X (6.4e-7 m).
-    # A fixed slack in m or m^2 would not do: R reaches hundreds of km
-    # between LEO curves, and the first bound grows with it.
-    delta = (1e-7 * (np.sqrt(q2.max(initial=0.0)) + np.sqrt(mid2.max()))
-             + 1e-13 * (np.abs(p).max(initial=0.0) + np.abs(line).max()))
-    reach = 0.5 * np.sqrt(seg_len2) + delta
+    ab_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)[seg]
+    ax, ay, az = lx[seg], ly[seg], lz[seg]
+    abx, aby, abz = ab[seg].T.copy()
+    mx = (ax + 0.5 * abx).reshape(n_group, SEGMENT_GROUP)
+    my = (ay + 0.5 * aby).reshape(n_group, SEGMENT_GROUP)
+    mz = (az + 0.5 * abz).reshape(n_group, SEGMENT_GROUP)
+    # Slack delta (m) on both pruning tests, with u = 2**-53 and X the
+    # largest coordinate of the points plus that of the polyline (about
+    # 1.3e7 m between ECEF curves). The pair that gives the minimum passes
+    # both tests when delta covers:
+    # - the clamp-and-norm error, ~30u X per pair, counted for that pair and
+    #   for a pair ending at the vertex behind U: 6.7e-15 X;
+    # - the sphere distances |q - c| and |q - m|: the stored centres and
+    #   midpoints are rounded to u X, and the difference, squares, sum and
+    #   root add 3u of a distance below sqrt(3) X; R, e and the half-length
+    #   are formed the same way, and U and each test add a rounding of
+    #   their own: about 10u sqrt(3) X = 1.9e-15 X;
+    # 8.6e-15 X in all, bounded by 1e-13 X (1.3e-6 m between ECEF curves).
+    # A slack relative to the distances alone would not do: centres and
+    # midpoints carry the rounding of the coordinates, however near q is.
+    delta = 1e-13 * (np.abs(p).max(initial=0.0) + np.abs(line).max())
+    reach = (0.5 * np.sqrt(seg_len2) + delta)[seg].reshape(n_group, SEGMENT_GROUP)
+    radius += delta
+    px, py, pz = p.T
     d = np.empty(len(p))
-    buffer = np.empty((min(POINT_BLOCK, len(p)), len(mid)))  # reused by every block
     for start in range(0, len(p), POINT_BLOCK):
         stop = min(start + POINT_BLOCK, len(p))
-        # dist[i, j] = |q_i - m_j|
-        dist = np.matmul(q_aug[start:stop], mid_aug.T, out=buffer[:stop - start])
-        np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
-        upper = dist.min(axis=1)
-        dist -= reach
-        # a segment whose sphere lies beyond U + delta cannot be the
-        # nearest; NaN keeps every pair, so NaN input gives NaN, as the
+        qx, qy, qz = px[start:stop], py[start:stop], pz[start:stop]
+        # dist[i, g] = |q_i - c_g|, per point and group
+        dist = np.sqrt((qx[:, None] - cx) ** 2 + (qy[:, None] - cy) ** 2 + (qz[:, None] - cz) ** 2)
+        upper = (dist + nearest).min(axis=1)
+        dist -= radius
+        # a group whose sphere lies beyond U + delta cannot hold the nearest
+        # point; NaN keeps every pair, so NaN input gives NaN, as the
         # minimum over every segment does
-        row, col = np.divmod(np.flatnonzero(~(dist > upper[:, None])), len(mid))
-        row += start
-        pts, seg_a, seg_ab = p[row], a[col], ab[col]
+        row, group = np.divmod(np.flatnonzero(~(dist > upper[:, None])), n_group)
+        # then the same test on the segments of each kept group
+        gx, gy, gz = qx[row, None], qy[row, None], qz[row, None]
+        dist = (gx - mx[group]) ** 2
+        dist += (gy - my[group]) ** 2
+        dist += (gz - mz[group]) ** 2
+        np.sqrt(dist, out=dist)
+        dist -= reach[group]
+        pair, j = np.divmod(np.flatnonzero(~(dist > upper[row, None])), SEGMENT_GROUP)
+        col = group[pair] * SEGMENT_GROUP + j
+        row = row[pair]
+        # the clamp-and-norm formula, summed left to right as .sum(-1) and
+        # norm(axis=-1) sum a row of three
+        gx, gy, gz = qx[row], qy[row], qz[row]
+        sx, sy, sz, vx, vy, vz = ax[col], ay[col], az[col], abx[col], aby[col], abz[col]
         # t: projection of each point onto its segment, clamped to the segment
-        t = np.clip(((pts - seg_a) * seg_ab).sum(-1) / ab_len2[col], 0.0, 1.0)
-        closest = seg_a + t[:, None] * seg_ab
-        pair_d = np.linalg.norm(pts - closest, axis=1)
-        # row is sorted and holds every point of the block at least once
-        # (its nearest sphere is always kept)
-        d[start:stop] = np.minimum.reduceat(pair_d, np.searchsorted(row, np.arange(start, stop)))
+        t = np.clip(((gx - sx) * vx + (gy - sy) * vy + (gz - sz) * vz) / ab_len2[col], 0.0, 1.0)
+        ex, ey, ez = gx - (sx + t * vx), gy - (sy + t * vy), gz - (sz + t * vz)
+        pair_d = np.sqrt(ex * ex + ey * ey + ez * ez)
+        # row is sorted and holds every point of the block at least once:
+        # the nearest segment always passes both tests
+        d[start:stop] = np.minimum.reduceat(pair_d, np.searchsorted(row, np.arange(stop - start)))
     return d
 
 

@@ -46,11 +46,12 @@ def write_portable_grid(grid: TerrainGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_portable_grid(text: str, n_grid: np.ndarray | None = None) -> TerrainGrid:
-    """Parse portable grid text. n_grid overrides the undulation when the
-    header references a companion file (see load_portable_grid)."""
+def _parse_portable_grid(text: str) -> tuple[dict[str, str], dict]:
+    """Header keys and the grid fields of portable grid text (all but the
+    undulation), in one pass over its lines. The header ends at the first
+    line without "=", so a key after the heights is a bad height value."""
     header: dict[str, str] = {}
-    heights: list[list[float]] = []
+    heights: list[np.ndarray] = []
     data_started = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -70,10 +71,7 @@ def read_portable_grid(text: str, n_grid: np.ndarray | None = None) -> TerrainGr
         if key not in header:
             raise ParseError(f"missing header key '{key}'")
     try:
-        lat0 = float(header["lat0"])
-        lon0 = float(header["lon0"])
-        dlat = float(header["dlat"])
-        dlon = float(header["dlon"])
+        fields = {key: float(header[key]) for key in ("lat0", "lon0", "dlat", "dlon")}
         n_lat = int(header["n_lat"])
         n_lon = int(header["n_lon"])
     except ValueError as exc:
@@ -82,39 +80,39 @@ def read_portable_grid(text: str, n_grid: np.ndarray | None = None) -> TerrainGr
     values = np.concatenate(heights) if heights else np.zeros(0)
     if len(values) != n_lat * n_lon:
         raise ParseError(f"expected {n_lat * n_lon} heights, found {len(values)}")
-    h = values.reshape(n_lat, n_lon)
+    fields["H"] = values.reshape(n_lat, n_lon)
+    return header, fields
 
-    if n_grid is not None:
-        n_val: float | np.ndarray = np.asarray(n_grid, dtype=float)
-    elif "geoid_grid" in header:
+
+def _scalar_grid(header: dict[str, str], fields: dict) -> TerrainGrid:
+    if "geoid_grid" in header:
         raise ParseError("geoid_grid reference requires load_portable_grid")
-    elif "geoid_n" in header:
-        try:
-            n_val = float(header["geoid_n"])
-        except ValueError as exc:
-            raise ParseError(f"bad geoid_n: {exc}") from exc
-    else:
-        n_val = 0.0
-    return TerrainGrid(lat0=lat0, lon0=lon0, dlat=dlat, dlon=dlon, H=h, N=n_val)
+    try:
+        n_val = float(header.get("geoid_n", 0.0))
+    except ValueError as exc:
+        raise ParseError(f"bad geoid_n: {exc}") from exc
+    return TerrainGrid(**fields, N=n_val)
+
+
+def read_portable_grid(text: str) -> TerrainGrid:
+    """Parse portable grid text with a scalar undulation (geoid_n, default
+    0); a geoid_grid companion reference needs load_portable_grid."""
+    return _scalar_grid(*_parse_portable_grid(text))
 
 
 def load_portable_grid(path: str) -> TerrainGrid:
     """Read a portable grid file, resolving a geoid_grid companion reference
-    (a second portable grid whose heights are undulation values)."""
+    (a second portable grid, beside it, whose heights are undulation values)."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    ref = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("geoid_grid"):
-            ref = line.partition("=")[2].strip()
-            break
+    header, fields = _parse_portable_grid(text)
+    ref = header.get("geoid_grid")
     if ref is None:
-        return read_portable_grid(text)
+        return _scalar_grid(header, fields)
     companion = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
     with open(companion, "r", encoding="utf-8") as f:
         n_grid = read_portable_grid(f.read()).H
-    return read_portable_grid(text, n_grid=n_grid)
+    return TerrainGrid(**fields, N=n_grid)
 
 
 def make_flat_grid(lat0: float, lon0: float, dlat: float, dlon: float,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dopplergeo.analysis import (
     POINT_BLOCK,
+    SEGMENT_GROUP,
     AtmosphereModel,
     Superluminal,
     TotalInternalReflection,
@@ -100,6 +101,8 @@ def all_pairs_distance(points, polyline) -> np.ndarray:
 
 ECEF_OFFSET = np.array([-3.9e6, 3.4e6, -3.6e6])  # about 6.4e6 m from the centre
 BLOCK_LENGTHS = [1, 2, POINT_BLOCK - 1, POINT_BLOCK, POINT_BLOCK + 1, 2 * POINT_BLOCK + 37]
+# vertex counts of polylines with G - 1, G, G + 1 and 2G + 1 segments
+GROUP_LENGTHS = [SEGMENT_GROUP, SEGMENT_GROUP + 1, SEGMENT_GROUP + 2, 2 * SEGMENT_GROUP + 2]
 
 
 def random_curve(kind, n, rng):
@@ -116,7 +119,7 @@ def random_curve(kind, n, rng):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        n_a=st.sampled_from(BLOCK_LENGTHS) | st.integers(1, 300),
-       n_b=st.sampled_from(BLOCK_LENGTHS) | st.integers(1, 300),
+       n_b=st.sampled_from(BLOCK_LENGTHS + GROUP_LENGTHS) | st.integers(1, 300),
        kind=st.sampled_from(["circle", "walk", "grid"]),
        relation=st.sampled_from(["apart", "same", "interleaved", "centre"]),
        gap=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
@@ -142,20 +145,70 @@ def test_pruned_search_matches_all_pairs(seed, n_a, n_b, kind, relation, gap, ec
     assert np.array_equal(point_to_polyline_distance(a, b), all_pairs_distance(a, b))
 
 
-def test_pruned_search_keeps_a_sphere_at_the_bound():
-    # The nearest segment ends where the line from p through its midpoint
-    # leaves its sphere (distance s = |p - m| - r), and the nearest midpoint
-    # is s + t away, t of a few ulp: a pruning test without the rounding
-    # slack drops the nearest segment in about one case in sixty.
-    rng = np.random.default_rng(5)
-    for _ in range(2000):
+def test_pruned_search_graded_group():
+    # one group whose segments grow from 1 m to 10 km along a turning path,
+    # like the grazing end of a sweep, between groups of 100 m segments
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        lengths = np.concatenate([np.full(SEGMENT_GROUP + 3, 100.0),
+                                  np.geomspace(1.0, 1e4, SEGMENT_GROUP),
+                                  np.full(SEGMENT_GROUP - 5, 100.0)])
+        heading = np.cumsum(rng.uniform(-0.3, 0.3, len(lengths)))
+        steps = lengths[:, None] * np.column_stack([np.cos(heading), np.sin(heading),
+                                                    rng.uniform(-0.05, 0.05, len(lengths))])
+        b = np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+        b = b @ np.linalg.qr(rng.normal(size=(3, 3)))[0].T + ECEF_OFFSET
+        near = b[rng.integers(0, len(b), 300)] + rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(
+            -1.0, 3.0, (300, 1))
+        far = b.mean(axis=0) + rng.normal(0.0, 2e4, (100, 3))
+        a = np.vstack([near, far])
+        assert np.array_equal(point_to_polyline_distance(a, b), all_pairs_distance(a, b))
+
+
+def bound_cases(last_group, n, seed, ulps=4):
+    """(p, b) pairs where the nearest vertex of b lies s from p, on a sphere of
+    b's last group that reaches p's upper bound U = s + t within t, below
+    ulps ulp of s.
+
+    The first group is one vertex V repeated, s + t from p, so its centre is
+    V and U = |p - c| + e = s + t. A second group joins V to (3s, 0) and
+    stays more than s + t from p; last_group(s) lists the remaining G
+    vertices. The curve is turned at random and moved to ECEF or not.
+    """
+    rng = np.random.default_rng(seed)
+    g = SEGMENT_GROUP
+    for _ in range(n):
         s = rng.uniform(1.0, 1e6)
-        t = s * 2.0 ** -52 * rng.integers(0, 4)
+        t = s * 2.0 ** -52 * rng.integers(0, ulps)
+        b = np.array([(0.0, s + t)] * (g + 1) + [(0.0, 3.0 * s), (3.0 * s, 3.0 * s)]
+                     + [(3.0 * s, 0.0)] * (g - 2) + last_group(s))
+        assert len(b) == 3 * g + 1
         turn = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         offset = rng.choice([0.0, 1.0]) * ECEF_OFFSET
-        b = np.array([(-s, s + t, 0.0), (s, s + t, 0.0), (3.0 * s, 0.0, 0.0), (s, 0.0, 0.0)])
-        b = b @ turn.T + offset
-        p = offset[None, :]
+        yield offset[None, :], np.column_stack([b, np.zeros(len(b))]) @ turn.T + offset
+
+
+def test_pruned_search_keeps_a_sphere_at_the_bound():
+    # The last segment runs from (3s, 0) to (s, 0): its sphere (centre 2s
+    # from p, radius s) reaches s from p, at the bound, while its group's
+    # sphere, widened by (3s, 2s), comes well inside it. A segment test
+    # without the rounding slack drops the nearest segment in about one
+    # case in 26.
+    last = lambda s: [(3.0 * s, 2.0 * s)] + [(3.0 * s, 0.0)] * (SEGMENT_GROUP - 2) + [(s, 0.0)]
+    for p, b in bound_cases(last, n=1000, seed=5):
+        assert np.array_equal(point_to_polyline_distance(p, b), all_pairs_distance(p, b))
+
+
+def test_pruned_search_keeps_a_group_at_the_bound():
+    # The last group's vertices are symmetric about (2s, 0), so its sphere
+    # keeps that centre and radius s under any turn and reaches s from p,
+    # exactly the bound (t = 0); its segments' own spheres come well inside
+    # it. A sphere around the box centre holds the vertex whatever the
+    # centre's rounding, so a group test without the rounding slack drops
+    # the nearest group only through the last bits of the distances
+    # themselves: 4 of these 3000 cases.
+    ring = lambda s: [(2.0 * s, s), (s, 0.0), (2.0 * s, -s)] + [(2.0 * s, 0.0)] * (SEGMENT_GROUP - 3)
+    for p, b in bound_cases(ring, n=3000, seed=6, ulps=1):
         assert np.array_equal(point_to_polyline_distance(p, b), all_pairs_distance(p, b))
 
 
@@ -170,6 +223,19 @@ def test_pruned_search_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2 ** 20
+
+
+def test_pruned_search_calls_no_blas(monkeypatch):
+    # the search is elementwise numpy only: its time does not depend on the
+    # BLAS thread count, which the old per-block matrix product did
+    def no_blas(*args, **kwargs):
+        raise AssertionError("BLAS call in the search")
+
+    for name in ("matmul", "dot", "inner", "tensordot", "vdot"):
+        monkeypatch.setattr(np, name, no_blas)
+    a = circle(5000.0, n=2 * POINT_BLOCK + 37) + ECEF_OFFSET
+    b = circle(5100.0, n=300) + ECEF_OFFSET
+    point_to_polyline_distance(a, b)
 
 
 def test_lorentz_identity_at_rest():

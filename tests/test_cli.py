@@ -8,7 +8,7 @@ import pytest
 from dopplergeo import cli, export
 from dopplergeo.cli import main
 from dopplergeo.export import format_positions
-from dopplergeo.gridfile import write_portable_grid
+from dopplergeo.gridfile import make_flat_grid, write_portable_grid
 from dopplergeo.terrain import VOID_ELEVATION, TerrainGrid
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -290,6 +290,20 @@ def test_terrain_corrupt_file_exit_3(tmp_path, capsys):
     cfg["terrain"] = {"path": str(bad), "format": "grid"}
     path = write_json(tmp_path / "t.json", cfg)
     assert main(["terrain", "--config", path, "--out", str(tmp_path)]) == 3
+
+
+def test_terrain_geoid_reference_after_heights_exit_3(tmp_path, capsys):
+    # the header ends at the first height line: a geoid_grid key after it is
+    # a bad height value, even when the companion file exists
+    (tmp_path / "n.grid").write_text(write_portable_grid(
+        make_flat_grid(-34.75, 138.75, 0.01, 0.01, 2, 2, height=-5.0)))
+    tile = tmp_path / "tile.grid"
+    tile.write_text(write_portable_grid(make_flat_grid(-34.75, 138.75, 0.01, 0.01, 2, 2))
+                    + "geoid_grid = n.grid\n")
+    cfg = dict(STEEP, terrain={"path": str(tile), "format": "grid"})
+    path = write_json(tmp_path / "t.json", cfg)
+    assert main(["terrain", "--config", path, "--out", str(tmp_path)]) == 3
+    assert "line 11: bad height value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, fmt", [("tile.grid", None), ("tile.dt1", "grid")])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dopplergeo.cone import (
@@ -23,6 +23,7 @@ from dopplergeo.geodesy import (
 )
 from dopplergeo.intersect import (
     BREAK_FACTOR,
+    _circular_runs,
     _has_break,
     _ray_directions,
     _solve_ray_quadratics,
@@ -279,3 +280,64 @@ def test_has_break_matches_loop_on_lattice_steps(steps, closed):
     points = np.zeros((len(steps) + 1, 3))
     points[1:, 0] = np.cumsum(steps)
     assert _has_break(points, closed) == _has_break_loop(points, closed)
+
+
+def _largest_break_ratio(curve) -> float | None:
+    """Largest segment-to-local-median ratio that _classify's break rule
+    sees on this curve, or None when the rule does not run (two or more
+    runs, or fewer than 12 visible points)."""
+    hit = ~np.isnan(curve.s_near)
+    if len(curve) < 12 or len(_circular_runs(hit)) != 1:
+        return None
+    closed = bool(hit.all())
+    p = curve.points_near
+    seg = np.linalg.norm(np.diff(p, axis=0), axis=1)
+    if closed:
+        seg = np.append(seg, np.linalg.norm(p[-1] - p[0]))
+    n = len(seg)
+    ratios = [0.0]
+    for i in range(n):
+        window = [seg[(i + k) % n] for k in range(-4, 5) if k != 0] if closed \
+            else seg[max(0, i - 4):i + 5]
+        local = float(np.median(window))
+        if local > 0.0:
+            ratios.append(seg[i] / local)
+    return max(ratios)
+
+
+def _sweep_shape(curve):
+    """Number of visible runs, whether every ray hits, whether any far crossing exists."""
+    hit = ~np.isnan(curve.s_near)
+    return len(_circular_runs(hit)), bool(hit.all()), bool((~np.isnan(curve.s_far)).any())
+
+
+@settings(max_examples=150, deadline=None)
+@given(lat=st.floats(-89.0, 89.0), lon=st.floats(-180.0, 180.0),
+       height=st.one_of(st.floats(100.0, 5000.0), st.floats(150e3, 800e3)), axis=AXES,
+       psi_deg=st.floats(1.0, 89.0), grazing=st.booleans(), graze_psi_deg=st.floats(5.0, 30.0),
+       skim_deg=st.floats(-0.02, 0.02), yaw=st.floats(0.0, 360.0),
+       n_samples=st.integers(16, 750))
+def test_topology_same_at_twice_the_samples(lat, lon, height, axis, psi_deg, grazing,
+                                            graze_psi_deg, skim_deg, yaw, n_samples):
+    # The 2n sweep holds every ray of the n sweep, bit for bit. Where both
+    # sweeps see the same runs, all-hit status and far branch, the label
+    # can move only through the break rule, and it must not while the
+    # largest segment ratio stays clear of BREAK_FACTOR (below half or
+    # above twice) at both sample counts. Ratios between those bounds do
+    # flip the label (a grazing end segment shrinks with the spacing), and
+    # so does a grazing ray that misses only at 2n: both are excluded.
+    if grazing:
+        dip = math.degrees(math.acos(WGS84.a / (WGS84.a + height)))
+        psi_deg = graze_psi_deg
+        axis = body_to_ecef_direction(AttitudeEuler(0.0, skim_deg - dip - psi_deg, yaw),
+                                      GeodeticCoord(lat, lon, height))
+    cone = cone_from_geometry(geodetic_to_ecef_arrays(lat, lon, height),
+                              np.asarray(axis) / np.linalg.norm(axis), math.radians(psi_deg))
+    coarse = intersect_cone_ellipsoid(cone, n_samples=n_samples)
+    fine = intersect_cone_ellipsoid(cone, n_samples=2 * n_samples)
+    assume(_sweep_shape(coarse) == _sweep_shape(fine))
+    ratios = [_largest_break_ratio(coarse), _largest_break_ratio(fine)]
+    if ratios != [None, None]:
+        assume(None not in ratios)
+        assume(all(r < 0.5 * BREAK_FACTOR or r > 2.0 * BREAK_FACTOR for r in ratios))
+    assert coarse.topology == fine.topology
