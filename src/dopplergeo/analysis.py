@@ -202,10 +202,10 @@ def point_to_polyline_distance(points, polyline) -> np.ndarray:
         # the clamp-and-norm formula, summed left to right as .sum(-1) and
         # norm(axis=-1) sum a row of three
         gx, gy, gz = qx[row], qy[row], qz[row]
-        sx, sy, sz, vx, vy, vz = ax[col], ay[col], az[col], abx[col], aby[col], abz[col]
+        sx, sy, sz, ux, uy, uz = ax[col], ay[col], az[col], abx[col], aby[col], abz[col]
         # t: projection of each point onto its segment, clamped to the segment
-        t = np.clip(((gx - sx) * vx + (gy - sy) * vy + (gz - sz) * vz) / ab_len2[col], 0.0, 1.0)
-        ex, ey, ez = gx - (sx + t * vx), gy - (sy + t * vy), gz - (sz + t * vz)
+        t = np.clip(((gx - sx) * ux + (gy - sy) * uy + (gz - sz) * uz) / ab_len2[col], 0.0, 1.0)
+        ex, ey, ez = gx - (sx + t * ux), gy - (sy + t * uy), gz - (sz + t * uz)
         pair_d = np.sqrt(ex * ex + ey * ey + ez * ez)
         # row is sorted and holds every point of the block at least once:
         # the nearest segment always passes both tests

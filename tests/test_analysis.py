@@ -191,7 +191,7 @@ def bound_cases(last_group, n, seed, ulps=4):
 def test_pruned_search_keeps_a_sphere_at_the_bound():
     # The last segment runs from (3s, 0) to (s, 0): its sphere (centre 2s
     # from p, radius s) reaches s from p, at the bound, while its group's
-    # sphere, widened by (3s, 2s), comes well inside it. A segment test
+    # sphere, widened by (3s, 2s), reaches nearer to p. A segment test
     # without the rounding slack drops the nearest segment in about one
     # case in 26.
     last = lambda s: [(3.0 * s, 2.0 * s)] + [(3.0 * s, 0.0)] * (SEGMENT_GROUP - 2) + [(s, 0.0)]
@@ -202,8 +202,8 @@ def test_pruned_search_keeps_a_sphere_at_the_bound():
 def test_pruned_search_keeps_a_group_at_the_bound():
     # The last group's vertices are symmetric about (2s, 0), so its sphere
     # keeps that centre and radius s under any turn and reaches s from p,
-    # exactly the bound (t = 0); its segments' own spheres come well inside
-    # it. A sphere around the box centre holds the vertex whatever the
+    # exactly the bound (t = 0); its segments' own spheres stay farther
+    # from p. A sphere around the box centre holds the vertex whatever the
     # centre's rounding, so a group test without the rounding slack drops
     # the nearest group only through the last bits of the distances
     # themselves: 4 of these 3000 cases.
@@ -226,8 +226,8 @@ def test_pruned_search_peak_memory():
 
 
 def test_pruned_search_calls_no_blas(monkeypatch):
-    # the search is elementwise numpy only: its time does not depend on the
-    # BLAS thread count, which the old per-block matrix product did
+    # the search is elementwise numpy only, so its time does not depend on
+    # the BLAS thread count
     def no_blas(*args, **kwargs):
         raise AssertionError("BLAS call in the search")
 
