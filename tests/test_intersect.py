@@ -214,22 +214,28 @@ def test_minimum_sample_count_enforced():
         intersect_cone_ellipsoid(cone, n_samples=8)
 
 
-def _has_break_loop(points, closed):
-    """Per-segment oracle for _has_break: one np.median call per segment."""
+def _window_medians_loop(points, closed):
+    """Per-segment oracle of _has_break's windows: every segment length and
+    the median of its window, one np.median call per segment."""
     p = np.asarray(points, dtype=float)
-    if len(p) < 12:
-        return False
     seg = np.linalg.norm(np.diff(p, axis=0), axis=1)
     if closed:
         seg = np.append(seg, np.linalg.norm(p[-1] - p[0]))
     n = len(seg)
+    local = []
     for i in range(n):
         window = [seg[(i + k) % n] for k in range(-4, 5) if k != 0] if closed \
             else seg[max(0, i - 4):i + 5]
-        local = float(np.median(window))
-        if local > 0.0 and seg[i] > BREAK_FACTOR * local:
-            return True
-    return False
+        local.append(float(np.median(window)))
+    return seg, local
+
+
+def _has_break_loop(points, closed):
+    """Per-segment oracle for _has_break."""
+    if len(points) < 12:
+        return False
+    seg, local = _window_medians_loop(points, closed)
+    return any(m > 0.0 and s > BREAK_FACTOR * m for s, m in zip(seg, local))
 
 
 AXES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
@@ -289,20 +295,8 @@ def _largest_break_ratio(curve) -> float | None:
     hit = ~np.isnan(curve.s_near)
     if len(curve) < 12 or len(_circular_runs(hit)) != 1:
         return None
-    closed = bool(hit.all())
-    p = curve.points_near
-    seg = np.linalg.norm(np.diff(p, axis=0), axis=1)
-    if closed:
-        seg = np.append(seg, np.linalg.norm(p[-1] - p[0]))
-    n = len(seg)
-    ratios = [0.0]
-    for i in range(n):
-        window = [seg[(i + k) % n] for k in range(-4, 5) if k != 0] if closed \
-            else seg[max(0, i - 4):i + 5]
-        local = float(np.median(window))
-        if local > 0.0:
-            ratios.append(seg[i] / local)
-    return max(ratios)
+    seg, local = _window_medians_loop(curve.points_near, closed=bool(hit.all()))
+    return max((s / m for s, m in zip(seg, local) if m > 0.0), default=0.0)
 
 
 def _sweep_shape(curve):
