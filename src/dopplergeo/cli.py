@@ -37,7 +37,13 @@ from .gridfile import (
     make_ridge_grid,
     write_portable_grid,
 )
-from .intersect import DEFAULT_SAMPLES, MIN_SAMPLES, intersect_cone_ellipsoid
+from .intersect import (
+    DEFAULT_SAMPLES,
+    MAX_SAMPLES,
+    MIN_SAMPLES,
+    TOPOLOGY_EMPTY,
+    intersect_cone_ellipsoid,
+)
 from .terrain import EmptyGrid, TerrainSearchConfig, cone_terrain_curve
 
 EXIT_OK = 0
@@ -115,10 +121,12 @@ def n_samples_from_config(cfg: dict, override: int | None) -> int:
         cfg.get("sweep", {}).get("n_samples", DEFAULT_SAMPLES)
     try:
         n = int(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: infinity
         raise ConfigError(f"bad sweep n_samples: {exc}") from exc
     if n < MIN_SAMPLES:
         raise ConfigError(f"sweep n_samples must be at least {MIN_SAMPLES}, got {n}")
+    if n > MAX_SAMPLES:
+        raise ConfigError(f"sweep n_samples must be at most {MAX_SAMPLES}, got {n}")
     return n
 
 
@@ -225,7 +233,7 @@ def cmd_intersect(args) -> int:
     print(f"visible points: {len(curve.points_near)}  far points: {len(curve.points_far)}")
     for path in written:
         print(f"wrote {path}")
-    if curve.topology == "empty":
+    if curve.topology == TOPOLOGY_EMPTY:
         print("cone does not meet the ellipsoid")
     return EXIT_OK
 
@@ -233,8 +241,9 @@ def cmd_intersect(args) -> int:
 def cmd_terrain(args) -> int:
     cfg = load_config(args.config)
     cone, vs = cone_from_config(cfg)
+    n_samples = n_samples_from_config(cfg, args.samples)
     grid = load_terrain(cfg)
-    curve = intersect_cone_ellipsoid(cone, n_samples=n_samples_from_config(cfg, args.samples))
+    curve = intersect_cone_ellipsoid(cone, n_samples=n_samples)
     search = TerrainSearchConfig.for_grid(grid)
     terrain = cone_terrain_curve(curve, cone, grid, search)
 

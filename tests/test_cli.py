@@ -109,6 +109,8 @@ def test_conflicting_velocity_sources_exit_4(tmp_path, capsys):
     ("cone", "atmosphere", {"kind": "two_layer", "layers": [[1e4, math.inf]]}),
     # a NaN layer top was never below the vehicle: the layer was vacuum
     ("cone", "atmosphere", {"kind": "two_layer", "layers": [[math.nan, 1.0003]]}),
+    # JSON's Infinity used to end in an OverflowError traceback
+    ("intersect", "sweep", {"n_samples": math.inf}),
 ])
 def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
     cfg = dict(STEEP, **{section: values})
@@ -131,6 +133,29 @@ def test_intersect_too_few_samples_flag_exit_4(tmp_path, capsys):
     path = write_json(tmp_path / "steep.json", STEEP)
     assert main(["intersect", "--config", path, "--out", str(tmp_path), "--samples", "4"]) == 4
     assert "at least 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["intersect", "terrain", "shift"])
+@pytest.mark.parametrize("from_flag", [True, False])
+def test_too_many_samples_exit_4(tmp_path, capsys, monkeypatch, command, from_flag):
+    # rejected before the sweep or the tile read: the tile does not exist
+    # (exit 3 if it were opened) and a sweep would fail the test
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep allocated")
+
+    monkeypatch.setattr(cli, "intersect_cone_ellipsoid", no_sweep)
+    too_many = cli.MAX_SAMPLES + 1
+    cfg = dict(STEEP, terrain={"path": str(tmp_path / "missing.dt2")})
+    if not from_flag:
+        cfg["sweep"] = {"n_samples": too_many}
+    path = write_json(tmp_path / "big.json", cfg)
+    argv = {"intersect": ["intersect", "--config", path, "--out", str(tmp_path)],
+            "terrain": ["terrain", "--config", path, "--out", str(tmp_path)],
+            "shift": ["shift", path, path]}[command]
+    if from_flag:
+        argv += ["--samples", str(too_many)]
+    assert main(argv) == 4
+    assert f"at most {cli.MAX_SAMPLES}" in capsys.readouterr().err
 
 
 def test_terrain_all_void_tile_exit_3(tmp_path, capsys):

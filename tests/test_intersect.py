@@ -22,9 +22,8 @@ from dopplergeo.geodesy import (
     geodetic_to_ecef_arrays,
 )
 from dopplergeo.intersect import (
-    BREAK_FACTOR,
+    MAX_SAMPLES,
     _circular_runs,
-    _has_break,
     _ray_directions,
     _solve_ray_quadratics,
     ellipsoid_residual,
@@ -160,6 +159,19 @@ def test_constructed_tangency():
     assert curve.s_near[hit[0]] == pytest.approx(A * math.sqrt(3.0), rel=1e-6)
 
 
+def test_two_visible_arcs_two_curves():
+    # seen from (2a, 0, 0) the oblate earth is wider than it is tall: a cone
+    # about the line to the centre, between the polar and equatorial limbs,
+    # meets it in two separate arcs, east and west
+    apex = np.array([2.0 * A, 0.0, 0.0])
+    polar_limb = math.atan(WGS84.b / math.sqrt(apex[0] ** 2 - A ** 2))
+    psi = (polar_limb + math.asin(A / apex[0])) / 2.0
+    cone = cone_from_geometry(apex, [-1.0, 0.0, 0.0], psi)
+    curve = intersect_cone_ellipsoid(cone, n_samples=64)
+    assert len(_circular_runs(~np.isnan(curve.s_near))) == 2
+    assert curve.topology == _fold_oracle(cone, 64)[0] == "two_curves"
+
+
 def test_grazing_cone_single_closed_curve():
     # upper rays clear the horizon, so near and far branches fold into one loop
     cone = cone_from_geometry(UAV.position_ecef(), UAV.velocity_dir, math.radians(30.0))
@@ -214,89 +226,42 @@ def test_minimum_sample_count_enforced():
         intersect_cone_ellipsoid(cone, n_samples=8)
 
 
-def _window_medians_loop(points, closed):
-    """Per-segment oracle of _has_break's windows: every segment length and
-    the median of its window, one np.median call per segment."""
-    p = np.asarray(points, dtype=float)
-    seg = np.linalg.norm(np.diff(p, axis=0), axis=1)
-    if closed:
-        seg = np.append(seg, np.linalg.norm(p[-1] - p[0]))
-    n = len(seg)
-    local = []
-    for i in range(n):
-        window = [seg[(i + k) % n] for k in range(-4, 5) if k != 0] if closed \
-            else seg[max(0, i - 4):i + 5]
-        local.append(float(np.median(window)))
-    return seg, local
-
-
-def _has_break_loop(points, closed):
-    """Per-segment oracle for _has_break."""
-    if len(points) < 12:
-        return False
-    seg, local = _window_medians_loop(points, closed)
-    return any(m > 0.0 and s > BREAK_FACTOR * m for s, m in zip(seg, local))
+def test_maximum_sample_count_enforced():
+    with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
+        intersect_cone_ellipsoid(make_tangent_cone(), n_samples=MAX_SAMPLES + 1)
 
 
 AXES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
 
 
-@settings(max_examples=150, deadline=None)
-@given(lat=st.floats(-89.0, 89.0), lon=st.floats(-180.0, 180.0),
-       height=st.floats(100.0, 2.0e6), axis=AXES,
-       psi_deg=st.floats(1.0, 89.0), n_samples=st.integers(16, 1500))
-def test_has_break_matches_loop_on_cones(lat, lon, height, axis, psi_deg, n_samples):
-    apex = geodetic_to_ecef_arrays(lat, lon, height)
-    cone = cone_from_geometry(apex, np.asarray(axis) / np.linalg.norm(axis),
-                              math.radians(psi_deg))
-    points = intersect_cone_ellipsoid(cone, n_samples=n_samples).points_near
-    for closed in (True, False):
-        assert _has_break(points, closed) == _has_break_loop(points, closed)
-
-
-@settings(max_examples=150, deadline=None)
-@given(lat=st.floats(-89.0, 89.0), lon=st.floats(-180.0, 180.0),
-       height=st.one_of(st.floats(100.0, 5000.0), st.floats(150e3, 800e3)), axis=AXES,
-       psi_deg=st.floats(1.0, 89.0), grazing=st.booleans(), graze_psi_deg=st.floats(5.0, 30.0),
-       skim_deg=st.floats(-0.02, 0.02), yaw=st.floats(0.0, 360.0),
-       n_samples=st.integers(16, 1500))
-def test_curve_points_lie_on_both_surfaces(lat, lon, height, axis, psi_deg, grazing,
-                                           graze_psi_deg, skim_deg, yaw, n_samples):
-    # UAV and LEO apexes with random axes, or, as in acceptance criterion 4,
-    # near-grazing cones whose upper ray skims the horizon
-    if grazing:
+@st.composite
+def sweep_cones(draw):
+    """UAV and LEO apexes with random axes, or, as in acceptance criterion 4,
+    near-grazing cones whose upper ray skims the horizon."""
+    lat = draw(st.floats(-89.0, 89.0))
+    lon = draw(st.floats(-180.0, 180.0))
+    height = draw(st.one_of(st.floats(100.0, 5000.0), st.floats(150e3, 800e3)))
+    if draw(st.booleans()):
         dip = math.degrees(math.acos(WGS84.a / (WGS84.a + height)))
-        psi_deg = graze_psi_deg
-        axis = body_to_ecef_direction(AttitudeEuler(0.0, skim_deg - dip - psi_deg, yaw),
+        psi_deg = draw(st.floats(5.0, 30.0))
+        pitch = draw(st.floats(-0.02, 0.02)) - dip - psi_deg
+        axis = body_to_ecef_direction(AttitudeEuler(0.0, pitch, draw(st.floats(0.0, 360.0))),
                                       GeodeticCoord(lat, lon, height))
-    cone = cone_from_geometry(geodetic_to_ecef_arrays(lat, lon, height),
+    else:
+        axis = draw(AXES)
+        psi_deg = draw(st.floats(1.0, 89.0))
+    return cone_from_geometry(geodetic_to_ecef_arrays(lat, lon, height),
                               np.asarray(axis) / np.linalg.norm(axis), math.radians(psi_deg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone=sweep_cones(), n_samples=st.integers(16, 1500))
+def test_curve_points_lie_on_both_surfaces(cone, n_samples):
     curve = intersect_cone_ellipsoid(cone, n_samples=n_samples)
     for pts in (curve.points_near, curve.points_far):
         if len(pts):
             assert ellipsoid_residual(pts).max() < 1e-9
             assert cone_surface_residual(cone, pts).max() / quad_form_scale(cone) < 1e-9
-
-
-@settings(max_examples=200, deadline=None)
-@given(steps=st.lists(st.integers(0, 12), max_size=60), closed=st.booleans())
-def test_has_break_matches_loop_on_lattice_steps(steps, closed):
-    # integer steps along a line give tied medians, zero-length segments and
-    # jumps of exactly BREAK_FACTOR times the local spacing
-    points = np.zeros((len(steps) + 1, 3))
-    points[1:, 0] = np.cumsum(steps)
-    assert _has_break(points, closed) == _has_break_loop(points, closed)
-
-
-def _largest_break_ratio(curve) -> float | None:
-    """Largest segment-to-local-median ratio that _classify's break rule
-    sees on this curve, or None when the rule does not run (two or more
-    runs, or fewer than 12 visible points)."""
-    hit = ~np.isnan(curve.s_near)
-    if len(curve) < 12 or len(_circular_runs(hit)) != 1:
-        return None
-    seg, local = _window_medians_loop(curve.points_near, closed=bool(hit.all()))
-    return max((s / m for s, m in zip(seg, local) if m > 0.0), default=0.0)
 
 
 def _sweep_shape(curve):
@@ -306,32 +271,71 @@ def _sweep_shape(curve):
 
 
 @settings(max_examples=150, deadline=None)
-@given(lat=st.floats(-89.0, 89.0), lon=st.floats(-180.0, 180.0),
-       height=st.one_of(st.floats(100.0, 5000.0), st.floats(150e3, 800e3)), axis=AXES,
-       psi_deg=st.floats(1.0, 89.0), grazing=st.booleans(), graze_psi_deg=st.floats(5.0, 30.0),
-       skim_deg=st.floats(-0.02, 0.02), yaw=st.floats(0.0, 360.0),
-       n_samples=st.integers(16, 750))
-def test_topology_same_at_twice_the_samples(lat, lon, height, axis, psi_deg, grazing,
-                                            graze_psi_deg, skim_deg, yaw, n_samples):
-    # The 2n sweep holds every ray of the n sweep, bit for bit. Where both
-    # sweeps see the same runs, all-hit status and far branch, the label
-    # can move only through the break rule, and it must not while the
-    # largest segment ratio stays clear of BREAK_FACTOR (below half or
-    # above twice) at both sample counts. Ratios between those bounds do
-    # flip the label (a grazing end segment shrinks with the spacing), and
-    # so does a grazing ray that misses only at 2n: both are excluded.
-    if grazing:
-        dip = math.degrees(math.acos(WGS84.a / (WGS84.a + height)))
-        psi_deg = graze_psi_deg
-        axis = body_to_ecef_direction(AttitudeEuler(0.0, skim_deg - dip - psi_deg, yaw),
-                                      GeodeticCoord(lat, lon, height))
-    cone = cone_from_geometry(geodetic_to_ecef_arrays(lat, lon, height),
-                              np.asarray(axis) / np.linalg.norm(axis), math.radians(psi_deg))
+@given(cone=sweep_cones(), n_samples=st.integers(16, 750))
+def test_topology_same_at_twice_the_samples(cone, n_samples):
+    # The 2n sweep holds every ray of the n sweep, bit for bit, and the
+    # label is read from the sweep's shape alone. A grazing ray that misses
+    # only at 2n still changes that shape, so such cones are excluded.
     coarse = intersect_cone_ellipsoid(cone, n_samples=n_samples)
     fine = intersect_cone_ellipsoid(cone, n_samples=2 * n_samples)
     assume(_sweep_shape(coarse) == _sweep_shape(fine))
-    ratios = [_largest_break_ratio(coarse), _largest_break_ratio(fine)]
-    if ratios != [None, None]:
-        assume(None not in ratios)
-        assume(all(r < 0.5 * BREAK_FACTOR or r > 2.0 * BREAK_FACTOR for r in ratios))
     assert coarse.topology == fine.topology
+
+
+def test_topology_independent_of_sample_count():
+    # a near-horizon cone whose grazing end segment used to read as a break
+    # at some spacings (open_arc at 32 and 64 rays only)
+    axis = np.array([0.0, 0.5, 1.0])
+    cone = cone_from_geometry(geodetic_to_ecef_arrays(0.0, -1.0, 100.0),
+                              axis / np.linalg.norm(axis), math.radians(5.0))
+    labels = {n: intersect_cone_ellipsoid(cone, n_samples=n).topology
+              for n in (16, 32, 64, 128, 720)}
+    assert set(labels.values()) == {"single_closed_curve"}, labels
+
+
+def _ray_coefficients(cone, etas):
+    """a, b, c of each ray's quadratic a s^2 + b s + c = 0 against WGS84."""
+    q = np.array([1.0 / WGS84.a ** 2, 1.0 / WGS84.a ** 2, 1.0 / WGS84.b ** 2])
+    dirs = _ray_directions(cone, np.asarray(etas, dtype=float))
+    return (dirs ** 2 @ q, 2.0 * dirs @ (q * cone.apex),
+            float(cone.apex ** 2 @ q) - 1.0)
+
+
+def _fold_oracle(cone, n_samples):
+    """Topology from the horizon folds of the cone, not from a sweep, and the
+    narrowest arc between two folds in ray spacings (inf without folds).
+
+    disc(eta) = b^2 - 4ac is a trigonometric polynomial of degree 2 in eta
+    (a of degree 2, b of degree 1, c constant), so 8 equally spaced rays
+    give its five Fourier coefficients exactly; with z = exp(i eta),
+    z^2 disc is the quartic [c2, c1, c0, conj(c1), conj(c2)], whose roots
+    on the unit circle are the folds. A ray is visible where disc > 0 and
+    a root lies ahead of the apex: b < 0, or c < 0 (apex inside).
+    """
+    a, b, c = _ray_coefficients(cone, np.arange(8) * (2.0 * math.pi / 8))
+    coef = np.fft.rfft(b * b - 4.0 * a * c) / 8.0
+    roots = np.roots([coef[2], coef[1], coef[0].real, coef[1].conj(), coef[2].conj()])
+    # a near-double root splits into z and 1/conj(z), which share one angle:
+    # kept, they bound an arc of zero width, which the property skips
+    folds = np.sort(np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-6]) % (2.0 * math.pi))
+    if len(folds) == 0:
+        a, b, c = _ray_coefficients(cone, [0.0])
+        if b[0] ** 2 - 4.0 * a[0] * c <= 0.0 or (b[0] >= 0.0 and c >= 0.0):
+            return "empty", math.inf
+        return ("two_curves" if c > 0.0 else "single_closed_curve"), math.inf
+    widths = np.diff(folds, append=folds[0] + 2.0 * math.pi)
+    a, b, c = _ray_coefficients(cone, folds + widths / 2.0)
+    visible = (b * b - 4.0 * a * c > 0.0) & ((b < 0.0) | (c < 0.0))
+    label = ("empty", "single_closed_curve", "two_curves")[np.count_nonzero(visible)]
+    return label, widths.min() / (2.0 * math.pi / n_samples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone=sweep_cones(), n_samples=st.integers(16, 7200))
+def test_topology_matches_fold_oracle(cone, n_samples):
+    # an arc (visible or hidden) at least 4 ray spacings wide holds at least
+    # three rays, so every visible arc is one run and every hidden arc
+    # separates two; narrower arcs may fall between rays
+    label, narrowest = _fold_oracle(cone, n_samples)
+    assume(narrowest >= 4.0)
+    assert intersect_cone_ellipsoid(cone, n_samples=n_samples).topology == label
