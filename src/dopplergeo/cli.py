@@ -123,6 +123,8 @@ def n_samples_from_config(cfg: dict, override: int | None) -> int:
         n = int(raw)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: infinity
         raise ConfigError(f"bad sweep n_samples: {exc}") from exc
+    if isinstance(raw, float) and raw != n:
+        raise ConfigError(f"sweep n_samples must be a whole number, got {raw!r}")
     if n < MIN_SAMPLES:
         raise ConfigError(f"sweep n_samples must be at least {MIN_SAMPLES}, got {n}")
     if n > MAX_SAMPLES:

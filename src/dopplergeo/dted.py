@@ -148,7 +148,7 @@ def write_dted(grid: TerrainGrid, level: int) -> bytes:
 def read_dted(data: bytes, geoid_n: float = 0.0) -> TerrainGrid:
     """Parse a DTED byte stream into a TerrainGrid of orthometric heights.
 
-    The formats's vertical datum is the geoid; pass geoid_n to attach an
+    The format's vertical datum is the geoid; pass geoid_n to attach an
     undulation (a DTED tile itself carries none). The records are read as
     one (n_lon, record size) byte array; every record's sentinel and
     checksum is verified, an error naming the first record that fails, and

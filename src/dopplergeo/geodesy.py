@@ -128,7 +128,8 @@ def ecef_to_geodetic_arrays(p):
     mu = np.arctan2((1.0 - f) * np.sin(lat), np.cos(lat))
     lat = np.arctan2(z * (1.0 - f) + e2 * a * np.sin(mu) ** 3,
                      (1.0 - f) * (rho - e2 * a * np.cos(mu) ** 3))
-    h = rho * np.cos(lat) + z * np.sin(lat) - a * np.sqrt(1.0 - e2 * np.sin(lat) ** 2)
+    sin_lat = np.sin(lat)
+    h = rho * np.cos(lat) + z * sin_lat - a * np.sqrt(1.0 - e2 * sin_lat ** 2)
     return np.degrees(lat), np.degrees(lon), h
 
 

@@ -40,6 +40,14 @@ PREFILTER_SLACK = 1e-6
 # within run-to-run noise: what 8 saves in posts it spends on blocks. 4 and
 # 32 are 1.2-1.6x slower.
 POST_BLOCK = 16
+# posts per side of the square sub-blocks that each kept block is cut into,
+# kept or dropped by the same sphere test. On the 8 seed-1 terrain_wide ops
+# the 186 880 posts of the kept blocks shrink to 21 276 with 2, 45 168 with
+# 4 and 92 736 with 8, and cone_terrain_curve takes a median 4.7, 4.5 and
+# 5.1 ms per op: below 4 the sub-block spheres cost more than the posts
+# they drop save. On terrain_dense (83 008 posts in kept blocks over 20 ops)
+# the three sizes are within run-to-run noise of each other.
+SUB_BLOCK = 4
 
 
 class EmptyGrid(ValueError):
@@ -194,12 +202,12 @@ def _posts_ecef(grid: TerrainGrid, index: np.ndarray | None = None) -> np.ndarra
                            np.sin(lon)[cols], np.cos(lon)[cols], h)
 
 
-def _require_posts(grid: TerrainGrid) -> np.ndarray:
-    """The grid's valid-post mask; EmptyGrid when every post is void."""
-    valid = ~grid.void_mask
-    if not valid.any():
+def _void_mask(grid: TerrainGrid) -> np.ndarray:
+    """The grid's void-post mask; EmptyGrid when every post is void."""
+    void = grid.void_mask
+    if void.all():
         raise EmptyGrid("terrain grid contains no valid posts")
-    return valid
+    return void
 
 
 def grid_to_ecef_posts(grid: TerrainGrid) -> EcefPostSet:
@@ -208,53 +216,28 @@ def grid_to_ecef_posts(grid: TerrainGrid) -> EcefPostSet:
     A column of latitudes is broadcast against a row of longitudes, so no
     lat/lon grid is built; longitudes past +-180 are folded (_posts_ecef).
     """
-    valid = _require_posts(grid)
+    valid = ~_void_mask(grid)
     return EcefPostSet(ecef=_posts_ecef(grid)[valid], index=np.flatnonzero(valid),
                        shape=grid.H.shape)
 
 
-def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float,
-                     far: float) -> EcefPostSet:
-    """The non-void posts of the POST_BLOCK x POST_BLOCK blocks that can hold
-    a candidate of the cone-frame prefilter (|off| <= reach, range <= far).
+def _spheres_near_cone(lat_a, lat_b, lon_a, lon_b, lo, hi, cone: DopplerCone, reach: float,
+                       far: float) -> np.ndarray:
+    """Which blocks of posts can hold a candidate of the cone-frame
+    prefilter (|off| <= reach, range <= far), by their bounding spheres.
 
-    A block is dropped when its bounding sphere (centre c, radius r) lies
-    wholly outside the prefilter. off = rho cos(psi) - z sin(psi) is the
-    signed distance to a generator line in the (rho, z) half-plane, so it
-    is 1-Lipschitz in the post position, and so is the range |x - apex|:
-    no post of the block passes when |off(c)| > reach + r, or when
-    |c - apex| - r > far. The kept posts are converted by _posts_ecef, the
-    same bits as grid_to_ecef_posts.
+    A block spans latitudes lat_a..lat_b and longitudes lon_a..lon_b (the
+    degrees of its first and last posts) and heights lo..hi (its min and max
+    of H + N, NaN when every post is void); the arguments broadcast. Its
+    sphere has centre c at the middle of those ranges and radius r. off =
+    rho cos(psi) - z sin(psi) is the signed distance to a generator line in
+    the (rho, z) half-plane, so it is 1-Lipschitz in the post position, and
+    so is the range |x - apex|: no post of the block passes when |off(c)| >
+    reach + r, or when |c - apex| - r > far. An all-void block, whose lo
+    and hi are NaN, fails both comparisons and is dropped.
     """
-    valid = _require_posts(grid)
-    n_lat, n_lon = grid.H.shape
-    # a block wider than the tile is cut to it: the same partition
-    b_lat, b_lon = min(POST_BLOCK, n_lat), min(POST_BLOCK, n_lon)
-    nb_lat, nb_lon = -(-n_lat // b_lat), -(-n_lon // b_lon)
-    # H + N in a buffer of whole blocks, cut by one reshape: voids are NaN,
-    # which fmin and fmax skip, and the rows and columns past the tile
-    # repeat its last ones, which lie in the same edge blocks
-    h = np.empty((nb_lat * b_lat, nb_lon * b_lon))
-    tile = h[:n_lat, :n_lon]
-    np.add(grid.H, grid.N, out=tile)
-    np.copyto(tile, np.nan, where=~valid)
-    h[n_lat:, :n_lon] = tile[-1]
-    h[:, n_lon:] = h[:, n_lon - 1:n_lon]
-    blocks = h.reshape(nb_lat, b_lat, nb_lon, b_lon)
-    lo = np.fmin.reduce(np.fmin.reduce(blocks, axis=1), axis=2)
-    hi = np.fmax.reduce(np.fmax.reduce(blocks, axis=1), axis=2)
-    solid = ~np.isnan(lo)  # False for an all-void block
-    lo, hi = np.where(solid, lo, 0.0), np.where(solid, hi, 0.0)
-
-    lats, lons = grid.lats(), grid.lons()
-    first_row = np.arange(nb_lat) * b_lat
-    first_col = np.arange(nb_lon) * b_lon
-    last_row = np.minimum(first_row + b_lat, n_lat) - 1
-    last_col = np.minimum(first_col + b_lon, n_lon) - 1
-    lat_a, lat_b = lats[first_row], lats[last_row]
     h_c = 0.5 * (lo + hi)
-    centre = geodetic_to_ecef_arrays(0.5 * (lat_a + lat_b)[:, np.newaxis],
-                                     0.5 * (lons[first_col] + lons[last_col]), h_c)
+    centre = geodetic_to_ecef_arrays(0.5 * (lat_a + lat_b), 0.5 * (lon_a + lon_b), h_c)
     # Radius r. Go from c = (lat_c, lon_c, h_c) to a post (lat, lon, h) of
     # the block along the meridian to lat, then along the parallel to lon,
     # both at height h_c, then along the normal to h. The meridian leg is
@@ -266,26 +249,100 @@ def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float,
     # block edge nearer the equator (1 when the block spans it). Unfolded
     # longitudes give the same points as the folded ones the posts use.
     half_lat = np.radians(0.5 * (lat_b - lat_a))
-    half_lon = np.radians(0.5 * (lons[last_col] - lons[first_col]))
-    cos_max = np.where((lat_a <= 0.0) & (lat_b >= 0.0), 1.0,
-                       np.maximum(np.abs(np.cos(np.radians(lat_a))),
-                                  np.abs(np.cos(np.radians(lat_b)))))
-    r = 0.5 * (hi - lo) + (WGS84.a * WGS84.a / WGS84.b + np.abs(h_c)) * (
-        half_lat[:, np.newaxis] + cos_max[:, np.newaxis] * half_lon)
+    half_lon = np.radians(0.5 * (lon_b - lon_a))
+    cos_max = np.cos(np.radians(np.clip(0.0, lat_a, lat_b)))
+    bend = WGS84.a * WGS84.a / WGS84.b + np.abs(h_c)
+    r = 0.5 * (hi - lo) + bend * (half_lat + cos_max * half_lon)
     # Rounding: the computed off and range of a post, and of c, are each
     # within ~30u (|x| + |apex|) of their exact values (u = 2**-53; the
     # trig of the conversion, the rotation and the hypot each add a few u),
     # and r itself is off by a few u r. 1e-12 (|c| + |apex|) is over a
     # hundred times their sum, and only tens of micrometres against blocks
-    # tens of metres wide.
-    r += 1e-12 * (np.linalg.norm(centre, axis=-1) + np.linalg.norm(cone.apex))
+    # metres to tens of metres wide. |c| <= N + |h_c| <= a^2 / b + |h_c|
+    # stands in for |c|.
+    r += 1e-12 * (bend + np.linalg.norm(cone.apex))
 
-    frame = (centre - cone.apex) @ cone.rotation
+    # one matrix product for all the centres, not one per leading index
+    frame = ((centre - cone.apex).reshape(-1, 3) @ cone.rotation).reshape(centre.shape)
     rho = np.hypot(frame[..., 0], frame[..., 1])
     off_cone = rho * math.cos(cone.semi_angle) - frame[..., 2] * math.sin(cone.semi_angle)
-    keep = solid & (np.abs(off_cone) <= reach + r) & (np.hypot(rho, frame[..., 2]) - r <= far)
-    keep = np.broadcast_to(keep[:, np.newaxis, :, np.newaxis], blocks.shape).reshape(h.shape)
-    index = np.flatnonzero(keep[:n_lat, :n_lon] & valid)
+    return (np.abs(off_cone) <= reach + r) & (np.hypot(rho, frame[..., 2]) - r <= far)
+
+
+def _sub_blocks(n: int, b: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One axis of n posts cut into blocks of b, each block cut into
+    sub-blocks of s (the last block and the last sub-block of each cut
+    short). For sub-block j of block i: the buffer positions of its s posts,
+    [:, j, i], the block's last post standing in for those past the block,
+    and its first and last post, [j, i]. A sub-block wholly past the end of
+    the axis has last < first."""
+    start = np.arange(0, n, b)
+    offset = np.arange(-(-b // s) * s).reshape(-1, s)
+    first = offset[:, :1] + start
+    last = np.minimum(np.minimum(first + s, start + b), n) - 1
+    return np.minimum(offset.T, b - 1)[:, :, np.newaxis] + start, first, last
+
+
+def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float,
+                     far: float) -> EcefPostSet:
+    """The non-void posts of the blocks that can hold a candidate of the
+    cone-frame prefilter (|off| <= reach, range <= far).
+
+    Two levels: the tile is cut into POST_BLOCK x POST_BLOCK blocks, each
+    kept block into SUB_BLOCK x SUB_BLOCK sub-blocks (edge blocks and
+    sub-blocks are cut short), and a block or sub-block is dropped when its
+    bounding sphere misses the prefilter (_spheres_near_cone), so it holds
+    no post the prefilter keeps. The flat indices of the kept sub-blocks'
+    posts are converted by _posts_ecef, the same bits as grid_to_ecef_posts.
+    """
+    void = _void_mask(grid)
+    n_lat, n_lon = grid.H.shape
+    # a block wider than the tile is cut to it: the same partition
+    b_lat, b_lon = min(POST_BLOCK, n_lat), min(POST_BLOCK, n_lon)
+    nb_lat, nb_lon = -(-n_lat // b_lat), -(-n_lon // b_lon)
+    # H + N in a buffer of whole blocks, cut by one reshape: voids are NaN,
+    # which fmin and fmax skip, and the rows and columns past the tile
+    # repeat its last ones, which lie in the same edge blocks
+    h = np.empty((nb_lat * b_lat, nb_lon * b_lon))
+    tile = h[:n_lat, :n_lon]
+    np.add(grid.H, grid.N, out=tile)
+    np.copyto(tile, np.nan, where=void)
+    h[n_lat:, :n_lon] = tile[-1]
+    h[:, n_lon:] = h[:, n_lon - 1:n_lon]
+    blocks = h.reshape(nb_lat, b_lat, nb_lon, b_lon)
+    lats, lons = grid.lats(), grid.lons()
+    first_row, first_col = np.arange(0, n_lat, b_lat), np.arange(0, n_lon, b_lon)
+    last_row = np.minimum(first_row + b_lat, n_lat) - 1
+    last_col = np.minimum(first_col + b_lon, n_lon) - 1
+    keep = _spheres_near_cone(
+        lats[first_row][:, np.newaxis], lats[last_row][:, np.newaxis],
+        lons[first_col], lons[last_col],
+        np.fmin.reduce(np.fmin.reduce(blocks, axis=1), axis=2),
+        np.fmax.reduce(np.fmax.reduce(blocks, axis=1), axis=2), cone, reach, far)
+
+    # each kept block cut into sub-blocks, indexed [sub-block row, sub-block
+    # column, kept block]; H + N is gathered with the post in front, so that
+    # min and max reduce across whole arrays of sub-blocks
+    s_lat, s_lon = min(SUB_BLOCK, b_lat), min(SUB_BLOCK, b_lon)
+    bi, bj = np.nonzero(keep)
+    row_slot, first_row, last_row = (x[..., bi] for x in _sub_blocks(n_lat, b_lat, s_lat))
+    col_slot, first_col, last_col = (x[..., bj] for x in _sub_blocks(n_lon, b_lon, s_lon))
+    sub = np.take(h, (row_slot[:, np.newaxis, :, np.newaxis] * h.shape[1]
+                      + col_slot[np.newaxis, :, np.newaxis]).reshape(
+                          s_lat * s_lon, len(first_row), len(first_col), len(bi)))
+    keep = _spheres_near_cone(
+        lats[np.minimum(first_row, last_row)][:, np.newaxis], lats[last_row][:, np.newaxis],
+        lons[np.minimum(first_col, last_col)], lons[last_col],
+        np.fmin.reduce(sub, axis=0), np.fmax.reduce(sub, axis=0), cone, reach, far)
+
+    # flat indices of the kept sub-blocks' posts, void ones left out
+    i, j, k = np.nonzero(keep)
+    rows = first_row[i, k][:, np.newaxis] + np.arange(s_lat)
+    cols = first_col[j, k][:, np.newaxis] + np.arange(s_lon)
+    index = (rows[:, :, np.newaxis] * n_lon + cols[:, np.newaxis, :])[
+        (rows <= last_row[i, k][:, np.newaxis])[:, :, np.newaxis]
+        & (cols <= last_col[j, k][:, np.newaxis])[:, np.newaxis, :]]
+    index = index[~void.ravel()[index]]
     return EcefPostSet(ecef=_posts_ecef(grid, index), index=index, shape=grid.H.shape)
 
 
@@ -344,10 +401,11 @@ def cone_terrain_curve(curve: IntersectionCurve, cone: DopplerCone, grid: Terrai
                        cfg: TerrainSearchConfig) -> TerrainCurve:
     """Map every visible point of `curve`, the sweep of `cone`, onto the grid.
 
-    Only the posts of the POST_BLOCK-square blocks whose bounding spheres
-    reach the cone-frame prefilter are converted (_posts_near_cone); a
-    dropped block holds no post the prefilter keeps, so the result equals
-    the search over every post. Raises EmptyGrid when every post is void.
+    Only the posts of the SUB_BLOCK-square sub-blocks of POST_BLOCK-square
+    blocks whose bounding spheres reach the cone-frame prefilter are
+    converted (_posts_near_cone); a dropped block or sub-block holds no post
+    the prefilter keeps, so the result equals the search over every post.
+    Raises EmptyGrid when every post is void.
     """
     rays = _rays(curve, cone, cfg)
     _, _, reach, far = rays

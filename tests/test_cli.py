@@ -111,6 +111,9 @@ def test_conflicting_velocity_sources_exit_4(tmp_path, capsys):
     ("cone", "atmosphere", {"kind": "two_layer", "layers": [[math.nan, 1.0003]]}),
     # JSON's Infinity used to end in an OverflowError traceback
     ("intersect", "sweep", {"n_samples": math.inf}),
+    # a count that is not a whole number used to be truncated (720.9 swept 720)
+    ("intersect", "sweep", {"n_samples": 720.9}),
+    ("intersect", "sweep", {"n_samples": 16.5}),
 ])
 def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
     cfg = dict(STEEP, **{section: values})
@@ -118,6 +121,11 @@ def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
     out = [] if command == "cone" else ["--out", str(tmp_path)]
     assert main([command, "--config", path] + out) == 4
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [720, 720.0])
+def test_whole_number_samples_sweep_that_many(raw):
+    assert cli.n_samples_from_config({"sweep": {"n_samples": raw}}, None) == 720
 
 
 def test_exact_closing_speed_measurement_exit_2(tmp_path, capsys):

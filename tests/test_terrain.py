@@ -15,7 +15,7 @@ from dopplergeo.geodesy import (
     ecef_to_geodetic_arrays,
     geodetic_to_ecef_arrays,
 )
-from dopplergeo.gridfile import make_flat_grid
+from dopplergeo.gridfile import make_flat_grid, make_ridge_grid
 from dopplergeo.intersect import _ray_directions, intersect_cone_ellipsoid
 from dopplergeo.terrain import (
     VOID_ELEVATION,
@@ -24,6 +24,7 @@ from dopplergeo.terrain import (
     TerrainGrid,
     TerrainSearchConfig,
     _map_posts,
+    _posts_near_cone,
     _rays,
     cone_terrain_curve,
     grid_to_ecef_posts,
@@ -364,6 +365,7 @@ def test_batched_matches_scan_steep():
 REGIONS = {"mid": (-60.0, 60.0, -170.0, 170.0), "north": (80.0, 86.0, -180.0, 180.0),
            "south": (-86.0, -80.0, -180.0, 180.0), "antimeridian": (-60.0, 60.0, 179.95, 180.05)}
 BLOCK_SIZES = [1, 3, 16, 10 ** 6]  # 10**6: one block holds the whole tile
+SUB_BLOCK_SIZES = [1, 2, 3, 4, 5, 10 ** 6]  # 3 and 5 divide neither 16 nor each other
 
 
 @settings(max_examples=100, deadline=None)
@@ -373,10 +375,11 @@ BLOCK_SIZES = [1, 3, 16, 10 ** 6]  # 10**6: one block holds the whole tile
        spacing_arcsec=st.sampled_from([1.0, 3.0, 9.0]), relief=st.sampled_from([0.0, 300.0]),
        void_fraction=st.sampled_from([0.0, 0.1]), void_patch=st.booleans(),
        n_lat=st.integers(1, 130), n_lon=st.integers(1, 130), array_n=st.booleans(),
-       block=st.sampled_from(BLOCK_SIZES), seed=st.integers(0, 2 ** 16))
+       block=st.sampled_from(BLOCK_SIZES), sub_block=st.sampled_from(SUB_BLOCK_SIZES),
+       seed=st.integers(0, 2 ** 16))
 def test_batched_matches_scan_property(region, fractions, plane, n_rays, spacing_arcsec,
                                        relief, void_fraction, void_patch, n_lat, n_lon,
-                                       array_n, block, seed):
+                                       array_n, block, sub_block, seed):
     lat_lo, lat_hi, lon_lo, lon_hi = REGIONS[region]
     f_lat, f_lon, f_h, f_pitch, f_yaw, f_psi = fractions
     vs = VehicleState.from_attitude(
@@ -405,10 +408,12 @@ def test_batched_matches_scan_property(region, fractions, plane, n_rays, spacing
     h[rng.integers(n_lat), rng.integers(n_lon)] = 0.0  # never an all-void tile
     geoid = rng.uniform(-60.0, 60.0, (n_lat, n_lon)) if array_n else 0.0
     grid = TerrainGrid(lat0=lat0, lon0=lon0, dlat=spacing, dlon=spacing, H=h, N=geoid)
-    # the pruned search at any block size, tiles cut into ragged edge blocks
-    # included, equals the scan over every post
+    # the pruned search at any block and sub-block size, tiles cut into
+    # ragged edge blocks and blocks into ragged sub-blocks included, equals
+    # the scan over every post
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(terrain, "POST_BLOCK", block)
+        patch.setattr(terrain, "SUB_BLOCK", sub_block)
         assert_matches_scan(curve, cone, grid, TerrainSearchConfig.for_grid(grid))
 
 
@@ -483,3 +488,55 @@ def test_block_holding_a_post_at_the_bound_is_kept(extent):
         cfg = TerrainSearchConfig(tr=hit.ray_distance + 1e-9)
         tc = assert_matches_scan(curve, cone, grid, cfg)
         assert 0.0 in tc.etas
+
+
+def test_sub_block_holding_a_post_at_the_bound_is_kept():
+    # the "height" case of block_at_the_bound on a row of POST_BLOCK posts
+    # at one lat/lon: the hit post is the lowest of a sub-block other than
+    # the first, whose highest post lies 2 dH above it, so the post lies on
+    # the sub-block's sphere along the vertical (r' = r); the other posts
+    # lie higher still. A sub-block radius short by more than the
+    # prefilter's slack drops the one post the ray at eta = 0 hits.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        cone, grid = block_at_the_bound(rng, "height")
+        low, high = grid.H[0]
+        row = high + rng.uniform(1.0, 500.0, terrain.POST_BLOCK)
+        first = terrain.SUB_BLOCK * rng.integers(1, terrain.POST_BLOCK // terrain.SUB_BLOCK)
+        sub = row[first:first + terrain.SUB_BLOCK]
+        sub[:] = rng.uniform(low, high, terrain.SUB_BLOCK)
+        sub[rng.permutation(terrain.SUB_BLOCK)[:2]] = low, high
+        grid = TerrainGrid(lat0=grid.lat0, lon0=grid.lon0, dlat=grid.dlat, dlon=grid.dlon,
+                           H=row[np.newaxis])
+        curve = intersect_cone_ellipsoid(cone, n_samples=360)
+        k = list(curve.etas_near).index(0.0)
+        hit = map_point_to_terrain(curve.points_near[k], cone.apex, grid_to_ecef_posts(grid),
+                                   TerrainSearchConfig(tr=1e3))
+        assert hit.grid_index[1] == first + list(sub).index(low)
+        cfg = TerrainSearchConfig(tr=hit.ray_distance + 1e-9)
+        tc = assert_matches_scan(curve, cone, grid, cfg)
+        assert 0.0 in tc.etas
+
+
+def test_sub_blocks_convert_a_third_of_the_block_posts():
+    # UAV passes over a seeded 600 x 600 1-arcsec ridge tile, as in the
+    # terrain_wide benchmark: the sub-blocks keep at most a third of the
+    # posts of the kept blocks (SUB_BLOCK = POST_BLOCK is the block level)
+    rng = np.random.default_rng(7)
+    spacing = 1.0 / 3600.0
+    for _ in range(4):
+        lat0, lon0 = rng.uniform(-55.0, 55.0), rng.uniform(-175.0, 175.0)
+        grid = make_ridge_grid(lat0, lon0, spacing, spacing, 600, 600,
+                               crest=rng.uniform(200.0, 900.0))
+        vs = VehicleState.from_attitude(
+            GeodeticCoord(lat0 + 300 * spacing, lon0 + 300 * spacing, rng.uniform(1500.0, 3000.0)),
+            50.0, AttitudeEuler(0.0, rng.uniform(-40.0, -25.0), rng.uniform(0.0, 360.0)))
+        cone = cone_from_geometry(vs.position_ecef(), vs.velocity_dir,
+                                  math.radians(rng.uniform(35.0, 45.0)))
+        curve = intersect_cone_ellipsoid(cone, n_samples=180)
+        _, _, reach, far = _rays(curve, cone, TerrainSearchConfig.for_grid(grid))
+        kept = len(_posts_near_cone(grid, cone, reach, far).index)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(terrain, "SUB_BLOCK", terrain.POST_BLOCK)
+            in_blocks = len(_posts_near_cone(grid, cone, reach, far).index)
+        assert 0 < 3 * kept <= in_blocks
