@@ -44,9 +44,10 @@ POST_BLOCK = 16
 # kept or dropped by the same sphere test. On the 8 seed-1 terrain_wide ops
 # the 186 880 posts of the kept blocks shrink to 21 276 with 2, 45 168 with
 # 4 and 92 736 with 8, and cone_terrain_curve takes a median 4.7, 4.5 and
-# 5.1 ms per op: below 4 the sub-block spheres cost more than the posts
-# they drop save. On terrain_dense (83 008 posts in kept blocks over 20 ops)
-# the three sizes are within run-to-run noise of each other.
+# 5.1 ms per op: with 2 the extra spheres cost more than the posts they
+# drop, with 8 the posts kept cost more than the spheres saved. On
+# terrain_dense (83 008 posts in kept blocks over 20 ops) the three sizes
+# are within run-to-run noise of each other.
 SUB_BLOCK = 4
 
 
@@ -246,8 +247,9 @@ def _spheres_near_cone(lat_a, lat_b, lon_a, lon_b, lo, hi, cone: DopplerCone, re
     # M <= N <= a^2 / b; the normal leg is |h - h_c| <= (hi - lo) / 2. The
     # chord is no longer than the path. |lat - lat_c| and |lon - lon_c| are
     # at most half the block's spans, |cos lat| at most its value at the
-    # block edge nearer the equator (1 when the block spans it). Unfolded
-    # longitudes give the same points as the folded ones the posts use.
+    # block's latitude nearest the equator, 0 clipped to [lat_a, lat_b].
+    # Unfolded longitudes give the same points as the folded ones the
+    # posts use.
     half_lat = np.radians(0.5 * (lat_b - lat_a))
     half_lon = np.radians(0.5 * (lon_b - lon_a))
     cos_max = np.cos(np.radians(np.clip(0.0, lat_a, lat_b)))
@@ -258,8 +260,8 @@ def _spheres_near_cone(lat_a, lat_b, lon_a, lon_b, lo, hi, cone: DopplerCone, re
     # trig of the conversion, the rotation and the hypot each add a few u),
     # and r itself is off by a few u r. 1e-12 (|c| + |apex|) is over a
     # hundred times their sum, and only tens of micrometres against blocks
-    # metres to tens of metres wide. |c| <= N + |h_c| <= a^2 / b + |h_c|
-    # stands in for |c|.
+    # metres to tens of metres wide. It is taken with a^2 / b + |h_c| in
+    # place of |c|, which it bounds: |c| <= N + |h_c|.
     r += 1e-12 * (bend + np.linalg.norm(cone.apex))
 
     # one matrix product for all the centres, not one per leading index
@@ -451,9 +453,9 @@ def _map_posts(curve: IntersectionCurve, cone: DopplerCone, posts: EcefPostSet,
     ray = np.tile(by_eta, 3)[slot]
 
     # the exact rule of map_point_to_terrain on the pairs
-    rel = posts.ecef[post] - cone.apex
-    along = np.einsum("ij,ij->i", rel, dirs[ray])
-    perp = np.linalg.norm(rel - along[:, np.newaxis] * dirs[ray], axis=1)
+    rel, ray_dir = posts.ecef[post] - cone.apex, dirs[ray]
+    along = np.einsum("ij,ij->i", rel, ray_dir)
+    perp = np.linalg.norm(rel - along[:, np.newaxis] * ray_dir, axis=1)
     s = np.linalg.norm(rel, axis=1)
     keep = (perp <= cfg.tr) & (along > 0.0) & (s <= FAR_BOUND_FACTOR * ray_len[ray])
     post, ray, perp, s = post[keep], ray[keep], perp[keep], s[keep]
