@@ -418,9 +418,10 @@ def test_batched_matches_scan_property(region, fractions, plane, n_rays, spacing
 
 
 def block_at_the_bound(rng, extent):
-    """A cone and a one-block tile whose post nearest the cone surface lies
-    on the block's sphere along the surface normal, and on the ray at
-    eta = 0. The block extends from that post along the normal, so its
+    """A cone, a one-block tile and the grid index of its post nearest the
+    cone surface, which lies on the block's sphere along the surface normal,
+    and on the ray at eta = 0. The block extends from that post along the
+    normal, so its
     centre lies tau + r' from the surface, r' the distance from the centre
     to the post, which the block's radius r bounds: tightly along the
     vertical (r' = r), within 1% along a parallel or a meridian (whose
@@ -429,13 +430,17 @@ def block_at_the_bound(rng, extent):
     height: two posts at one lat/lon (dlon far below a longitude ulp), H
     differing by 2 dH; the ray runs horizontally through S, a few mm under
     the ellipsoid, and the cone's normal there is the vertical.
+    sub_block: the height case on a row of POST_BLOCK posts: the post
+    nearest the surface is the lowest of a sub-block other than the first,
+    whose highest post lies 2 dH above it, so it lies on the sub-block's
+    sphere too; the posts of the other sub-blocks lie higher still.
     lon / lat: a row / column of 16 posts at H = 0 beside a plane cone whose
     ray at eta = 0 meets the ellipsoid at S, tau west / south of the first
     post: the meridian plane through S, swept down along -z from 10 km above
     it, or the prime vertical plane, swept straight down.
     """
     tau = rng.uniform(5.0, 100.0)
-    if extent == "height":
+    if extent in ("height", "sub_block"):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         psi = math.radians(rng.uniform(20.0, 70.0))
@@ -449,8 +454,17 @@ def block_at_the_bound(rng, extent):
         h_s, d_h = -0.005, rng.uniform(50.0, 2000.0)
         cone = cone_from_geometry(geodetic_to_ecef_arrays(lat, lon, h_s) - 1e4 * ray,
                                   probe.axis, psi)
+        low, high = h_s + tau, h_s + tau + 2.0 * d_h
+        row, nearest = np.array([low, high]), 0
+        if extent == "sub_block":
+            row = high + rng.uniform(1.0, 500.0, terrain.POST_BLOCK)
+            first = terrain.SUB_BLOCK * rng.integers(1, terrain.POST_BLOCK // terrain.SUB_BLOCK)
+            at = first + rng.permutation(terrain.SUB_BLOCK)
+            row[at] = rng.uniform(low, high, terrain.SUB_BLOCK)
+            row[at[:2]] = low, high
+            nearest = at[0]
         return cone, TerrainGrid(lat0=lat, lon0=lon, dlat=1.0 / 3600.0, dlon=1e-300,
-                                 H=np.array([[h_s + tau, h_s + tau + 2.0 * d_h]]))
+                                 H=row[np.newaxis]), (0, nearest)
     lat, lon = rng.uniform(5.0, 85.0), rng.uniform(-180.0, 180.0)
     s_point = geodetic_to_ecef_arrays(lat, lon, 0.0)
     step = rng.uniform(1.0, 3.0) / 3600.0
@@ -467,52 +481,24 @@ def block_at_the_bound(rng, extent):
         apex = geodetic_to_ecef_arrays(lat, lon, 1e4)
         grid = TerrainGrid(lat0=lat + math.degrees(tau / 6.36e6), lon0=lon, dlat=step,
                            dlon=step, H=np.zeros((16, 1)))
-    return cone_from_geometry(apex, axis, math.pi / 2.0), grid
+    return cone_from_geometry(apex, axis, math.pi / 2.0), grid, (0, 0)
 
 
-@pytest.mark.parametrize("extent", ["height", "lon", "lat"])
+@pytest.mark.parametrize("extent", ["height", "lon", "lat", "sub_block"])
 def test_block_holding_a_post_at_the_bound_is_kept(extent):
-    # tr is the first post's distance from the ray at eta = 0 to a
-    # nanometre, so its block is kept only by r - r' and the prefilter's
-    # slack (tr 1e-6): a radius short by more than that drops the one post
-    # that ray hits
+    # tr is the nearest post's distance from the ray at eta = 0 to a
+    # nanometre, so its block and sub-block are kept only by r - r' and the
+    # prefilter's slack (tr 1e-6): a radius short by more than that drops
+    # the one post that ray hits
     rng = np.random.default_rng(29)
     for _ in range(40):
-        cone, grid = block_at_the_bound(rng, extent)
+        cone, grid, nearest = block_at_the_bound(rng, extent)
         curve = intersect_cone_ellipsoid(cone, n_samples=360)
         assert 0.0 in curve.etas_near
         k = list(curve.etas_near).index(0.0)
         hit = map_point_to_terrain(curve.points_near[k], cone.apex, grid_to_ecef_posts(grid),
                                    TerrainSearchConfig(tr=1e3))
-        assert hit.grid_index == (0, 0)
-        cfg = TerrainSearchConfig(tr=hit.ray_distance + 1e-9)
-        tc = assert_matches_scan(curve, cone, grid, cfg)
-        assert 0.0 in tc.etas
-
-
-def test_sub_block_holding_a_post_at_the_bound_is_kept():
-    # the "height" case of block_at_the_bound on a row of POST_BLOCK posts
-    # at one lat/lon: the hit post is the lowest of a sub-block other than
-    # the first, whose highest post lies 2 dH above it, so the post lies on
-    # the sub-block's sphere along the vertical (r' = r); the other posts
-    # lie higher still. A sub-block radius short by more than the
-    # prefilter's slack drops the one post the ray at eta = 0 hits.
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        cone, grid = block_at_the_bound(rng, "height")
-        low, high = grid.H[0]
-        row = high + rng.uniform(1.0, 500.0, terrain.POST_BLOCK)
-        first = terrain.SUB_BLOCK * rng.integers(1, terrain.POST_BLOCK // terrain.SUB_BLOCK)
-        sub = row[first:first + terrain.SUB_BLOCK]
-        sub[:] = rng.uniform(low, high, terrain.SUB_BLOCK)
-        sub[rng.permutation(terrain.SUB_BLOCK)[:2]] = low, high
-        grid = TerrainGrid(lat0=grid.lat0, lon0=grid.lon0, dlat=grid.dlat, dlon=grid.dlon,
-                           H=row[np.newaxis])
-        curve = intersect_cone_ellipsoid(cone, n_samples=360)
-        k = list(curve.etas_near).index(0.0)
-        hit = map_point_to_terrain(curve.points_near[k], cone.apex, grid_to_ecef_posts(grid),
-                                   TerrainSearchConfig(tr=1e3))
-        assert hit.grid_index[1] == first + list(sub).index(low)
+        assert hit.grid_index == nearest
         cfg = TerrainSearchConfig(tr=hit.ray_distance + 1e-9)
         tc = assert_matches_scan(curve, cone, grid, cfg)
         assert 0.0 in tc.etas
