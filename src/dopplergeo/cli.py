@@ -132,6 +132,16 @@ def n_samples_from_config(cfg: dict, override: int | None) -> int:
     return n
 
 
+def sweep_configs(paths, samples: int | None) -> list:
+    """(config, cone, curve) for each config path. Every config is loaded,
+    its cone built and its sample count checked before the first sweep."""
+    cfgs = [load_config(path) for path in paths]
+    cones = [cone_from_config(cfg)[0] for cfg in cfgs]
+    counts = [n_samples_from_config(cfg, samples) for cfg in cfgs]
+    return [(cfg, cone, intersect_cone_ellipsoid(cone, n_samples=n))
+            for cfg, cone, n in zip(cfgs, cones, counts)]
+
+
 def load_terrain(cfg: dict):
     t = cfg.get("terrain")
     if not t or "path" not in t:
@@ -220,9 +230,7 @@ def cmd_cone(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    cfg = load_config(args.config)
-    cone, _ = cone_from_config(cfg)
-    curve = intersect_cone_ellipsoid(cone, n_samples=n_samples_from_config(cfg, args.samples))
+    [(cfg, _, curve)] = sweep_configs([args.config], args.samples)
     polylines = []
     if len(curve.points_near):
         polylines.append(("ellipsoid curve (visible)", geodetic_rows(curve.points_near),
@@ -241,13 +249,9 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_terrain(args) -> int:
-    cfg = load_config(args.config)
-    cone, vs = cone_from_config(cfg)
-    n_samples = n_samples_from_config(cfg, args.samples)
+    [(cfg, cone, curve)] = sweep_configs([args.config], args.samples)
     grid = load_terrain(cfg)
-    curve = intersect_cone_ellipsoid(cone, n_samples=n_samples)
-    search = TerrainSearchConfig.for_grid(grid)
-    terrain = cone_terrain_curve(curve, cone, grid, search)
+    terrain = cone_terrain_curve(curve, cone, grid, TerrainSearchConfig.for_grid(grid))
 
     ellipsoid_rows = geodetic_rows(curve.points_near)
     terrain_rows = terrain.points
@@ -272,14 +276,8 @@ def cmd_terrain(args) -> int:
 
 
 def cmd_shift(args) -> int:
-    cfg_a = load_config(args.config_a)
-    cfg_b = load_config(args.config_b)
-    cone_a, _ = cone_from_config(cfg_a)
-    cone_b, _ = cone_from_config(cfg_b)
-    curve_a = intersect_cone_ellipsoid(cone_a,
-                                       n_samples=n_samples_from_config(cfg_a, args.samples))
-    curve_b = intersect_cone_ellipsoid(cone_b,
-                                       n_samples=n_samples_from_config(cfg_b, args.samples))
+    (_, _, curve_a), (_, _, curve_b) = sweep_configs([args.config_a, args.config_b],
+                                                     args.samples)
     if len(curve_a) == 0 or len(curve_b) == 0:
         print("shift undefined: at least one curve is empty "
               f"(topologies {curve_a.topology}, {curve_b.topology})")

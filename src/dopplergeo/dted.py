@@ -99,11 +99,15 @@ def write_dted(grid: TerrainGrid, level: int) -> bytes:
 
     The latitude interval must match the level's nominal spacing; the
     longitude interval is written as declared (zone doubling is the
-    caller's business). Heights must be whole meters; the geoid undulation
-    is not carried by the format.
+    caller's business). Heights must be finite whole meters; the geoid
+    undulation is not carried by the format.
     """
     if level not in LEVEL_LAT_INTERVAL:
         raise DtedError(f"unsupported level {level}")
+    # before rounding: NaN casts to the lowest int64, whose absolute value
+    # is negative, so it would pass the 16-bit range check
+    if not np.isfinite(grid.H).all():
+        raise DtedError("elevations must be finite")
     lat_tenths = _interval_tenths(grid.dlat)
     lon_tenths = _interval_tenths(grid.dlon)
     if lat_tenths != LEVEL_LAT_INTERVAL[level]:

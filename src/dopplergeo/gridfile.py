@@ -49,7 +49,9 @@ def write_portable_grid(grid: TerrainGrid) -> str:
 def _parse_portable_grid(text: str) -> tuple[dict[str, str], dict]:
     """Header keys and the grid fields of portable grid text (all but the
     undulation), in one pass over its lines. The header ends at the first
-    line without "=", so a key after the heights is a bad height value."""
+    line without "=", so a key after the heights is a bad height value.
+    Every height must be finite (nan and inf are rejected), in an undulation
+    companion grid too."""
     header: dict[str, str] = {}
     heights: list[np.ndarray] = []
     data_started = False
@@ -80,6 +82,12 @@ def _parse_portable_grid(text: str) -> tuple[dict[str, str], dict]:
     values = np.concatenate(heights) if heights else np.zeros(0)
     if len(values) != n_lat * n_lon:
         raise ParseError(f"expected {n_lat * n_lon} heights, found {len(values)}")
+    # the terrain search takes NaN for a post without a height: an infinite
+    # height would drop its whole block
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), n_lon)
+        raise ParseError(f"height at row {row}, column {col} is not finite")
     fields["H"] = values.reshape(n_lat, n_lon)
     return header, fields
 
@@ -91,6 +99,8 @@ def _scalar_grid(header: dict[str, str], fields: dict) -> TerrainGrid:
         n_val = float(header.get("geoid_n", 0.0))
     except ValueError as exc:
         raise ParseError(f"bad geoid_n: {exc}") from exc
+    if not np.isfinite(n_val):
+        raise ParseError(f"geoid_n is not finite: {n_val}")
     return TerrainGrid(**fields, N=n_val)
 
 

@@ -34,15 +34,17 @@ TIE_EPS = 1e-6
 # covers the rounding of ray directions and rotated posts (~1e-9 m at 1e7 m)
 PREFILTER_SLACK = 1e-6
 # posts per side of the square blocks that cone_terrain_curve keeps or drops
-# as a whole (edge blocks are cut short). On the 600 x 600 1-arcsec tiles of
-# the terrain_wide benchmark, 16 keeps 5.4-7.8% of the posts (1 444 blocks)
-# and 8 keeps 2.7-3.9% (5 625 blocks), yet the two search equally fast,
-# within run-to-run noise: what 8 saves in posts it spends on blocks. 4 and
-# 32 are 1.2-1.6x slower.
+# as a whole, rounded up to a whole number of sub-blocks; voids and the
+# posts past the tile are NaN, so they hold no height. On the 600 x 600
+# 1-arcsec tiles of the terrain_wide benchmark, 16 keeps 5.4-7.8% of the
+# posts (1 444 blocks) and 8 keeps 2.7-3.9% (5 625 blocks), yet the two
+# search equally fast, within run-to-run noise: what 8 saves in posts it
+# spends on blocks. 4 and 32 are 1.2-1.6x slower.
 POST_BLOCK = 16
-# posts per side of the square sub-blocks that each kept block is cut into,
-# kept or dropped by the same sphere test. On the 8 seed-1 terrain_wide ops
-# the 186 880 posts of the kept blocks shrink to 21 276 with 2, 45 168 with
+# posts per side of the square sub-blocks that each kept block is cut into
+# (a block is a whole number of them) and kept or dropped by the same
+# sphere test, in the same loop. On the 8 seed-1 terrain_wide ops the
+# 186 880 posts of the kept blocks shrink to 21 276 with 2, 45 168 with
 # 4 and 92 736 with 8, and cone_terrain_curve takes a median 4.7, 4.5 and
 # 5.1 ms per op: with 2 the extra spheres cost more than the posts they
 # drop, with 8 the posts kept cost more than the spheres saved. On
@@ -62,6 +64,9 @@ class TerrainGrid:
     lat0/lon0 name the south-west corner post; H is indexed [lat, lon] with
     row 0 at lat0. N is the geoid undulation: a scalar or an array matching
     H. Void posts carry VOID_ELEVATION and are never treated as height 0.
+    Every height and undulation must be finite (the readers reject others;
+    it is not checked here): the terrain search takes NaN for a post that
+    holds no height.
     """
 
     lat0: float
@@ -229,13 +234,14 @@ def _spheres_near_cone(lat_a, lat_b, lon_a, lon_b, lo, hi, cone: DopplerCone, re
 
     A block spans latitudes lat_a..lat_b and longitudes lon_a..lon_b (the
     degrees of its first and last posts) and heights lo..hi (its min and max
-    of H + N, NaN when every post is void); the arguments broadcast. Its
-    sphere has centre c at the middle of those ranges and radius r. off =
-    rho cos(psi) - z sin(psi) is the signed distance to a generator line in
-    the (rho, z) half-plane, so it is 1-Lipschitz in the post position, and
-    so is the range |x - apex|: no post of the block passes when |off(c)| >
-    reach + r, or when |c - apex| - r > far. An all-void block, whose lo
-    and hi are NaN, fails both comparisons and is dropped.
+    of H + N, NaN when every post is void or past the tile); the arguments
+    broadcast. Its sphere has centre c at the middle of those ranges and
+    radius r. off = rho cos(psi) - z sin(psi) is the signed distance to a
+    generator line in the (rho, z) half-plane, so it is 1-Lipschitz in the
+    post position, and so is the range |x - apex|: no post of the block
+    passes when |off(c)| > reach + r, or when |c - apex| - r > far. A block
+    without a height, whose lo and hi are NaN, fails both comparisons and is
+    dropped.
     """
     h_c = 0.5 * (lo + hi)
     centre = geodetic_to_ecef_arrays(0.5 * (lat_a + lat_b), 0.5 * (lon_a + lon_b), h_c)
@@ -271,80 +277,60 @@ def _spheres_near_cone(lat_a, lat_b, lon_a, lon_b, lo, hi, cone: DopplerCone, re
     return (np.abs(off_cone) <= reach + r) & (np.hypot(rho, frame[..., 2]) - r <= far)
 
 
-def _sub_blocks(n: int, b: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One axis of n posts cut into blocks of b, each block cut into
-    sub-blocks of s (the last block and the last sub-block of each cut
-    short). For sub-block j of block i: the buffer positions of its s posts,
-    [:, j, i], the block's last post standing in for those past the block,
-    and its first and last post, [j, i]. A sub-block wholly past the end of
-    the axis has last < first."""
-    start = np.arange(0, n, b)
-    offset = np.arange(-(-b // s) * s).reshape(-1, s)
-    first = offset[:, :1] + start
-    last = np.minimum(np.minimum(first + s, start + b), n) - 1
-    return np.minimum(offset.T, b - 1)[:, :, np.newaxis] + start, first, last
-
-
 def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float,
                      far: float) -> EcefPostSet:
     """The non-void posts of the blocks that can hold a candidate of the
     cone-frame prefilter (|off| <= reach, range <= far).
 
-    Two levels: the tile is cut into POST_BLOCK x POST_BLOCK blocks, each
-    kept block into SUB_BLOCK x SUB_BLOCK sub-blocks (edge blocks and
-    sub-blocks are cut short), and a block or sub-block is dropped when its
-    bounding sphere misses the prefilter (_spheres_near_cone), so it holds
-    no post the prefilter keeps. The flat indices of the kept sub-blocks'
-    posts are converted by _posts_ecef, the same bits as grid_to_ecef_posts.
+    Two levels, one loop: the tile is cut into blocks of POST_BLOCK posts a
+    side, rounded up to a whole number of SUB_BLOCK-square sub-blocks, and
+    each kept block into its sub-blocks; a block or sub-block is dropped
+    when its bounding sphere misses the prefilter (_spheres_near_cone), so
+    it holds no post the prefilter keeps. H + N sits in a buffer of whole
+    blocks in which voids and the posts past the tile are NaN, so a piece
+    without a valid post fails the sphere test. The flat indices of the
+    non-NaN posts of the kept sub-blocks are converted by _posts_ecef, the
+    same bits as grid_to_ecef_posts.
     """
     void = _void_mask(grid)
     n_lat, n_lon = grid.H.shape
-    # a block wider than the tile is cut to it: the same partition
-    b_lat, b_lon = min(POST_BLOCK, n_lat), min(POST_BLOCK, n_lon)
-    nb_lat, nb_lon = -(-n_lat // b_lat), -(-n_lon // b_lon)
-    # H + N in a buffer of whole blocks, cut by one reshape: voids are NaN,
-    # which fmin and fmax skip, and the rows and columns past the tile
-    # repeat its last ones, which lie in the same edge blocks
-    h = np.empty((nb_lat * b_lat, nb_lon * b_lon))
+    # a block wider than the tile is cut to it, then rounded up to whole
+    # sub-blocks
+    s_lat, s_lon = min(SUB_BLOCK, POST_BLOCK, n_lat), min(SUB_BLOCK, POST_BLOCK, n_lon)
+    b_lat = -(-min(POST_BLOCK, n_lat) // s_lat) * s_lat
+    b_lon = -(-min(POST_BLOCK, n_lon) // s_lon) * s_lon
+    h = np.empty((-(-n_lat // b_lat) * b_lat, -(-n_lon // b_lon) * b_lon))
     tile = h[:n_lat, :n_lon]
     np.add(grid.H, grid.N, out=tile)
     np.copyto(tile, np.nan, where=void)
-    h[n_lat:, :n_lon] = tile[-1]
-    h[:, n_lon:] = h[:, n_lon - 1:n_lon]
-    blocks = h.reshape(nb_lat, b_lat, nb_lon, b_lon)
-    lats, lons = grid.lats(), grid.lons()
-    first_row, first_col = np.arange(0, n_lat, b_lat), np.arange(0, n_lon, b_lon)
-    last_row = np.minimum(first_row + b_lat, n_lat) - 1
-    last_col = np.minimum(first_col + b_lon, n_lon) - 1
-    keep = _spheres_near_cone(
-        lats[first_row][:, np.newaxis], lats[last_row][:, np.newaxis],
-        lons[first_col], lons[last_col],
-        np.fmin.reduce(np.fmin.reduce(blocks, axis=1), axis=2),
-        np.fmax.reduce(np.fmax.reduce(blocks, axis=1), axis=2), cone, reach, far)
+    h[n_lat:] = h[:, n_lon:] = np.nan
+    # the degrees of the buffer's rows and columns, those past the tile at
+    # its last post, so that a piece's span ends at the tile's edge
+    lats = grid.lats()[np.minimum(np.arange(h.shape[0]), n_lat - 1)]
+    lons = grid.lons()[np.minimum(np.arange(h.shape[1]), n_lon - 1)]
 
-    # each kept block cut into sub-blocks, indexed [sub-block row, sub-block
-    # column, kept block]; H + N is gathered with the post in front, so that
-    # min and max reduce across whole arrays of sub-blocks
-    s_lat, s_lon = min(SUB_BLOCK, b_lat), min(SUB_BLOCK, b_lon)
-    bi, bj = np.nonzero(keep)
-    row_slot, first_row, last_row = (x[..., bi] for x in _sub_blocks(n_lat, b_lat, s_lat))
-    col_slot, first_col, last_col = (x[..., bj] for x in _sub_blocks(n_lon, b_lon, s_lon))
-    sub = np.take(h, (row_slot[:, np.newaxis, :, np.newaxis] * h.shape[1]
-                      + col_slot[np.newaxis, :, np.newaxis]).reshape(
-                          s_lat * s_lon, len(first_row), len(first_col), len(bi)))
-    keep = _spheres_near_cone(
-        lats[np.minimum(first_row, last_row)][:, np.newaxis], lats[last_row][:, np.newaxis],
-        lons[np.minimum(first_col, last_col)], lons[last_col],
-        np.fmin.reduce(sub, axis=0), np.fmax.reduce(sub, axis=0), cone, reach, far)
+    # kept pieces indexed [row, column, piece] with their first rows and
+    # columns in the buffer: the whole buffer, the kept blocks, then the
+    # kept sub-blocks. fmin and fmax skip NaN, and give NaN for a piece
+    # that is NaN throughout.
+    pieces, row0, col0 = h[..., np.newaxis], np.zeros(1, int), np.zeros(1, int)
+    for p_lat, p_lon in (b_lat, b_lon), (s_lat, s_lon):
+        n_rows, n_cols, n = pieces.shape
+        cut = pieces.reshape(n_rows // p_lat, p_lat, n_cols // p_lon, p_lon, n)
+        rows = row0 + p_lat * np.arange(cut.shape[0])[:, np.newaxis, np.newaxis]
+        cols = col0 + p_lon * np.arange(cut.shape[2])[:, np.newaxis]
+        keep = _spheres_near_cone(
+            lats[rows], lats[rows + p_lat - 1], lons[cols], lons[cols + p_lon - 1],
+            np.fmin.reduce(np.fmin.reduce(cut, axis=1), axis=2),
+            np.fmax.reduce(np.fmax.reduce(cut, axis=1), axis=2), cone, reach, far)
+        i, j, k = np.nonzero(keep)
+        # the piece axis last and contiguous: the next level's min and max
+        # then reduce across whole arrays of pieces
+        pieces = np.ascontiguousarray(cut.transpose(1, 3, 0, 2, 4)[:, :, i, j, k])
+        row0, col0 = rows[i, 0, k], cols[j, k]
 
-    # flat indices of the kept sub-blocks' posts, void ones left out
-    i, j, k = np.nonzero(keep)
-    rows = first_row[i, k][:, np.newaxis] + np.arange(s_lat)
-    cols = first_col[j, k][:, np.newaxis] + np.arange(s_lon)
-    index = (rows[:, :, np.newaxis] * n_lon + cols[:, np.newaxis, :])[
-        (rows <= last_row[i, k][:, np.newaxis])[:, :, np.newaxis]
-        & (cols <= last_col[j, k][:, np.newaxis])[:, np.newaxis, :]]
-    index = index[~void.ravel()[index]]
+    k, i, j = np.nonzero(~np.isnan(pieces.transpose(2, 0, 1)))
+    index = (row0[k] + i) * n_lon + col0[k] + j
     return EcefPostSet(ecef=_posts_ecef(grid, index), index=index, shape=grid.H.shape)
 
 

@@ -177,6 +177,29 @@ def test_terrain_all_void_tile_exit_3(tmp_path, capsys):
     assert "no valid posts" in capsys.readouterr().err
 
 
+def test_terrain_non_finite_height_exit_3(tmp_path, capsys):
+    # the grid is rejected when it is read, before the terrain search
+    h = np.zeros((4, 4))
+    h[1, 2] = math.inf
+    tile = tmp_path / "inf.grid"
+    tile.write_text(write_portable_grid(TerrainGrid(
+        lat0=-34.70, lon0=138.80, dlat=3 / 3600, dlon=3 / 3600, H=h)))
+    cfg = dict(STEEP, terrain={"path": str(tile), "format": "grid"})
+    path = write_json(tmp_path / "t.json", cfg)
+    assert main(["terrain", "--config", path, "--out", str(tmp_path)]) == 3
+    assert "row 1, column 2 is not finite" in capsys.readouterr().err
+
+
+def test_gen_tile_dted_non_finite_height_exit_4(tmp_path, capsys):
+    # rejected before rounding, which would write NaN as 0 m
+    tile = tmp_path / "nan.dt1"
+    assert main(["gen-tile", "--kind", "plateau", "--format", "dted",
+                 "--out-path", str(tile), "--lat0", "-35.0", "--lon0", "138.0",
+                 "--n-lat", "10", "--n-lon", "10", "--height", "nan"]) == 4
+    assert "elevations must be finite" in capsys.readouterr().err
+    assert not tile.exists()
+
+
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("numerical fault")

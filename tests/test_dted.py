@@ -8,6 +8,7 @@ from dopplergeo.dted import (
     RECORD_SENTINEL,
     BadMagic,
     ChecksumMismatch,
+    DtedError,
     InconsistentHeader,
     SpacingMismatch,
     TruncatedFile,
@@ -110,6 +111,17 @@ def test_writer_rejects_wrong_level():
 def test_writer_rejects_unencodable_spacing():
     grid = make_flat_grid(-35.0, 138.0, 0.001234, 0.001234, 4, 4)
     with pytest.raises(SpacingMismatch):
+        write_dted(grid, 1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_writer_rejects_non_finite_heights(value):
+    # NaN rounds to the lowest int64, which passes the 16-bit range check
+    # and would be written as 0 m
+    h = small_tile().H.copy()
+    h[2, 1] = value
+    grid = TerrainGrid(lat0=-35.0, lon0=138.0, dlat=30 / 36000.0, dlon=30 / 36000.0, H=h)
+    with pytest.raises(DtedError, match="finite"):
         write_dted(grid, 1)
 
 

@@ -74,6 +74,31 @@ def test_wrong_height_count():
         read_portable_grid(text)
 
 
+def grid_with(value, at, shape, geoid_n=0.0):
+    h = np.zeros(shape)
+    h[at] = value
+    return TerrainGrid(lat0=-35.0, lon0=138.0, dlat=0.001, dlon=0.001, H=h, N=geoid_n)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_height_rejected(value):
+    # an infinite height makes its block's sphere test compare NaN, which
+    # would drop the block from the terrain search with the hits it holds
+    with pytest.raises(ParseError, match="row 1, column 2 is not finite"):
+        read_portable_grid(write_portable_grid(grid_with(value, (1, 2), (2, 3))))
+
+
+def test_non_finite_undulation_rejected(tmp_path):
+    with pytest.raises(ParseError, match="geoid_n is not finite"):
+        read_portable_grid(write_portable_grid(grid_with(0.0, (0, 0), (1, 2), np.inf)))
+    # a companion undulation grid is a portable grid: the same rule
+    (tmp_path / "n.grid").write_text(write_portable_grid(grid_with(np.nan, (0, 1), (1, 2))))
+    (tmp_path / "tile.grid").write_text(write_portable_grid(grid_with(0.0, (0, 0), (1, 2)))
+                                        .replace("geoid_n = 0.0", "geoid_grid = n.grid"))
+    with pytest.raises(ParseError, match="row 0, column 1 is not finite"):
+        load_portable_grid(str(tmp_path / "tile.grid"))
+
+
 def test_comments_ignored():
     grid = make_flat_grid(-35.0, 138.0, 0.001, 0.001, 2, 2, height=7.0)
     text = "# leading comment\n" + write_portable_grid(grid).replace(

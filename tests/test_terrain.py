@@ -365,7 +365,9 @@ def test_batched_matches_scan_steep():
 REGIONS = {"mid": (-60.0, 60.0, -170.0, 170.0), "north": (80.0, 86.0, -180.0, 180.0),
            "south": (-86.0, -80.0, -180.0, 180.0), "antimeridian": (-60.0, 60.0, 179.95, 180.05)}
 BLOCK_SIZES = [1, 3, 16, 10 ** 6]  # 10**6: one block holds the whole tile
-SUB_BLOCK_SIZES = [1, 2, 3, 4, 5, 10 ** 6]  # 3 and 5 divide neither 16 nor each other
+# 3 and 5 divide neither 16 nor each other: they test the rounding of a
+# block up to a whole number of sub-blocks
+SUB_BLOCK_SIZES = [1, 2, 3, 4, 5, 10 ** 6]
 
 
 @settings(max_examples=100, deadline=None)
@@ -408,9 +410,9 @@ def test_batched_matches_scan_property(region, fractions, plane, n_rays, spacing
     h[rng.integers(n_lat), rng.integers(n_lon)] = 0.0  # never an all-void tile
     geoid = rng.uniform(-60.0, 60.0, (n_lat, n_lon)) if array_n else 0.0
     grid = TerrainGrid(lat0=lat0, lon0=lon0, dlat=spacing, dlon=spacing, H=h, N=geoid)
-    # the pruned search at any block and sub-block size, tiles cut into
-    # ragged edge blocks and blocks into ragged sub-blocks included, equals
-    # the scan over every post
+    # the pruned search at any block and sub-block size, tiles that end
+    # inside a block or a sub-block and blocks rounded up to whole
+    # sub-blocks included, equals the scan over every post
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(terrain, "POST_BLOCK", block)
         patch.setattr(terrain, "SUB_BLOCK", sub_block)
