@@ -293,6 +293,9 @@ def cmd_shift(args) -> int:
 
 
 def cmd_gen_tile(args) -> int:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
     makers = {"flat": make_flat_grid, "plateau": make_flat_grid, "ridge": make_ridge_grid}
     maker = makers[args.kind]
     spacing = args.spacing_arcsec / 3600.0

@@ -2,8 +2,8 @@
 # -------------------------------------------------------------
 # DTED terrain tile binary format (levels 0/1/2): UHL + DSI + ACC headers
 # followed by per-longitude-column records of sign-magnitude big-endian
-# elevations with an additive checksum. The writer is fixture-quality; the
-# reader accepts real tiles.
+# elevations with an additive checksum. The writer and the reader share one
+# layout: the header field table and the (n_lon, record size) record array.
 
 from __future__ import annotations
 
@@ -14,7 +14,16 @@ from .terrain import VOID_ELEVATION, TerrainGrid
 UHL_SIZE = 80
 DSI_SIZE = 648
 ACC_SIZE = 2700
+HEADER_SIZE = UHL_SIZE + DSI_SIZE + ACC_SIZE
 RECORD_SENTINEL = 0xAA
+
+# each header field's bytes, from the start of the stream
+FIELDS = {"lon0": slice(4, 12), "lat0": slice(12, 20), "lon_interval": slice(20, 24),
+          "lat_interval": slice(24, 28), "n_lon": slice(47, 51), "n_lat": slice(51, 55),
+          "level": slice(UHL_SIZE + 59, UHL_SIZE + 64)}
+# the sentinels, which the reader checks, and the writer's other constant text
+SENTINELS = {0: b"UHL1", UHL_SIZE: b"DSI", UHL_SIZE + DSI_SIZE: b"ACC"}
+FIXED_TEXT = {28: b"NA  U  ", 55: b"0", UHL_SIZE + 3: b"U"}
 
 # nominal latitude interval per level, tenths of arcseconds
 LEVEL_LAT_INTERVAL = {0: 300, 1: 30, 2: 10}
@@ -48,9 +57,9 @@ class SpacingMismatch(DtedError):
     """Grid spacing cannot be encoded for the requested level."""
 
 
-def _encode_angle(value_deg: float, hemispheres: str, deg_digits: int) -> bytes:
-    """Degrees -> D{deg_digits}MMSSH text. The value must sit on a whole
-    arcsecond (DTED origins always do)."""
+def _encode_angle(value_deg: float, hemispheres: str) -> str:
+    """Degrees -> DDDMMSSH text. The value must sit on a whole arcsecond
+    (DTED origins always do)."""
     hemi = hemispheres[0] if value_deg >= 0.0 else hemispheres[1]
     total = abs(value_deg) * 3600.0
     secs = round(total)
@@ -58,7 +67,7 @@ def _encode_angle(value_deg: float, hemispheres: str, deg_digits: int) -> bytes:
         raise SpacingMismatch(f"origin {value_deg} deg not on a whole arcsecond")
     d, rem = divmod(int(secs), 3600)
     m, s = divmod(rem, 60)
-    return f"{d:0{deg_digits}d}{m:02d}{s:02d}{hemi}".encode("ascii")
+    return f"{d:03d}{m:02d}{s:02d}{hemi}"
 
 
 def _decode_angle(text: bytes) -> float:
@@ -78,12 +87,15 @@ def _interval_tenths(spacing_deg: float) -> int:
     return int(rounded)
 
 
-def _encode_elevations(column: np.ndarray) -> bytes:
-    vals = np.rint(column).astype(np.int64)
-    if (np.abs(vals) > 0x7FFF).any():
-        raise DtedError("elevation out of signed 16-bit range")
-    raw = np.where(vals < 0, 0x8000 | (-vals), vals).astype(">u2")
-    return raw.tobytes()
+def _encode_elevations(heights: np.ndarray) -> np.ndarray:
+    """Float heights -> sign-magnitude 16-bit words; NaN fails the range test."""
+    meters = np.rint(heights)
+    magnitude = np.abs(meters)
+    if not (magnitude <= 0x7FFF).all():
+        raise DtedError("elevations must be finite and within the signed 16-bit range")
+    words = magnitude.astype(np.uint16)
+    words[meters < 0.0] |= 0x8000
+    return words
 
 
 def _decode_elevations(raw: np.ndarray) -> np.ndarray:
@@ -94,59 +106,55 @@ def _decode_elevations(raw: np.ndarray) -> np.ndarray:
     return heights
 
 
+def _record_views(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The elevation words (n_lon, n_lat) and the stored checksums of a
+    (n_lon, 8 + 2 n_lat + 4) record array. Each record is a sentinel byte,
+    3-byte block and 2-byte longitude counts, a 2-byte latitude count, the
+    column's words and a big-endian checksum."""
+    return records[:, 8:-4].view(">u2"), records[:, -4:].view(">u4")[:, 0]
+
+
+def _record_sums(records: np.ndarray) -> np.ndarray:
+    # a uint32 sum wraps modulo 2**32, as the additive checksum does
+    return records[:, :-4].sum(axis=1, dtype=np.uint32)
+
+
 def write_dted(grid: TerrainGrid, level: int) -> bytes:
     """Serialize a TerrainGrid as a DTED tile of the given level.
 
     The latitude interval must match the level's nominal spacing; the
     longitude interval is written as declared (zone doubling is the
     caller's business). Heights must be finite whole meters; the geoid
-    undulation is not carried by the format.
+    undulation is not carried by the format. At most 9999 posts a side.
     """
     if level not in LEVEL_LAT_INTERVAL:
         raise DtedError(f"unsupported level {level}")
-    # before rounding: NaN casts to the lowest int64, whose absolute value
-    # is negative, so it would pass the 16-bit range check
-    if not np.isfinite(grid.H).all():
-        raise DtedError("elevations must be finite")
     lat_tenths = _interval_tenths(grid.dlat)
-    lon_tenths = _interval_tenths(grid.dlon)
     if lat_tenths != LEVEL_LAT_INTERVAL[level]:
         raise SpacingMismatch(
             f"lat interval {lat_tenths} tenths != level {level} nominal "
             f"{LEVEL_LAT_INTERVAL[level]}")
+    header = bytearray(b" " * HEADER_SIZE)
+    for at, text in {**SENTINELS, **FIXED_TEXT}.items():
+        header[at:at + len(text)] = text
+    values = {"lon0": _encode_angle(grid.lon0, "EW"), "lat0": _encode_angle(grid.lat0, "NS"),
+              "lon_interval": f"{_interval_tenths(grid.dlon):04d}",
+              "lat_interval": f"{lat_tenths:04d}", "n_lon": f"{grid.n_lon:04d}",
+              "n_lat": f"{grid.n_lat:04d}", "level": f"DTED{level}"}
+    for name, text in values.items():
+        field = FIELDS[name]
+        if len(text) != field.stop - field.start:
+            raise DtedError(f"{name} {text!r} does not fit its {field.stop - field.start} bytes")
+        header[field] = text.encode("ascii")
 
-    uhl = bytearray(b" " * UHL_SIZE)
-    uhl[0:4] = b"UHL1"
-    uhl[4:12] = _encode_angle(grid.lon0, "EW", 3)
-    uhl[12:20] = _encode_angle(grid.lat0, "NS", 3)
-    uhl[20:24] = f"{lon_tenths:04d}".encode("ascii")
-    uhl[24:28] = f"{lat_tenths:04d}".encode("ascii")
-    uhl[28:32] = b"NA  "
-    uhl[32:35] = b"U  "
-    uhl[47:51] = f"{grid.n_lon:04d}".encode("ascii")
-    uhl[51:55] = f"{grid.n_lat:04d}".encode("ascii")
-    uhl[55:56] = b"0"
-
-    dsi = bytearray(b" " * DSI_SIZE)
-    dsi[0:3] = b"DSI"
-    dsi[3:4] = b"U"
-    dsi[59:64] = f"DTED{level}".encode("ascii")
-
-    acc = bytearray(b" " * ACC_SIZE)
-    acc[0:3] = b"ACC"
-
-    records = bytearray()
-    for j in range(grid.n_lon):
-        rec = bytearray()
-        rec.append(RECORD_SENTINEL)
-        rec += j.to_bytes(3, "big")
-        rec += j.to_bytes(2, "big")
-        rec += (0).to_bytes(2, "big")
-        rec += _encode_elevations(grid.H[:, j])
-        rec += (sum(rec) & 0xFFFFFFFF).to_bytes(4, "big")
-        records += rec
-
-    return bytes(uhl) + bytes(dsi) + bytes(acc) + bytes(records)
+    words = _encode_elevations(grid.H)
+    records = np.zeros((grid.n_lon, 8 + 2 * grid.n_lat + 4), dtype=np.uint8)
+    records[:, 0] = RECORD_SENTINEL
+    records[:, 1:6] = (np.arange(grid.n_lon)[:, np.newaxis] >> [16, 8, 0, 8, 0]) & 0xFF
+    record_words, checksums = _record_views(records)
+    record_words[...] = words.T
+    checksums[...] = _record_sums(records)
+    return b"".join((header, records))
 
 
 def read_dted(data: bytes, geoid_n: float = 0.0) -> TerrainGrid:
@@ -158,29 +166,23 @@ def read_dted(data: bytes, geoid_n: float = 0.0) -> TerrainGrid:
     checksum is verified, an error naming the first record that fails, and
     voids come through as VOID_ELEVATION.
     """
-    if len(data) < 4 or data[0:4] != b"UHL1":
+    if len(data) < 4 or data[0:4] != SENTINELS[0]:
         raise BadMagic("stream does not start with 'UHL1'")
-    if len(data) < UHL_SIZE + DSI_SIZE + ACC_SIZE:
+    if len(data) < HEADER_SIZE:
         raise TruncatedFile("stream shorter than the fixed headers")
-    uhl = data[:UHL_SIZE]
-    dsi = data[UHL_SIZE:UHL_SIZE + DSI_SIZE]
-    acc = data[UHL_SIZE + DSI_SIZE:UHL_SIZE + DSI_SIZE + ACC_SIZE]
-    if dsi[0:3] != b"DSI" or acc[0:3] != b"ACC":
+    if any(data[at:at + len(text)] != text for at, text in SENTINELS.items()):
         raise InconsistentHeader("DSI/ACC sentinels missing")
 
     try:
-        lon0 = _decode_angle(uhl[4:12])
-        lat0 = _decode_angle(uhl[12:20])
-        lon_tenths = int(uhl[20:24])
-        lat_tenths = int(uhl[24:28])
-        n_lon = int(uhl[47:51])
-        n_lat = int(uhl[51:55])
+        lon0, lat0 = (_decode_angle(data[FIELDS[name]]) for name in ("lon0", "lat0"))
+        lon_tenths, lat_tenths, n_lon, n_lat = (
+            int(data[FIELDS[name]]) for name in ("lon_interval", "lat_interval", "n_lon", "n_lat"))
     except (ValueError, IndexError) as exc:
         raise InconsistentHeader(f"unparseable UHL fields: {exc}") from exc
     if n_lat < 1 or n_lon < 1 or lat_tenths < 1 or lon_tenths < 1:
         raise InconsistentHeader("nonpositive post counts or intervals")
 
-    designator = dsi[59:64].decode("ascii", errors="replace")
+    designator = data[FIELDS["level"]].decode("ascii", errors="replace")
     if designator.startswith("DTED") and designator[4:].isdigit():
         level = int(designator[4:])
         if LEVEL_LAT_INTERVAL.get(level) not in (None, lat_tenths):
@@ -189,17 +191,15 @@ def read_dted(data: bytes, geoid_n: float = 0.0) -> TerrainGrid:
                 f"tenths, header says {lat_tenths}")
 
     rec_size = 8 + 2 * n_lat + 4
-    offset = UHL_SIZE + DSI_SIZE + ACC_SIZE
-    if len(data) < offset + rec_size * n_lon:
+    if len(data) < HEADER_SIZE + rec_size * n_lon:
         raise TruncatedFile(
-            f"expected {rec_size * n_lon} record bytes, found {len(data) - offset}")
+            f"expected {rec_size * n_lon} record bytes, found {len(data) - HEADER_SIZE}")
 
     records = np.frombuffer(data, dtype=np.uint8, count=rec_size * n_lon,
-                            offset=offset).reshape(n_lon, rec_size)
+                            offset=HEADER_SIZE).reshape(n_lon, rec_size)
+    words, expected = _record_views(records)
+    actual = _record_sums(records)
     bad_sentinel = records[:, 0] != RECORD_SENTINEL
-    expected = np.ascontiguousarray(records[:, -4:]).view(">u4")[:, 0]
-    # a uint32 sum wraps modulo 2**32, as the additive checksum does
-    actual = records[:, :-4].sum(axis=1, dtype=np.uint32)
     bad = np.flatnonzero(bad_sentinel | (actual != expected))
     if len(bad):
         # the first failing record; its sentinel is checked before its sum
@@ -208,8 +208,7 @@ def read_dted(data: bytes, geoid_n: float = 0.0) -> TerrainGrid:
             raise InconsistentHeader(f"record {j}: bad sentinel byte {records[j, 0]:#x}")
         raise ChecksumMismatch(j, int(expected[j]), int(actual[j]))
     # each record is one longitude column: transpose the words to [lat, lon]
-    heights = _decode_elevations(np.ascontiguousarray(records[:, 8:-4].view(">u2").T,
-                                                      dtype=np.uint16))
+    heights = _decode_elevations(np.ascontiguousarray(words.T, dtype=np.uint16))
 
     return TerrainGrid(lat0=lat0, lon0=lon0, dlat=lat_tenths / 36000.0,
                        dlon=lon_tenths / 36000.0, H=heights, N=geoid_n)

@@ -30,12 +30,7 @@ def write_portable_grid(grid: TerrainGrid) -> str:
     saved separately and referenced via the geoid_grid key by the caller.
     """
     lines = ["# portable terrain grid"]
-    lines.append(f"lat0 = {grid.lat0!r}")
-    lines.append(f"lon0 = {grid.lon0!r}")
-    lines.append(f"dlat = {grid.dlat!r}")
-    lines.append(f"dlon = {grid.dlon!r}")
-    lines.append(f"n_lat = {grid.n_lat}")
-    lines.append(f"n_lon = {grid.n_lon}")
+    lines += [f"{key} = {getattr(grid, key)!r}" for key in REQUIRED_KEYS]
     if np.isscalar(grid.N):
         lines.append(f"geoid_n = {float(grid.N)!r}")
     else:
@@ -78,6 +73,9 @@ def _parse_portable_grid(text: str) -> tuple[dict[str, str], dict]:
         n_lon = int(header["n_lon"])
     except ValueError as exc:
         raise ParseError(f"bad header value: {exc}") from exc
+    for key, value in fields.items():
+        if not np.isfinite(value):
+            raise ParseError(f"header value {key} is not finite: {value}")
 
     values = np.concatenate(heights) if heights else np.zeros(0)
     if len(values) != n_lat * n_lon:

@@ -80,7 +80,7 @@ class TerrainGrid:
         h = np.asarray(self.H, dtype=float)
         if h.ndim != 2:
             raise ValueError("H must be a 2-d array [lat, lon]")
-        if self.dlat <= 0.0 or self.dlon <= 0.0:
+        if not (self.dlat > 0.0 and self.dlon > 0.0):
             raise ValueError("post spacing must be positive")
         object.__setattr__(self, "H", h)
         n = self.N

@@ -190,13 +190,49 @@ def test_terrain_non_finite_height_exit_3(tmp_path, capsys):
     assert "row 1, column 2 is not finite" in capsys.readouterr().err
 
 
+def test_terrain_non_finite_header_value_exit_3(tmp_path, capsys):
+    # a NaN spacing used to exit 0 with one gap over the whole sweep
+    text = write_portable_grid(make_flat_grid(-34.70, 138.80, 3 / 3600, 3 / 3600, 40, 40))
+    tile = tmp_path / "nan.grid"
+    tile.write_text(text.replace(f"dlat = {3 / 3600!r}", "dlat = nan"))
+    cfg = dict(STEEP, terrain={"path": str(tile), "format": "grid"})
+    path = write_json(tmp_path / "t.json", cfg)
+    assert main(["terrain", "--config", path, "--out", str(tmp_path)]) == 3
+    assert "header value dlat is not finite" in capsys.readouterr().err
+
+
 def test_gen_tile_dted_non_finite_height_exit_4(tmp_path, capsys):
-    # rejected before rounding, which would write NaN as 0 m
+    # rejected before the grid is built; the writer would also refuse it
+    # rather than round NaN to 0 m
     tile = tmp_path / "nan.dt1"
     assert main(["gen-tile", "--kind", "plateau", "--format", "dted",
                  "--out-path", str(tile), "--lat0", "-35.0", "--lon0", "138.0",
                  "--n-lat", "10", "--n-lon", "10", "--height", "nan"]) == 4
-    assert "elevations must be finite" in capsys.readouterr().err
+    assert "--height must be finite" in capsys.readouterr().err
+    assert not tile.exists()
+
+
+@pytest.mark.parametrize("fmt", ["grid", "dted"])
+@pytest.mark.parametrize("option, value", [
+    ("--lat0", "nan"), ("--lon0", "inf"), ("--spacing-arcsec", "nan"), ("--height", "-inf"),
+    ("--geoid-n", "inf")])
+def test_gen_tile_non_finite_option_exit_4(tmp_path, capsys, fmt, option, value):
+    # the grid format used to write the value, the DTED one to end in a
+    # traceback on a NaN origin
+    tile = tmp_path / "tile"
+    argv = {"--lat0": "-35.0", "--lon0": "138.0", "--n-lat": "4", "--n-lon": "4", option: value}
+    assert main(["gen-tile", "--format", fmt, "--out-path", str(tile),
+                 *(f"{key}={text}" for key, text in argv.items())]) == 4
+    assert f"{option} must be finite, got {float(value)}" in capsys.readouterr().err
+    assert not tile.exists()
+
+
+def test_gen_tile_dted_too_many_posts_exit_4(tmp_path, capsys):
+    # a five-digit post count does not fit its UHL field
+    tile = tmp_path / "long.dt1"
+    assert main(["gen-tile", "--format", "dted", "--out-path", str(tile), "--lat0", "-35.0",
+                 "--lon0", "138.0", "--n-lat", "10000", "--n-lon", "1"]) == 4
+    assert "n_lat '10000' does not fit" in capsys.readouterr().err
     assert not tile.exists()
 
 

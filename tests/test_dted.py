@@ -125,6 +125,15 @@ def test_writer_rejects_non_finite_heights(value):
         write_dted(grid, 1)
 
 
+@pytest.mark.parametrize("lat0, lon0, shape", [
+    (-35.0, 138.0, (10000, 1)), (-35.0, 138.0, (1, 10000)), (-35.0, 1000.0, (2, 2))])
+def test_writer_rejects_values_wider_than_their_field(lat0, lon0, shape):
+    # a five-digit post count used to widen the UHL past its 80 bytes
+    grid = make_flat_grid(lat0, lon0, 1 / 3600, 1 / 3600, *shape)
+    with pytest.raises(DtedError, match="does not fit"):
+        write_dted(grid, 2)
+
+
 def test_level_for_spacing():
     assert level_for_spacing(300 / 36000.0) == 0
     assert level_for_spacing(30 / 36000.0) == 1
@@ -156,6 +165,63 @@ def records_by_loop(data: bytes) -> np.ndarray:
         raw = np.frombuffer(rec[8:8 + 2 * n_lat], dtype=">u2").astype(np.int64)
         heights[:, j] = np.where(raw & 0x8000, -(raw & 0x7FFF), raw).astype(float)
     return heights
+
+
+def write_by_loop(grid: TerrainGrid, level: int) -> bytes:
+    """The per-record writer that write_dted's record array replaced, kept
+    as its oracle: its own header offsets, then record by record the
+    sentinel, the counts, the sign-magnitude words of the column and the
+    byte sum. Takes a grid that write_dted accepts."""
+    def angle(value, hemispheres):
+        d, rem = divmod(round(abs(value) * 3600.0), 3600)
+        return f"{d:03d}{rem // 60:02d}{rem % 60:02d}{hemispheres[value < 0.0]}".encode()
+
+    uhl = bytearray(b" " * 80)
+    uhl[0:4] = b"UHL1"
+    uhl[4:12] = angle(grid.lon0, "EW")
+    uhl[12:20] = angle(grid.lat0, "NS")
+    uhl[20:24] = f"{round(grid.dlon * 36000.0):04d}".encode()
+    uhl[24:28] = f"{round(grid.dlat * 36000.0):04d}".encode()
+    uhl[28:32] = b"NA  "
+    uhl[32:35] = b"U  "
+    uhl[47:51] = f"{grid.n_lon:04d}".encode()
+    uhl[51:55] = f"{grid.n_lat:04d}".encode()
+    uhl[55:56] = b"0"
+    dsi = bytearray(b" " * 648)
+    dsi[0:4] = b"DSIU"
+    dsi[59:64] = f"DTED{level}".encode()
+    acc = b"ACC" + b" " * 2697
+    records = bytearray()
+    for j in range(grid.n_lon):
+        rec = bytearray([RECORD_SENTINEL]) + j.to_bytes(3, "big") + j.to_bytes(2, "big") + bytes(2)
+        vals = np.rint(grid.H[:, j]).astype(np.int64)
+        rec += np.where(vals < 0, 0x8000 | -vals, vals).astype(">u2").tobytes()
+        rec += (sum(rec) & 0xFFFFFFFF).to_bytes(4, "big")
+        records += rec
+    return bytes(uhl) + bytes(dsi) + acc + bytes(records)
+
+
+@settings(max_examples=150, deadline=None)
+@given(level=st.sampled_from(sorted(LEVEL_LAT_INTERVAL)), n_lat=st.integers(1, 40),
+       n_lon=st.integers(1, 40), lon_factor=st.integers(1, 3),
+       void_fraction=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2 ** 16))
+def test_array_writer_matches_record_loop(level, n_lat, n_lon, lon_factor, void_fraction,
+                                          seed):
+    rng = np.random.default_rng(seed)
+    spacing = LEVEL_LAT_INTERVAL[level] / 36000.0
+    # whole and half meters of either sign (halves round to even), the
+    # ends of the 16-bit range and voids
+    h = rng.integers(-32766, 32767, size=(n_lat, n_lon)) + rng.choice(
+        [0.0, 0.25, 0.5, -0.5], size=(n_lat, n_lon))
+    h[rng.random((n_lat, n_lon)) < 0.1] = 32767.0
+    h[rng.random((n_lat, n_lon)) < 0.1] = -32767.0
+    h[rng.random((n_lat, n_lon)) < void_fraction] = VOID_ELEVATION
+    grid = TerrainGrid(lat0=float(rng.integers(-90 * 3600, 90 * 3600)) / 3600.0,
+                       lon0=float(rng.integers(-180 * 3600, 180 * 3600)) / 3600.0,
+                       dlat=spacing, dlon=spacing * lon_factor, H=h)
+    data = write_dted(grid, level)
+    assert data == write_by_loop(grid, level)
+    assert np.array_equal(read_dted(data).H, np.rint(h))
 
 
 def outcome(reader, data):

@@ -1,5 +1,5 @@
-"""Golden bytes: `dopplergeo intersect` on every committed config,
-`dopplergeo terrain` on tiles made with `gen-tile`, and `dopplergeo shift
+"""Golden bytes: `dopplergeo intersect` on every committed config, the tiles
+`gen-tile` writes, `dopplergeo terrain` on such tiles, and `dopplergeo shift
 --detail` on the committed config pairs.
 
 The README promises byte-identical output for identical configs; these
@@ -136,6 +136,36 @@ TERRAIN_GOLDEN = {
             "86d26b1b7ffad5a4a9e804775e3859147358047d89936d1a67cfdc92e52ddd47",
             "e423f77278778b7f4b9c3484b445856daa4c34e934e79face82ff37e0980b6a0")),
 }
+
+
+# gen-tile arguments -> sha256 of the tile it writes: DTED levels 1 and 2 (a
+# negative plateau among them) and a portable grid
+TILE_GOLDEN = {
+    "ridge_dted1": (
+        ["--kind", "ridge", "--format", "dted", "--lat0", "-34.6525", "--lon0", "138.825",
+         "--n-lat", "60", "--n-lon", "40", "--height", "400"],
+        "bb915cce97d6f014c04195475b2f7fd20d50cfff4ae2473222c8dbe062574db3"),
+    "ridge_dted2": (
+        ["--kind", "ridge", "--format", "dted", "--spacing-arcsec", "1", "--lat0", "-34.75",
+         "--lon0", "-0.5", "--n-lat", "47", "--n-lon", "61", "--height", "600"],
+        "27754b069949e86e451a2b4a71366bae103c7bac31bc879c7c392a25ab118320"),
+    "plateau_dted2": (
+        ["--kind", "plateau", "--format", "dted", "--spacing-arcsec", "1", "--lat0", "0.25",
+         "--lon0", "-179.75", "--n-lat", "33", "--n-lon", "5", "--height", "-123.5"],
+        "756fe96c3a4db2f772de2a7e9cca430a0101a75d85a90585744d26bac839d170"),
+    "ridge_grid": (
+        ["--kind", "ridge", "--format", "grid", "--lat0", "-34.70", "--lon0", "138.80",
+         "--n-lat", "20", "--n-lon", "30", "--height", "812.25", "--geoid-n", "-3.5"],
+        "3cc949d3f4b614d0e2d8e84002a68fc71192a4b5998766c382e0990d562e38df"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TILE_GOLDEN))
+def test_gen_tile_bytes(case, tmp_path):
+    args, expected = TILE_GOLDEN[case]
+    tile = tmp_path / "tile"
+    assert main(["gen-tile", "--out-path", str(tile)] + args) == 0
+    assert sha256(tile.read_bytes()) == expected
 
 
 def terrain_hashes(case: str, tmp_path, capsys) -> tuple[str, str, str]:

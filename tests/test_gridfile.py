@@ -99,6 +99,18 @@ def test_non_finite_undulation_rejected(tmp_path):
         load_portable_grid(str(tmp_path / "tile.grid"))
 
 
+@pytest.mark.parametrize("key", ["lat0", "lon0", "dlat", "dlon"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_header_value_rejected(key, value):
+    # a NaN spacing used to give an empty terrain curve, an infinite origin
+    # a traceback
+    lines = write_portable_grid(grid_with(0.0, (0, 0), (2, 3))).splitlines(keepends=True)
+    text = "".join(f"{key} = {value}\n" if line.startswith(f"{key} =") else line
+                   for line in lines)
+    with pytest.raises(ParseError, match=f"header value {key} is not finite"):
+        read_portable_grid(text)
+
+
 def test_comments_ignored():
     grid = make_flat_grid(-35.0, 138.0, 0.001, 0.001, 2, 2, height=7.0)
     text = "# leading comment\n" + write_portable_grid(grid).replace(

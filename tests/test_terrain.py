@@ -155,6 +155,13 @@ def test_all_void_grid_raises():
         grid_to_ecef_posts(grid)
 
 
+@pytest.mark.parametrize("dlat, dlon", [(0.0, SPACING), (SPACING, -SPACING),
+                                        (math.nan, SPACING), (SPACING, math.nan)])
+def test_grid_spacing_must_be_positive(dlat, dlon):
+    with pytest.raises(ValueError, match="post spacing must be positive"):
+        TerrainGrid(lat0=0.0, lon0=0.0, dlat=dlat, dlon=dlon, H=np.zeros((2, 2)))
+
+
 def per_post_ecef(grid):
     """Post conversion the long way, the oracle of grid_to_ecef_posts: full
     lat/lon grids, longitudes past +-180 folded, then every valid post's own
