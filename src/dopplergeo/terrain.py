@@ -181,10 +181,10 @@ class TerrainCurve:
     gaps: list = field(default_factory=list)
 
 
-def _posts_ecef(grid: TerrainGrid, index: np.ndarray | None = None) -> np.ndarray:
-    """ECEF of the posts at flat grid `index`, as (n, 3), at their ellipsoid
-    heights (H + N); without an index, of every post as (n_lat, n_lon, 3),
-    a column of latitudes broadcast against a row of longitudes.
+def _posts_ecef(grid: TerrainGrid, rows, cols, h) -> np.ndarray:
+    """ECEF of the posts at grid `rows` and `cols` and ellipsoid heights `h`
+    (H + N), which broadcast: a row column against slice(None) converts the
+    whole tile as (n_lat, n_lon, 3).
 
     Post longitudes are folded into (-180, 180], the range that
     ecef_to_geodetic_arrays returns, so a tile running past the antimeridian
@@ -194,11 +194,6 @@ def _posts_ecef(grid: TerrainGrid, index: np.ndarray | None = None) -> np.ndarra
     arithmetic of geodetic_to_ecef_arrays, so a post gets the same bits in
     any subset it is converted with.
     """
-    if index is None:
-        rows, cols, h = np.arange(grid.n_lat)[:, np.newaxis], slice(None), grid.H + grid.N
-    else:
-        rows, cols = np.divmod(index, grid.n_lon)
-        h = grid.H[rows, cols] + (grid.N if np.isscalar(grid.N) else grid.N[rows, cols])
     lon = grid.lons()
     wrap = (lon > 180.0) | (lon <= -180.0)
     lon[wrap] = 180.0 - (180.0 - lon[wrap]) % 360.0
@@ -223,8 +218,8 @@ def grid_to_ecef_posts(grid: TerrainGrid) -> EcefPostSet:
     lat/lon grid is built; longitudes past +-180 are folded (_posts_ecef).
     """
     valid = ~_void_mask(grid)
-    return EcefPostSet(ecef=_posts_ecef(grid)[valid], index=np.flatnonzero(valid),
-                       shape=grid.H.shape)
+    ecef = _posts_ecef(grid, np.arange(grid.n_lat)[:, np.newaxis], slice(None), grid.H + grid.N)
+    return EcefPostSet(ecef=ecef[valid], index=np.flatnonzero(valid), shape=grid.H.shape)
 
 
 def _spheres_near_cone(lat_a, lat_b, lon_a, lon_b, lo, hi, cone: DopplerCone, reach: float,
@@ -288,9 +283,9 @@ def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float,
     when its bounding sphere misses the prefilter (_spheres_near_cone), so
     it holds no post the prefilter keeps. H + N sits in a buffer of whole
     blocks in which voids and the posts past the tile are NaN, so a piece
-    without a valid post fails the sphere test. The flat indices of the
-    non-NaN posts of the kept sub-blocks are converted by _posts_ecef, the
-    same bits as grid_to_ecef_posts.
+    without a valid post fails the sphere test. The non-NaN posts of the
+    kept sub-blocks go to _posts_ecef with their rows, columns and buffer
+    heights, the same bits as grid_to_ecef_posts.
     """
     void = _void_mask(grid)
     n_lat, n_lon = grid.H.shape
@@ -329,9 +324,11 @@ def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float,
         pieces = np.ascontiguousarray(cut.transpose(1, 3, 0, 2, 4)[:, :, i, j, k])
         row0, col0 = rows[i, 0, k], cols[j, k]
 
-    k, i, j = np.nonzero(~np.isnan(pieces.transpose(2, 0, 1)))
-    index = (row0[k] + i) * n_lon + col0[k] + j
-    return EcefPostSet(ecef=_posts_ecef(grid, index), index=index, shape=grid.H.shape)
+    pieces = pieces.transpose(2, 0, 1)
+    k, i, j = np.nonzero(~np.isnan(pieces))
+    rows, cols = row0[k] + i, col0[k] + j
+    return EcefPostSet(ecef=_posts_ecef(grid, rows, cols, pieces[k, i, j]),
+                       index=rows * n_lon + cols, shape=grid.H.shape)
 
 
 def map_point_to_terrain(p_i, receiver, posts: EcefPostSet, cfg: TerrainSearchConfig):
