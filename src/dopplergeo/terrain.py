@@ -186,19 +186,16 @@ def _posts_ecef(grid: TerrainGrid, rows, cols, h) -> np.ndarray:
     (H + N), which broadcast: a row column against slice(None) converts the
     whole tile as (n_lat, n_lon, 3).
 
-    Post longitudes are folded into (-180, 180], the range that
-    ecef_to_geodetic_arrays returns, so a tile running past the antimeridian
-    converts like any other; in-range longitudes are kept bit for bit. The
-    trig runs on the whole latitude column and the whole folded longitude
-    row and is gathered afterwards, and the rest is _ecef_from_trig, the
-    arithmetic of geodetic_to_ecef_arrays, so a post gets the same bits in
-    any subset it is converted with.
+    Post longitudes are folded by normalize_longitude into (-180, 180], the
+    range that ecef_to_geodetic_arrays returns, so a tile running past the
+    antimeridian converts like any other. The trig runs on the whole
+    latitude column and the whole folded longitude row and is gathered
+    afterwards, and the rest is _ecef_from_trig, the arithmetic of
+    geodetic_to_ecef_arrays, so a post gets the same bits in any subset it
+    is converted with.
     """
-    lon = grid.lons()
-    wrap = (lon > 180.0) | (lon <= -180.0)
-    lon[wrap] = 180.0 - (180.0 - lon[wrap]) % 360.0
     lat = np.radians(grid.lats())
-    lon = np.radians(lon)
+    lon = np.radians(normalize_longitude(grid.lons()))
     return _ecef_from_trig(np.sin(lat)[rows], np.cos(lat)[rows],
                            np.sin(lon)[cols], np.cos(lon)[cols], h)
 

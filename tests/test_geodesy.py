@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dopplergeo.geodesy import (
     WGS84,
@@ -158,13 +161,29 @@ def test_longitude_normalization_idempotent():
     assert GeodeticCoord(0.0, 190.0).lon == pytest.approx(-170.0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "normalize_longitude folds with (lon + 180) % 360 - 180, which moves an "
-    "in-range longitude by an ulp; mending it re-records every UAV golden"))
 def test_in_range_longitude_survives():
     # 138.833 is the longitude of 9 of the 11 committed configs
     assert GeodeticCoord(0.0, 138.833).lon == 138.833
     assert normalize_longitude(138.833) == 138.833
+
+
+@given(st.floats(-180.0, 180.0, exclude_min=True))
+def test_in_range_longitude_kept_bit_for_bit(lon):
+    assert np.float64(normalize_longitude(lon)).tobytes() == np.float64(lon).tobytes()
+    assert normalize_longitude(np.array([lon])).tobytes() == np.float64(lon).tobytes()
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.integers(-3, 3).map(lambda k: np.nextafter(180.0 + 360.0 * k, math.inf)))
+def test_longitude_fold_range_idempotent_congruent(lon):
+    folded = normalize_longitude(lon)
+    assert -180.0 < folded <= 180.0
+    assert normalize_longitude(folded) == folded
+    assert normalize_longitude(np.array([lon, folded])).tolist() == [folded, folded]
+    # folded - lon is a multiple of 360 up to the rounding of 180 - lon
+    # (half an ulp of lon) and of the two steps after it
+    r = (Fraction(folded) - Fraction(lon)) % 360
+    assert min(r, 360 - r) <= math.ulp(lon) / 2 + 1e-13
 
 
 def test_latitude_range_enforced():

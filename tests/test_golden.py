@@ -38,40 +38,40 @@ GOLDEN = {
         "113d5f5074db589765630df0f7e10299122d7bec646fe580287864dfdcb0fe36",
         "6891d4c42c229967c61885d6e1ac04a27d0645194fa4ede778d534ad662f4b00"),
     "uav_adelaide_forced_angle.json": (
-        "f999a30390a9bfb6a1a39c99ec54bc72e650ee5aa54779f67e7fded2151fe8aa",
-        "31ce74ce044f6839eb4df0af6d8125130c4631f0934cba1c6795d583721bce59",
+        "731cdb4c58b4a35dc2608947f4754a4546bc43d3efafd4a8d4300d4c6c23f569",
+        "f8898bcf06aa27a9435dd91ee27804d43f95c134d4e94e3eef46c2361478e05c",
         "02c22c7a2ac3ae21d48a80cf1780fdd31d11ad0835ebf000867f38c7af2ac529"),
     "uav_offset_nominal.json": (
-        "2a77607be4c0116a634013d8688094e9bc4b550cf3d2ede593372a11aedff901",
-        "fcc63bbb877bc8847bd0268a4d49e8fa5e9da5eada8fe233182caba2575391a8",
+        "a568ecfc33510e8c93b75d0a8d8ed9b83fc71ae23292e01c78eb36bcd14e058b",
+        "56a849327768563064b9478a31fa81ec2325ca33a4e15aa5c5a5ae3ed29c3ed3",
         "243d3974f62b33babf6b4bc83daa6523eab7b0060fe26b5f2f33c1d89f0ede23"),
     "uav_offset_true.json": (
-        "f5f23fd9e2cc51ef22461dc6efcb399653e0ba69fdef1d892f0285c53bf81c63",
-        "afc8640be52f8cc6c5bd98bbde7b1cf767f2f08e68c2bcebe4210608012e5240",
+        "ffae1a726b9998412e91f351a932f8e8096d34df9315d332bd6dea7158a3685c",
+        "11bc8e298c649234ece515e136339fcca5ed7b06666ba6c0ded6ad00a238e93c",
         "0080b56cd7a638da3c174f2b05dea35f3b805361a00f53329c1729d446836a92"),
     "uav_refraction_air.json": (
-        "0ff1ef533073b9872d8f81e85cdb9301c6aa2bf861cb19617ef4d023d87da1d4",
-        "7e154be1c796b7857a072d9859b63719b200165cf4bfe219969e1975f9846af6",
+        "e1b9d88d364917af873930b5c8a87581f0ddb19a87330e725f2e8ec945891a39",
+        "65d206a335d7981546f0b974322ed0a28c33464c03f12241d08bb6dab4f50a6c",
         "243d3974f62b33babf6b4bc83daa6523eab7b0060fe26b5f2f33c1d89f0ede23"),
     "uav_refraction_vacuum.json": (
-        "fe617409dfc84cde5b7da4942240ea41375d561d3246953e2a7ad01c9c8d2eba",
-        "b85c81593a406349ad5f216e6c07ad6455de011d41243761d19672ddcbfaa7e0",
+        "a671b69c02bb3ea6bb0a931cd20f5c00573cca1ac7f14eacef75556d8ffece74",
+        "8320e6d34d4316962c7a5415973d5434295d8e0ce305740682470033d897579c",
         "ec5ced2b8a00cf45e004049912850ca74692923300cf0d5461b209712d62a800"),
     "uav_small_angle_air.json": (
-        "87e593ea0c207bab825ffa84bb4b5e6638aec3f0f7ab15fd96a0bdc14c04c30d",
-        "d09e173b02e285b27ad467eefc59e288b666bf2a11f736fd4a7e96eccbce4b63",
+        "a5d8d8e4af27b4dd17e1fc78a740e988fc859cca37cc3c0f32d6b27a74b216a4",
+        "82674431221ecb74196e93b9e35be5543a1912f3020018eb1bee051d1f883eb5",
         "02c22c7a2ac3ae21d48a80cf1780fdd31d11ad0835ebf000867f38c7af2ac529"),
     "uav_small_angle_vacuum.json": (
-        "828fa455e873875e60d81dae4333a3379e905f8323bb253cfc37573840d43347",
-        "620d8712c3a0c9a45738cbbcbba5280e18e9ac615b40aa4ce9b27a4bbdcc6da7",
+        "9689e56c37a8d57c93a00a14edfd6235fc3c3a40f8f8b704d09dc8f1726fcc8b",
+        "8430528fd6e1c0761fe3d22e81d079cc47167932726fdfbfa467cbb9d9fa1645",
         "02c22c7a2ac3ae21d48a80cf1780fdd31d11ad0835ebf000867f38c7af2ac529"),
     "uav_wide_angle_air.json": (
-        "5b6e61ea620b983ad1d778206991211ca80193f1ef8f313a30528d26e4c489ca",
-        "27ffbd3c474f33f2341aca2832ea4741a350e4783346e7e3322c68e7e2c32a06",
+        "76d848d7ff5d66fc98c4b2638a41cdd3b90b6dc21d13686435c41de7fe331b3f",
+        "656be33fa8e0dbec1db3b35beb8ec8b7f0eaa5534922d4ae2fe1d626e61b930a",
         "65ad4ae54db7661ec655e18f937c8b7339d36d6f22f9f3df7f66fdd883b191fb"),
     "uav_wide_angle_vacuum.json": (
-        "f42bb79698b002fa0553d7abd0aed292d81039a3e86e6e3422e940ee473dabae",
-        "37e81aeb2c1f54d87513c22938e321471c0fcde806c2f13f7c36ad45b652b5ac",
+        "4f2476425b62bfe36fc0d09e78f2bc42432d5d0201e777eca6645c7b24cdc36d",
+        "49387df04759055ab5d22a09681d69f54fb2abbbd67603e3605a4c046f1f68df",
         "65ad4ae54db7661ec655e18f937c8b7339d36d6f22f9f3df7f66fdd883b191fb"),
 }
 
@@ -110,8 +110,8 @@ TERRAIN_GOLDEN = {
         {"vehicle": STEEP_UAV, "measurement": {"semi_angle_deg": 15.0},
          "sweep": {"n_samples": 180}},
         (
-            "35cc3b8410bf348930a1d77e6b8aa5f1a4b29deee26070c5964fc519f5a8e990",
-            "66550928e7b2da94de13454fa1aab3dc940c1b1afcca5d45d39bf32f3d705798",
+            "3a664f743e739f24fa9094aec5d46d94dbe13091e7e44e39f599a2758c2f2ed8",
+            "9ac325e31a411d3773451bf2056e5cbc8f78bb4feb14e409dfa3841dbbbe2755",
             "ef24c2810702583f6bbb66f0f4dc62184e9e51b42f0226c2eda1364a44d06403")),
     # covers the curve's northern part only, so the report carries gaps
     "ridge_dted": (
@@ -120,8 +120,8 @@ TERRAIN_GOLDEN = {
         {"vehicle": STEEP_UAV, "measurement": {"semi_angle_deg": 15.0},
          "sweep": {"n_samples": 360}},
         (
-            "3d01e89786e5a027285dfc12fadf156a69152500001f007bf261c8a722155b2e",
-            "2e546c6186c57c8123f3c0c721969c634784cbf22a6fd3c5b310e7bdb890131d",
+            "8ed88ef43bf670ac34511b7be837f2fc8fe24610f4019f1d94758b8f9f69e530",
+            "510df4dfdcb0d58af6483489b7c281729c100742e1aeebc87d7ae95d414684f6",
             "2c5f798018273dc735558809012edbd9afc24dfad50162a8f01041ebc037ba61")),
     # tile and rays running across the antimeridian
     "antimeridian": (
@@ -195,13 +195,13 @@ SHIFT_GOLDEN = {
     ("leos_offset_true.json", "leos_offset_nominal.json"):
         "26217d5e6c73113138c717c58ea88a324cade08044295df5eb21f04a8e8c505d",
     ("uav_offset_true.json", "uav_offset_nominal.json"):
-        "4d2dab35b28c660563a9c2b81d9bc844c61d9d207c659130b92b87f916377518",
+        "a7808af2ecfe550ca7b4e0dbabae195acf1c81bf66bcfddae32ab6648fa5a08d",
     ("uav_refraction_air.json", "uav_refraction_vacuum.json"):
-        "c037598df5e1aed0ca1fe7e30924f9d1d1eae7ddacc832842d762c0fd3c3dd4c",
+        "dc68829b887aee03add0f452c332f74e034673cf3efc28d65fb3e3784841ac73",
     ("uav_small_angle_air.json", "uav_small_angle_vacuum.json"):
-        "a8bd7aba8ebf6cf3a676b68e4bc9b7eea1f95b0dbbb20fc2fb027bc70b1260e0",
+        "c295694f2dc4f91ef2dd557b96940d63f3bbeb00f83ea1435c0ae523e9aeb742",
     ("uav_wide_angle_air.json", "uav_wide_angle_vacuum.json"):
-        "148925434bd0521eaa5673508458dd15cd553ed64c5d83f0618cddcdbbc4eedb",
+        "a870b64a4a4ae0e1abb6b5ea95e22b1de5898baa1cce64908b13444e8892cb5e",
 }
 
 
