@@ -45,8 +45,8 @@ def _parse_portable_grid(text: str) -> tuple[dict[str, str], dict]:
     """Header keys and the grid fields of portable grid text (all but the
     undulation), in one pass over its lines. The header ends at the first
     line without "=", so a key after the heights is a bad height value.
-    Every height must be finite (nan and inf are rejected), in an undulation
-    companion grid too."""
+    Header values and heights must be finite, in an undulation companion
+    grid too, and dlat, dlon, n_lat and n_lon positive."""
     header: dict[str, str] = {}
     heights: list[np.ndarray] = []
     data_started = False
@@ -69,13 +69,14 @@ def _parse_portable_grid(text: str) -> tuple[dict[str, str], dict]:
             raise ParseError(f"missing header key '{key}'")
     try:
         fields = {key: float(header[key]) for key in ("lat0", "lon0", "dlat", "dlon")}
-        n_lat = int(header["n_lat"])
-        n_lon = int(header["n_lon"])
+        n_lat, n_lon = int(header["n_lat"]), int(header["n_lon"])
     except ValueError as exc:
         raise ParseError(f"bad header value: {exc}") from exc
-    for key, value in fields.items():
+    for key, value in {**fields, "n_lat": n_lat, "n_lon": n_lon}.items():
         if not np.isfinite(value):
             raise ParseError(f"header value {key} is not finite: {value}")
+        if key not in ("lat0", "lon0") and not value > 0:
+            raise ParseError(f"header value {key} must be positive: {value}")
 
     values = np.concatenate(heights) if heights else np.zeros(0)
     if len(values) != n_lat * n_lon:

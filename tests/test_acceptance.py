@@ -34,9 +34,11 @@ from dopplergeo.geodesy import (
     geodetic_to_ecef,
     geodetic_to_ecef_arrays,
 )
-from dopplergeo.gridfile import make_flat_grid, make_random_tile
+from dopplergeo.gridfile import make_random_tile
 from dopplergeo.intersect import ellipsoid_residual, intersect_cone_ellipsoid
 from dopplergeo.terrain import TerrainSearchConfig, cone_terrain_curve
+
+from terrain_oracles import covering_grid, march_first_crossing
 
 C = SPEED_OF_LIGHT
 
@@ -183,48 +185,19 @@ def test_criterion_5_topology_suite():
            f"deterministic {deterministic})")
 
 
-def _covering_grid(curve, height, spacing=3.0 / 3600.0, margin=0.01):
-    lat, lon, _ = ecef_to_geodetic_arrays(curve.points_near)
-    lat0 = math.floor((lat.min() - margin) / spacing) * spacing
-    lon0 = math.floor((lon.min() - margin) / spacing) * spacing
-    n_lat = int((lat.max() + margin - lat0) / spacing) + 2
-    n_lon = int((lon.max() + margin - lon0) / spacing) + 2
-    return make_flat_grid(lat0, lon0, spacing, spacing, n_lat, n_lon, height=height)
-
-
-def _march_oracle(receiver, p_i, grid, step=1.0):
-    sep = p_i - receiver
-    ray_len = np.linalg.norm(sep)
-    direction = sep / ray_len
-    s = np.arange(0.0, 1.2 * ray_len, step)
-    pts = receiver + s[:, None] * direction
-    lat, lon, h = ecef_to_geodetic_arrays(pts)
-    fi = (lat - grid.lat0) / grid.dlat
-    fj = (lon - grid.lon0) / grid.dlon
-    inside = (fi >= 0) & (fi <= grid.n_lat - 1) & (fj >= 0) & (fj <= grid.n_lon - 1)
-    i0 = np.clip(np.floor(fi).astype(int), 0, grid.n_lat - 2)
-    j0 = np.clip(np.floor(fj).astype(int), 0, grid.n_lon - 2)
-    wi, wj = fi - i0, fj - j0
-    surface = grid.H + grid.N
-    terrain = (surface[i0, j0] * (1 - wi) * (1 - wj) + surface[i0 + 1, j0] * wi * (1 - wj)
-               + surface[i0, j0 + 1] * (1 - wi) * wj + surface[i0 + 1, j0 + 1] * wi * wj)
-    idx = np.flatnonzero(inside & (h <= terrain))
-    return None if len(idx) == 0 else pts[idx[0]]
-
-
 def test_criterion_6_terrain_flat_earth_equivalence():
     vs = steep_vehicle()
     cone = cone_from_geometry(vs.position_ecef(), vs.velocity_dir, math.radians(15.0))
     curve = intersect_cone_ellipsoid(cone, n_samples=360)
 
-    flat = _covering_grid(curve, height=0.0)
+    flat = covering_grid(curve, height=0.0)
     cfg = TerrainSearchConfig.for_grid(flat)
     tc = cone_terrain_curve(curve, cone, flat, cfg)
     assert len(tc.points) == len(curve.points_near)
     terrain_pts = geodetic_to_ecef_arrays(*tc.points.T)
     flat_dist = point_to_polyline_distance(terrain_pts, curve.points_near).max()
 
-    plateau = _covering_grid(curve, height=500.0)
+    plateau = covering_grid(curve, height=500.0)
     cfg500 = TerrainSearchConfig.for_grid(plateau)
     tc500 = cone_terrain_curve(curve, cone, plateau, cfg500)
     assert len(tc500.points) == len(curve.points_near)
@@ -235,7 +208,7 @@ def test_criterion_6_terrain_flat_earth_equivalence():
     spacing = plateau.max_post_spacing_m()
     oracle_worst = 0.0
     for hit, p_i in zip(terrain500[::4], curve.points_near[::4]):
-        oracle = _march_oracle(cone.apex, p_i, plateau)
+        oracle = march_first_crossing(cone.apex, p_i, plateau)
         assert oracle is not None
         oracle_worst = max(oracle_worst, float(np.linalg.norm(hit - oracle)))
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,22 @@ def test_terrain_non_finite_header_value_exit_3(tmp_path, capsys):
     assert "header value dlat is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size, header, message", [
+    (40, {"dlat": "0.0"}, "header value dlat must be positive: 0.0"),
+    (1, {"n_lat": "-1", "n_lon": "-1"}, "header value n_lat must be positive: -1")])
+def test_terrain_non_positive_header_value_exit_3(tmp_path, capsys, size, header, message):
+    # checked with the other header values, so both exit 3 and name the key;
+    # n_lat = n_lon = -1 with one height passes the height count
+    text = write_portable_grid(make_flat_grid(-34.70, 138.80, 3 / 3600, 3 / 3600, size, size))
+    for key, value in header.items():
+        text = re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", text)
+    tile = tmp_path / "bad.grid"
+    tile.write_text(text)
+    path = write_json(tmp_path / "t.json", dict(STEEP, terrain={"path": str(tile)}))
+    assert main(["terrain", "--config", path, "--out", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_gen_tile_dted_non_finite_height_exit_4(tmp_path, capsys):
     # rejected before the grid is built; the writer would also refuse it
     # rather than round NaN to 0 m
@@ -215,15 +232,20 @@ def test_gen_tile_dted_non_finite_height_exit_4(tmp_path, capsys):
 @pytest.mark.parametrize("fmt", ["grid", "dted"])
 @pytest.mark.parametrize("option, value", [
     ("--lat0", "nan"), ("--lon0", "inf"), ("--spacing-arcsec", "nan"), ("--height", "-inf"),
-    ("--geoid-n", "inf")])
+    ("--geoid-n", "inf"), ("--n-lat", "0"), ("--n-lat", "-3"), ("--n-lon", "0"),
+    ("--spacing-arcsec", "0.0"), ("--spacing-arcsec", "-1.5")])
 def test_gen_tile_non_finite_option_exit_4(tmp_path, capsys, fmt, option, value):
     # the grid format used to write the value, the DTED one to end in a
-    # traceback on a NaN origin
+    # traceback on a NaN origin; a count below 1 or a spacing of 0 makes no
+    # tile that the terrain command can read
     tile = tmp_path / "tile"
     argv = {"--lat0": "-35.0", "--lon0": "138.0", "--n-lat": "4", "--n-lon": "4", option: value}
     assert main(["gen-tile", "--format", fmt, "--out-path", str(tile),
                  *(f"{key}={text}" for key, text in argv.items())]) == 4
-    assert f"{option} must be finite, got {float(value)}" in capsys.readouterr().err
+    if math.isfinite(float(value)):
+        assert f"{option} must be positive, got {value}" in capsys.readouterr().err
+    else:
+        assert f"{option} must be finite, got {float(value)}" in capsys.readouterr().err
     assert not tile.exists()
 
 

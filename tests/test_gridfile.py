@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,20 @@ def test_non_finite_header_value_rejected(key, value):
     text = "".join(f"{key} = {value}\n" if line.startswith(f"{key} =") else line
                    for line in lines)
     with pytest.raises(ParseError, match=f"header value {key} is not finite"):
+        read_portable_grid(text)
+
+
+@pytest.mark.parametrize("values", [
+    {"dlat": "0.0"}, {"dlon": "-0.001"}, {"n_lat": "0"}, {"n_lon": "-2"},
+    {"n_lat": "-1", "n_lon": "-1"}])
+def test_non_positive_size_rejected(values):
+    # the first key edited is the one named; n_lat = n_lon = -1 with one
+    # height passes the height count
+    text = write_portable_grid(grid_with(0.0, (0, 0), (1, 1)))
+    for key, value in values.items():
+        text = re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", text)
+    key, value = next(iter(values.items()))
+    with pytest.raises(ParseError, match=f"header value {key} must be positive: {value}"):
         read_portable_grid(text)
 
 

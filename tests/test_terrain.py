@@ -31,6 +31,8 @@ from dopplergeo.terrain import (
     map_point_to_terrain,
 )
 
+from terrain_oracles import covering_grid, march_first_crossing
+
 SPACING = 3.0 / 3600.0  # one level-1 style post every ~90 m
 
 
@@ -40,39 +42,6 @@ def steep_scenario(n_samples=180):
                                     AttitudeEuler(0.0, -70.0, 190.0))
     cone = cone_from_geometry(vs.position_ecef(), vs.velocity_dir, math.radians(15.0))
     return cone, intersect_cone_ellipsoid(cone, n_samples=n_samples)
-
-
-def covering_grid(curve, height=0.0, margin=0.01):
-    lat, lon, _ = ecef_to_geodetic_arrays(curve.points_near)
-    lat0 = math.floor((lat.min() - margin) / SPACING) * SPACING
-    lon0 = math.floor((lon.min() - margin) / SPACING) * SPACING
-    n_lat = int((lat.max() + margin - lat0) / SPACING) + 2
-    n_lon = int((lon.max() + margin - lon0) / SPACING) + 2
-    return make_flat_grid(lat0, lon0, SPACING, SPACING, n_lat, n_lon, height=height)
-
-
-def march_first_crossing(receiver, p_i, grid, step=1.0):
-    """1 m ray-marching oracle: first point where the ray drops to the
-    bilinear terrain surface spanned by the same posts."""
-    sep = p_i - receiver
-    ray_len = np.linalg.norm(sep)
-    direction = sep / ray_len
-    s = np.arange(0.0, 1.2 * ray_len, step)
-    pts = receiver + s[:, None] * direction
-    lat, lon, h = ecef_to_geodetic_arrays(pts)
-    fi = (lat - grid.lat0) / grid.dlat
-    fj = (lon - grid.lon0) / grid.dlon
-    inside = (fi >= 0) & (fi <= grid.n_lat - 1) & (fj >= 0) & (fj <= grid.n_lon - 1)
-    i0 = np.clip(np.floor(fi).astype(int), 0, grid.n_lat - 2)
-    j0 = np.clip(np.floor(fj).astype(int), 0, grid.n_lon - 2)
-    wi = fi - i0
-    wj = fj - j0
-    surface = grid.H + grid.N
-    terrain = (surface[i0, j0] * (1 - wi) * (1 - wj) + surface[i0 + 1, j0] * wi * (1 - wj)
-               + surface[i0, j0 + 1] * (1 - wi) * wj + surface[i0 + 1, j0 + 1] * wi * wj)
-    below = inside & (h <= terrain)
-    idx = np.flatnonzero(below)
-    return None if len(idx) == 0 else pts[idx[0]]
 
 
 def scan_gaps(etas, found):
