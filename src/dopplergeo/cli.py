@@ -299,10 +299,12 @@ def cmd_gen_tile(args) -> int:
             raise ConfigError(f"{option} must be finite, got {value}")
         if name in ("spacing_arcsec", "n_lat", "n_lon") and not value > 0:
             raise ConfigError(f"{option} must be positive, got {value}")
-    maker = {"flat": make_flat_grid, "plateau": make_flat_grid, "ridge": make_ridge_grid}[args.kind]
+    makers = {"flat": make_flat_grid, "plateau": make_flat_grid, "ridge": make_ridge_grid}
+    maker = makers[args.kind]
     spacing = args.spacing_arcsec / 3600.0
-    kwargs = {"geoid_n": args.geoid_n, "crest" if args.kind == "ridge" else "height": args.height}
-    grid = maker(args.lat0, args.lon0, spacing, spacing, args.n_lat, args.n_lon, **kwargs)
+    # the flat height and the ridge crest are both the seventh argument
+    grid = maker(args.lat0, args.lon0, spacing, spacing, args.n_lat, args.n_lon, args.height,
+                 args.geoid_n)
     if args.format == "dted":
         level = args.level if args.level is not None else level_for_spacing(grid.dlat)
         data = write_dted(grid, level)

@@ -46,13 +46,10 @@ SPEED_OF_LIGHT = 299792458.0  # m/s in vacuum
 
 
 def normalize_longitude(lon_deg):
-    """Fold longitude(s) into (-180, 180], the package's one longitude rule.
-
-    In-range values come back bit for bit; the rest fold to
-    180 - (180 - lon) % 360, and where that rounds to -180 (an ulp past
-    180 + 360 k) to 180. Idempotent; a scalar gives a float, an array an
-    array.
-    """
+    """Fold longitude(s) into (-180, 180], the package's one longitude rule:
+    in-range values come back bit for bit, the rest as 180 - (180 - lon) %
+    360, or 180 where that rounds to -180 (an ulp past 180 + 360 k).
+    Idempotent; a scalar gives a float, an array an array."""
     lon = np.asarray(lon_deg, dtype=float)
     lon = np.where((lon > 180.0) | (lon <= -180.0), 180.0 - (180.0 - lon) % 360.0, lon)
     lon = np.where(lon == -180.0, 180.0, lon)
