@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -187,6 +188,8 @@ def write_outputs(cfg: dict, out_dir: str | None, stem: str, polylines, placemar
                       for label, rows, style in placemark_sets]
     output = cfg.get("output", {})
     formats = output.get("formats", ["kml", "geojson"])
+    if not isinstance(formats, list) or not all(f in ("kml", "geojson") for f in formats):
+        raise ConfigError(f'output formats must be a list of "kml" and "geojson", got {formats!r}')
     directory = out_dir or output.get("dir", ".")
     os.makedirs(directory, exist_ok=True)
     written = []
@@ -297,11 +300,14 @@ def cmd_gen_tile(args) -> int:
         option = f"--{name.replace('_', '-')}"
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{option} must be finite, got {value}")
-        if name in ("spacing_arcsec", "n_lat", "n_lon") and not value > 0:
+        if name in ("n_lat", "n_lon") and not value > 0:
             raise ConfigError(f"{option} must be positive, got {value}")
+    spacing = args.spacing_arcsec / 3600.0
+    if not spacing > 0:  # tested in degrees: 1e-321 arcsec underflows to 0
+        raise ConfigError(f"--spacing-arcsec must be positive, got {args.spacing_arcsec} "
+                          f"({spacing} degrees)")
     makers = {"flat": make_flat_grid, "plateau": make_flat_grid, "ridge": make_ridge_grid}
     maker = makers[args.kind]
-    spacing = args.spacing_arcsec / 3600.0
     # the flat height and the ridge crest are both the seventh argument
     grid = maker(args.lat0, args.lon0, spacing, spacing, args.n_lat, args.n_lon, args.height,
                  args.geoid_n)
@@ -367,8 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main shares across calls; parse_args only reads it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleShift as exc:

@@ -2,12 +2,13 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dopplergeo import cli, export
-from dopplergeo.cli import main
+from dopplergeo.cli import build_parser, main
 from dopplergeo.export import format_positions
 from dopplergeo.gridfile import make_flat_grid, write_portable_grid
 from dopplergeo.terrain import VOID_ELEVATION, TerrainGrid
@@ -115,6 +116,10 @@ def test_conflicting_velocity_sources_exit_4(tmp_path, capsys):
     # a count that is not a whole number used to be truncated (720.9 swept 720)
     ("intersect", "sweep", {"n_samples": 720.9}),
     ("intersect", "sweep", {"n_samples": 16.5}),
+    # an unknown format name used to be dropped, and a string was searched
+    # for substrings, so "kmlgeojson" wrote both files
+    ("intersect", "output", {"formats": ["kml", "geojsn"]}),
+    ("intersect", "output", {"formats": "kmlgeojson"}),
 ])
 def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
     cfg = dict(STEEP, **{section: values})
@@ -233,11 +238,11 @@ def test_gen_tile_dted_non_finite_height_exit_4(tmp_path, capsys):
 @pytest.mark.parametrize("option, value", [
     ("--lat0", "nan"), ("--lon0", "inf"), ("--spacing-arcsec", "nan"), ("--height", "-inf"),
     ("--geoid-n", "inf"), ("--n-lat", "0"), ("--n-lat", "-3"), ("--n-lon", "0"),
-    ("--spacing-arcsec", "0.0"), ("--spacing-arcsec", "-1.5")])
+    ("--spacing-arcsec", "0.0"), ("--spacing-arcsec", "-1.5"), ("--spacing-arcsec", "1e-321")])
 def test_gen_tile_non_finite_option_exit_4(tmp_path, capsys, fmt, option, value):
     # the grid format used to write the value, the DTED one to end in a
     # traceback on a NaN origin; a count below 1 or a spacing of 0 makes no
-    # tile that the terrain command can read
+    # tile that the terrain command can read, and 1e-321 arcsec is 0 degrees
     tile = tmp_path / "tile"
     argv = {"--lat0": "-35.0", "--lon0": "138.0", "--n-lat": "4", "--n-lon": "4", option: value}
     assert main(["gen-tile", "--format", fmt, "--out-path", str(tile),
@@ -462,3 +467,68 @@ def test_shift_empty_curve_reported(tmp_path, capsys):
     path = write_json(tmp_path / "up.json", cfg)
     assert main(["shift", path, path]) == 0
     assert "shift undefined" in capsys.readouterr().out
+
+
+def test_main_builds_one_parser(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        path = config_path("uav_refraction_vacuum.json")
+        assert main(["cone", "--config", path, "--json"]) == 0
+        assert main(["shift", path, path, "--samples", "64"]) == 0
+        assert main(["gen-tile", "--out-path", str(tmp_path / "t.grid"), "--lat0", "-35.0",
+                     "--lon0", "138.0", "--n-lat", "4", "--n-lon", "4"]) == 0
+        with pytest.raises(SystemExit):
+            main(["cone"])
+        assert main(["cone", "--config", path]) == 0
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def _run_sequence(directory, capsys, monkeypatch):
+    """Exit codes, stdout and stderr of a mixed call sequence run in
+    directory, and the bytes of every file it wrote."""
+    monkeypatch.chdir(directory)
+    write_json(directory / "steep.json", STEEP)
+    shift_pair = [config_path("uav_refraction_vacuum.json"), config_path("uav_refraction_air.json")]
+    sequence = [
+        ["cone", "--config", config_path("uav_refraction_vacuum.json"), "--json"],
+        ["intersect", "--config", "steep.json", "--out", "out"],
+        ["shift", *shift_pair, "--samples", "90", "--detail"],
+        ["gen-tile", "--kind", "ridge", "--out-path", "ridge.grid", "--lat0", "-35.0",
+         "--lon0", "138.0", "--n-lat", "6", "--n-lon", "5", "--height", "300"],
+        ["intersect", "--samples", "many"],
+        ["--help"],
+        ["intersect", "--config", "steep.json", "--out", "out", "--samples", "64"],
+    ]
+    calls = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        captured = capsys.readouterr()
+        calls.append((code, captured.out, captured.err))
+    files = {str(p): p.read_bytes() for p in sorted(Path(".").rglob("*")) if p.is_file()}
+    return calls, files
+
+
+def test_shared_parser_matches_fresh_parsers(tmp_path, capsys, monkeypatch):
+    (tmp_path / "shared").mkdir()
+    (tmp_path / "fresh").mkdir()
+    cli._parser.cache_clear()
+    shared = _run_sequence(tmp_path / "shared", capsys, monkeypatch)
+    monkeypatch.setattr(cli, "_parser", build_parser)  # a new parser for every call
+    fresh = _run_sequence(tmp_path / "fresh", capsys, monkeypatch)
+    codes = [code for code, _, _ in shared[0]]
+    assert codes == [0, 0, 0, 0, "SystemExit(2)", "SystemExit(0)", 0]
+    assert shared == fresh
+    assert len(shared[1]) == 4  # steep.json, the tile and the two intersect outputs
