@@ -469,7 +469,7 @@ def test_shift_empty_curve_reported(tmp_path, capsys):
     assert "shift undefined" in capsys.readouterr().out
 
 
-def test_main_builds_one_parser(tmp_path, capsys, monkeypatch):
+def test_main_builds_one_parser(tmp_path, monkeypatch):
     built = []
 
     def counting():
@@ -478,18 +478,14 @@ def test_main_builds_one_parser(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_parser", counting)
     cli._parser.cache_clear()
-    try:
-        path = config_path("uav_refraction_vacuum.json")
-        assert main(["cone", "--config", path, "--json"]) == 0
-        assert main(["shift", path, path, "--samples", "64"]) == 0
-        assert main(["gen-tile", "--out-path", str(tmp_path / "t.grid"), "--lat0", "-35.0",
-                     "--lon0", "138.0", "--n-lat", "4", "--n-lon", "4"]) == 0
-        with pytest.raises(SystemExit):
-            main(["cone"])
-        assert main(["cone", "--config", path]) == 0
-    finally:
-        cli._parser.cache_clear()
-    capsys.readouterr()
+    path = config_path("uav_refraction_vacuum.json")
+    assert main(["cone", "--config", path, "--json"]) == 0
+    assert main(["shift", path, path, "--samples", "64"]) == 0
+    assert main(["gen-tile", "--out-path", str(tmp_path / "t.grid"), "--lat0", "-35.0",
+                 "--lon0", "138.0", "--n-lat", "4", "--n-lon", "4"]) == 0
+    with pytest.raises(SystemExit):
+        main(["cone"])
+    assert main(["cone", "--config", path]) == 0
     assert len(built) == 1
 
 
