@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import DopplerMeasurement, VehicleState, build_cone, semi_angle
+from .cone import DopplerMeasurement, VehicleState, build_cone, semi_angle, semi_angle_from_shift
 from .geodesy import SPEED_OF_LIGHT
 from .intersect import DEFAULT_SAMPLES, intersect_cone_ellipsoid
 
@@ -255,10 +255,7 @@ def relativistic_semi_angle_delta(vs: VehicleState, m: DopplerMeasurement) -> fl
     """
     rel = lorentz_factor(vs.speed)
     psi = semi_angle(m, vs.speed)
-    shift = m.shift
-    corrected = shift / rel.rho
-    cos_corr = abs(corrected) * SPEED_OF_LIGHT / (m.f_reference * vs.speed)
-    psi_corr = math.acos(min(cos_corr, 1.0))
+    psi_corr = semi_angle_from_shift(m.shift / rel.rho, m.f_reference, vs.speed)
     return psi_corr - psi
 
 

@@ -67,6 +67,15 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
+def config_section(cfg: dict, name: str) -> dict:
+    """cfg[name], or {} when the config has no such section; a section that
+    is not a JSON object raises ConfigError."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object, got {section!r}")
+    return section
+
+
 def vehicle_from_config(cfg: dict) -> VehicleState:
     try:
         v = cfg["vehicle"]
@@ -89,7 +98,7 @@ def vehicle_from_config(cfg: dict) -> VehicleState:
 
 
 def atmosphere_from_config(cfg: dict) -> AtmosphereModel:
-    a = cfg.get("atmosphere", {})
+    a = config_section(cfg, "atmosphere")
     try:
         return AtmosphereModel(kind=a.get("kind", "vacuum"),
                                n=float(a.get("n", 1.0003)),
@@ -100,7 +109,7 @@ def atmosphere_from_config(cfg: dict) -> AtmosphereModel:
 
 def cone_from_config(cfg: dict) -> tuple[DopplerCone, VehicleState]:
     vs = vehicle_from_config(cfg)
-    m = cfg.get("measurement", {})
+    m = config_section(cfg, "measurement")
     atmosphere = atmosphere_from_config(cfg)
     if "semi_angle_deg" in m:
         try:
@@ -118,8 +127,8 @@ def cone_from_config(cfg: dict) -> tuple[DopplerCone, VehicleState]:
 
 
 def n_samples_from_config(cfg: dict, override: int | None) -> int:
-    raw = override if override is not None else \
-        cfg.get("sweep", {}).get("n_samples", DEFAULT_SAMPLES)
+    sweep = config_section(cfg, "sweep")
+    raw = override if override is not None else sweep.get("n_samples", DEFAULT_SAMPLES)
     try:
         n = int(raw)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: infinity
@@ -144,10 +153,12 @@ def sweep_configs(paths, samples: int | None) -> list:
 
 
 def load_terrain(cfg: dict):
-    t = cfg.get("terrain")
-    if not t or "path" not in t:
+    t = config_section(cfg, "terrain")
+    if "path" not in t:
         raise ConfigError("terrain config with a path is required")
     path = t["path"]
+    if not isinstance(path, str):
+        raise ConfigError(f"terrain path must be a string, got {path!r}")
     try:
         geoid_n = float(t.get("geoid_n_m", 0.0))
     except (TypeError, ValueError) as exc:
@@ -186,11 +197,14 @@ def write_outputs(cfg: dict, out_dir: str | None, stem: str, polylines, placemar
     polylines = [(label, positions[id(rows)], style) for label, rows, style in polylines]
     placemark_sets = [(label, positions[id(rows)], style)
                       for label, rows, style in placemark_sets]
-    output = cfg.get("output", {})
+    output = config_section(cfg, "output")
     formats = output.get("formats", ["kml", "geojson"])
     if not isinstance(formats, list) or not all(f in ("kml", "geojson") for f in formats):
         raise ConfigError(f'output formats must be a list of "kml" and "geojson", got {formats!r}')
-    directory = out_dir or output.get("dir", ".")
+    directory = output.get("dir", ".")
+    if not isinstance(directory, str):
+        raise ConfigError(f"output dir must be a string, got {directory!r}")
+    directory = out_dir or directory
     os.makedirs(directory, exist_ok=True)
     written = []
     if "kml" in formats:

@@ -149,9 +149,16 @@ def semi_angle(m: DopplerMeasurement, speed: float,
     handled by axis_direction, not here. A zero shift gives acos(0), which
     is exactly pi/2: the plane normal to the velocity.
     """
+    return semi_angle_from_shift(m.shift, m.f_reference, speed, c_eff)
+
+
+def semi_angle_from_shift(shift: float, f_reference: float, speed: float,
+                          c_eff: float = SPEED_OF_LIGHT) -> float:
+    """semi_angle's cosine rule on a bare shift in Hz, such as a corrected
+    one that is no measurement's f_received - f_reference."""
     if speed <= 0.0:
         raise ValueError("speed must be positive")
-    cos_psi = abs(m.shift) * c_eff / (m.f_reference * speed)
+    cos_psi = abs(shift) * c_eff / (f_reference * speed)
     if cos_psi > 1.0 + FEASIBILITY_SLACK:
         raise InfeasibleShift(
             f"|shift|*c/(f0*speed) = {cos_psi:.9f} > 1: shift implies superluminal closing speed"
@@ -211,12 +218,12 @@ def cone_from_geometry(apex, axis, semi_angle_rad: float) -> DopplerCone:
     return DopplerCone(apex=apex, axis=axis, semi_angle=semi_angle_rad)
 
 
-def doppler_frequency(p_dot, sep, f0: float, with_rotation: bool = False,
-                      omega=EARTH_ROTATION_VECTOR) -> float:
+def doppler_frequency(p_dot, sep, f0: float, with_rotation: bool = False) -> float:
     """Received frequency for relative coordinate velocity p_dot of emitter
     minus receiver, separation vector sep = p - r, and carrier f0.
 
-    with_rotation adds the frame-rotation term omega x sep to the relative
+    with_rotation adds the frame-rotation term omega x sep (omega the
+    earth's rotation vector, EARTH_ROTATION_VECTOR) to the relative
     velocity before projecting onto the line of sight. That term is
     perpendicular to sep, so it changes the result only by rounding noise;
     both settings are provided so the cancellation is directly testable.
@@ -227,7 +234,7 @@ def doppler_frequency(p_dot, sep, f0: float, with_rotation: bool = False,
         raise ValueError("separation must be nonzero")
     vel = np.asarray(p_dot, dtype=float)
     if with_rotation:
-        vel = vel + np.cross(np.asarray(omega, dtype=float), sep)
+        vel = vel + np.cross(EARTH_ROTATION_VECTOR, sep)
     return f0 * (1.0 - float(vel @ sep) / (SPEED_OF_LIGHT * norm))
 
 

@@ -5,8 +5,11 @@
 # bytes and a parse-back recovers the values. Each row set is formatted once
 # into "lon,lat,h" strings (format_positions) and both documents are built
 # from those strings, so a caller writing both formats, or one row set as
-# both a line and its marks, formats every coordinate once. A row holding
-# NaN or an infinity raises NonFiniteCoordinate: neither format can carry it.
+# both a line and its marks, formats every coordinate once. Heights repeat
+# (a point on the ellipsoid has a height that is a few-ulp residual, a
+# terrain hit its post's height), so each distinct height is formatted once.
+# A row holding NaN or an infinity raises NonFiniteCoordinate: neither
+# format can carry it.
 
 from __future__ import annotations
 
@@ -31,11 +34,20 @@ class Positions(list):
     """Rows already formatted as "lon,lat,h" strings, in row order."""
 
 
+def _repr_column(column: np.ndarray) -> list:
+    """repr of each value of a finite float64 column, taken once per
+    distinct bit pattern (so -0.0 and 0.0 stay apart), in row order."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = [repr(value) for value in bits.view(np.float64).tolist()]
+    return [text[i] for i in inverse.tolist()]
+
+
 def format_positions(coords) -> Positions:
     """lat/lon/h rows -> Positions of "lon,lat,h" repr strings.
 
     coords is an (n, 3) array-like or a single (3,) row; Positions pass
-    through unchanged. Raises NonFiniteCoordinate on a NaN or infinite value.
+    through unchanged. Raises NonFiniteCoordinate on a NaN or infinite value
+    and ValueError on rows that are not triples.
     """
     if isinstance(coords, Positions):
         return coords
@@ -47,7 +59,11 @@ def format_positions(coords) -> Positions:
     if not finite.all():
         bad = int(np.flatnonzero(~finite.all(axis=1))[0])
         raise NonFiniteCoordinate(f"coordinate row {bad} is not finite: {rows[bad].tolist()}")
-    return Positions([f"{lon!r},{lat!r},{h!r}" for lat, lon, h in rows.tolist()])
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"coordinate rows must be lat/lon/h triples, got shape {rows.shape}")
+    lats, lons = rows[:, 0].tolist(), rows[:, 1].tolist()
+    return Positions([f"{lon!r},{lat!r},{h}"
+                      for lat, lon, h in zip(lats, lons, _repr_column(rows[:, 2]))])
 
 
 def write_kml(polylines=(), placemark_sets=(), name: str = "dopplergeo") -> bytes:

@@ -120,11 +120,22 @@ def test_conflicting_velocity_sources_exit_4(tmp_path, capsys):
     # for substrings, so "kmlgeojson" wrote both files
     ("intersect", "output", {"formats": ["kml", "geojsn"]}),
     ("intersect", "output", {"formats": "kmlgeojson"}),
+    # a section that is not a JSON object, or a path or dir that is not a
+    # string, used to end in an AttributeError or TypeError traceback
+    ("intersect", "sweep", []),
+    ("cone", "atmosphere", []),
+    ("cone", "measurement", 5),
+    ("intersect", "output", []),
+    ("terrain", "terrain", ["path"]),
+    ("terrain", "terrain", {"path": 5}),
+    # run without --out, so the dir is the one the run would use
+    ("intersect", "output", {"dir": 5}),
 ])
 def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
     cfg = dict(STEEP, **{section: values})
     path = write_json(tmp_path / "bad.json", cfg)
-    out = [] if command == "cone" else ["--out", str(tmp_path)]
+    no_out = command == "cone" or section == "output" and "dir" in values
+    out = [] if no_out else ["--out", str(tmp_path)]
     assert main([command, "--config", path] + out) == 4
     assert "config error" in capsys.readouterr().err
 

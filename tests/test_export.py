@@ -173,7 +173,12 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, -1e16, -1e300, 1.79769313
                -10994.0, 0.1]
 COORD = st.one_of(st.sampled_from(EDGE_VALUES),
                   st.floats(allow_nan=False, allow_infinity=False))
-ROWS = st.lists(st.tuples(COORD, COORD, COORD), max_size=12)
+# heights as the CLI exports them: a few values repeated over many rows,
+# -0.0 beside 0.0 (format_positions formats each distinct height once)
+REPEATED_HEIGHTS = [-0.0, 0.0, 5e-324, 2 ** -30, -2 ** -30, 1e16]
+ROWS = st.one_of(st.lists(st.tuples(COORD, COORD, COORD), max_size=12),
+                 st.lists(st.tuples(COORD, COORD, st.sampled_from(REPEATED_HEIGHTS)),
+                          max_size=12))
 LABEL = st.text(alphabet=st.one_of(st.sampled_from("<&>\"'"), st.characters()), max_size=12)
 STYLE = st.sampled_from([STYLE_ELLIPSOID, STYLE_TERRAIN])
 
@@ -203,6 +208,11 @@ def layouts(draw):
     return polylines, marks
 
 
+# 2 000 rows over 6 distinct heights, in runs and alone
+LONG_ROWS = np.column_stack([np.linspace(-34.6, -35.1, 2000), np.linspace(138.8, 139.4, 2000),
+                             np.resize(np.repeat(REPEATED_HEIGHTS, [1, 900, 3, 80, 7, 9]), 2000)])
+
+
 def preformatted(sets):
     return [(label, format_positions(rows), style) for label, rows, style in sets]
 
@@ -221,6 +231,8 @@ def kml_or_error(writer, polylines, marks, name):
 @given(layout=layouts(), name=LABEL)
 @example(layout=([("a <b> & \"c\" 'd'", np.array([-34.6, 138.8, -0.0]), STYLE_ELLIPSOID)],
                  [("Zürich ✈ 東京", np.zeros((0, 3)), STYLE_TERRAIN)]), name="<&>\"'")
+@example(layout=([("long", LONG_ROWS, STYLE_ELLIPSOID)], [("marks", LONG_ROWS, STYLE_ELLIPSOID)]),
+         name="few heights")
 def test_writers_match_oracle(layout, name):
     polylines, marks = layout
     kml = kml_or_error(oracle_write_kml, polylines, marks, name)
@@ -240,6 +252,14 @@ def test_format_positions_passes_formatted_through():
     assert positions[0] == "138.83301234567892,-34.64620123456789,123.456789"
     assert format_positions(CURVE[0]) == positions[:1]
     assert format_positions([]) == []
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 4), (6,), (2, 2, 3)])
+def test_rows_that_are_not_triples_raise(shape):
+    # the height column is taken by index, so a fourth column must not be
+    # dropped without a word
+    with pytest.raises(ValueError, match="triples"):
+        format_positions(np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
