@@ -29,7 +29,14 @@ from .cone import (
     cone_from_geometry,
 )
 from .dted import DtedError, level_for_spacing, read_dted, write_dted
-from .export import STYLE_ELLIPSOID, STYLE_TERRAIN, format_positions, write_geojson, write_kml
+from .export import (
+    STYLE_ELLIPSOID,
+    STYLE_TERRAIN,
+    format_positions,
+    repr_rows,
+    write_geojson,
+    write_kml,
+)
 from .geodesy import AttitudeEuler, GeodeticCoord, ecef_to_geodetic_arrays
 from .gridfile import (
     ParseError,
@@ -76,10 +83,19 @@ def config_section(cfg: dict, name: str) -> dict:
     return section
 
 
+def config_number(value, name: str) -> float:
+    """A config value that must be a JSON number, as a float. true, false and
+    numeric strings, which float() and int() would take, raise ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def vehicle_from_config(cfg: dict) -> VehicleState:
     try:
         v = cfg["vehicle"]
-        pos = GeodeticCoord(float(v["lat_deg"]), float(v["lon_deg"]), float(v["h_m"]))
+        pos = GeodeticCoord(*(config_number(v[key], f"vehicle {key}")
+                              for key in ("lat_deg", "lon_deg", "h_m")))
         has_attitude = "yaw_deg" in v or "pitch_deg" in v or "roll_deg" in v
         has_velocity = "velocity_ecef_ms" in v
         if has_attitude == has_velocity:
@@ -87,10 +103,16 @@ def vehicle_from_config(cfg: dict) -> VehicleState:
                 "vehicle needs exactly one of attitude (roll/pitch/yaw + speed_ms) "
                 "or velocity_ecef_ms")
         if has_velocity:
-            return VehicleState.from_velocity(pos, [float(x) for x in v["velocity_ecef_ms"]])
-        att = AttitudeEuler(float(v.get("roll_deg", 0.0)), float(v.get("pitch_deg", 0.0)),
-                            float(v.get("yaw_deg", 0.0)))
-        return VehicleState.from_attitude(pos, float(v["speed_ms"]), att)
+            velocity = v["velocity_ecef_ms"]
+            if not isinstance(velocity, list) or len(velocity) != 3:
+                raise ConfigError(
+                    f"vehicle velocity_ecef_ms must be a list of three numbers, got {velocity!r}")
+            return VehicleState.from_velocity(
+                pos, [config_number(x, "vehicle velocity_ecef_ms") for x in velocity])
+        att = AttitudeEuler(*(config_number(v.get(key, 0.0), f"vehicle {key}")
+                              for key in ("roll_deg", "pitch_deg", "yaw_deg")))
+        return VehicleState.from_attitude(pos, config_number(v["speed_ms"], "vehicle speed_ms"),
+                                          att)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -101,8 +123,10 @@ def atmosphere_from_config(cfg: dict) -> AtmosphereModel:
     a = config_section(cfg, "atmosphere")
     try:
         return AtmosphereModel(kind=a.get("kind", "vacuum"),
-                               n=float(a.get("n", 1.0003)),
-                               layers=tuple((float(t), float(n)) for t, n in a.get("layers", [])))
+                               n=config_number(a.get("n", 1.0003), "atmosphere n"),
+                               layers=tuple((config_number(t, "atmosphere layer top"),
+                                             config_number(n, "atmosphere layer index"))
+                                            for t, n in a.get("layers", [])))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad atmosphere config: {exc}") from exc
 
@@ -113,12 +137,13 @@ def cone_from_config(cfg: dict) -> tuple[DopplerCone, VehicleState]:
     atmosphere = atmosphere_from_config(cfg)
     if "semi_angle_deg" in m:
         try:
-            psi = math.radians(float(m["semi_angle_deg"]))
+            psi = math.radians(config_number(m["semi_angle_deg"], "semi_angle_deg"))
             return cone_from_geometry(vs.position_ecef(), vs.velocity_dir, psi), vs
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad semi_angle_deg: {exc}") from exc
     try:
-        meas = DopplerMeasurement(float(m["f_received_hz"]), float(m["f_reference_hz"]))
+        meas = DopplerMeasurement(config_number(m["f_received_hz"], "f_received_hz"),
+                                  config_number(m["f_reference_hz"], "f_reference_hz"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(
             f"measurement needs f_received_hz and f_reference_hz (or semi_angle_deg): {exc}"
@@ -129,9 +154,10 @@ def cone_from_config(cfg: dict) -> tuple[DopplerCone, VehicleState]:
 def n_samples_from_config(cfg: dict, override: int | None) -> int:
     sweep = config_section(cfg, "sweep")
     raw = override if override is not None else sweep.get("n_samples", DEFAULT_SAMPLES)
+    config_number(raw, "sweep n_samples")
     try:
         n = int(raw)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: infinity
+    except (ValueError, OverflowError) as exc:  # NaN, infinity
         raise ConfigError(f"bad sweep n_samples: {exc}") from exc
     if isinstance(raw, float) and raw != n:
         raise ConfigError(f"sweep n_samples must be a whole number, got {raw!r}")
@@ -159,10 +185,7 @@ def load_terrain(cfg: dict):
     path = t["path"]
     if not isinstance(path, str):
         raise ConfigError(f"terrain path must be a string, got {path!r}")
-    try:
-        geoid_n = float(t.get("geoid_n_m", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad terrain geoid_n_m: {exc}") from exc
+    geoid_n = config_number(t.get("geoid_n_m", 0.0), "terrain geoid_n_m")
     if not math.isfinite(geoid_n):
         raise ConfigError(f"terrain geoid_n_m must be finite, got {geoid_n}")
     fmt = t.get("format")
@@ -202,8 +225,8 @@ def write_outputs(cfg: dict, out_dir: str | None, stem: str, polylines, placemar
     if not isinstance(formats, list) or not all(f in ("kml", "geojson") for f in formats):
         raise ConfigError(f'output formats must be a list of "kml" and "geojson", got {formats!r}')
     directory = output.get("dir", ".")
-    if not isinstance(directory, str):
-        raise ConfigError(f"output dir must be a string, got {directory!r}")
+    if not isinstance(directory, str) or not directory:
+        raise ConfigError(f"output dir must be a non-empty string, got {directory!r}")
     directory = out_dir or directory
     os.makedirs(directory, exist_ok=True)
     written = []
@@ -303,9 +326,8 @@ def cmd_shift(args) -> int:
     print(f"min shift [m]: {shift.min_shift:.3f}")
     print(f"max shift [m]: {shift.max_shift:.3f}")
     if args.detail:
-        rows = enumerate(zip(curve_a.etas_near.tolist(), shift.per_point.tolist()))
-        print("\n".join(["index,eta_rad,distance_m",
-                         *(f"{i},{eta!r},{dist!r}" for i, (eta, dist) in rows)]))
+        rows = repr_rows(np.column_stack([curve_a.etas_near, shift.per_point]))
+        print("\n".join(["index,eta_rad,distance_m", *(f"{i},{row}" for i, row in enumerate(rows))]))
     return EXIT_OK
 
 

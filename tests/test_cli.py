@@ -130,6 +130,25 @@ def test_conflicting_velocity_sources_exit_4(tmp_path, capsys):
     ("terrain", "terrain", {"path": 5}),
     # run without --out, so the dir is the one the run would use
     ("intersect", "output", {"dir": 5}),
+    # numbers must be JSON numbers: float() and int() took true and numeric
+    # strings, so "50" flew at 50 m/s and a velocity "900" was (9, 0, 0)
+    ("intersect", "vehicle", dict(STEEP["vehicle"], speed_ms="50")),
+    ("intersect", "vehicle", dict(STEEP["vehicle"], lat_deg="-34.6462")),
+    ("intersect", "vehicle", dict(STEEP["vehicle"], roll_deg=True)),
+    ("intersect", "vehicle", {"lat_deg": -34.6462, "lon_deg": 138.833, "h_m": 1500.0,
+                              "velocity_ecef_ms": "900"}),
+    ("intersect", "vehicle", {"lat_deg": -34.6462, "lon_deg": 138.833, "h_m": 1500.0,
+                              "velocity_ecef_ms": [900.0, 0.0]}),
+    ("intersect", "vehicle", {"lat_deg": -34.6462, "lon_deg": 138.833, "h_m": 1500.0,
+                              "velocity_ecef_ms": [900.0, "0", 0.0]}),
+    ("cone", "measurement", {"semi_angle_deg": "15"}),
+    ("cone", "measurement", {"f_received_hz": "299792501.3", "f_reference_hz": 299792458.0}),
+    ("cone", "atmosphere", {"kind": "constant_index", "n": True}),
+    ("cone", "atmosphere", {"kind": "two_layer", "layers": [["1e4", 1.0003]]}),
+    ("cone", "atmosphere", {"kind": "two_layer", "layers": [[1e4, True]]}),
+    ("intersect", "sweep", {"n_samples": "720"}),
+    ("terrain", "terrain", {"path": "missing.dt2", "geoid_n_m": True}),
+    ("terrain", "terrain", {"path": "missing.dt2", "geoid_n_m": "5"}),
 ])
 def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
     cfg = dict(STEEP, **{section: values})
@@ -370,6 +389,17 @@ def test_gen_tile_and_terrain_command(tmp_path, capsys):
     deg_gap = np.abs(feats["terrain curve"][:, :2].mean(0)
                      - feats["ellipsoid curve"][:, :2].mean(0))
     assert deg_gap.max() < 93.0 / 111e3
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "elsewhere"]])
+def test_empty_output_dir_exit_4(tmp_path, capsys, monkeypatch, out):
+    # an empty dir is a config error whatever --out says, caught before the
+    # sweep's output is written; it used to exit 3 from os.makedirs("")
+    monkeypatch.chdir(tmp_path)
+    path = write_json(tmp_path / "empty_dir.json", dict(STEEP, output={"dir": ""}))
+    assert main(["intersect", "--config", path] + out) == 4
+    assert "output dir must be a non-empty string" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["empty_dir.json"]
 
 
 def test_write_outputs_formats_each_row_array_once(tmp_path, monkeypatch):
