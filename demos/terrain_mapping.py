@@ -32,7 +32,7 @@ grid = dg.make_ridge_grid(lat0, lon0, spacing, spacing, n_lat, n_lon, crest=400.
 print(f"ridge tile: {n_lat} x {n_lon} posts, crest 400 m")
 
 search = dg.TerrainSearchConfig.for_grid(grid)
-terrain = dg.cone_terrain_curve(curve, cone, grid, search)
+terrain = dg.cone_terrain_curve(curve, grid, search)
 print(f"mapped {len(terrain.points)} of {len(curve.points_near)} points, "
       f"threshold {search.tr:.1f} m, gaps {terrain.gaps or 'none'}")
 

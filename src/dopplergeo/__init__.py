@@ -65,7 +65,6 @@ from .gridfile import (
     ParseError,
     load_portable_grid,
     make_flat_grid,
-    make_random_tile,
     make_ridge_grid,
     read_portable_grid,
     write_portable_grid,
@@ -76,15 +75,11 @@ from .intersect import (
     intersect_cone_ellipsoid,
 )
 from .terrain import (
-    EcefPostSet,
     EmptyGrid,
     TerrainCurve,
     TerrainGrid,
-    TerrainHit,
     TerrainSearchConfig,
     cone_terrain_curve,
-    grid_to_ecef_posts,
-    map_point_to_terrain,
 )
 
 __version__ = "0.1.0"

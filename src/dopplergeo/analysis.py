@@ -229,16 +229,15 @@ def curve_shift(curve_a, curve_b) -> CurveShift:
 
 
 def frequency_offset_scenario(vs: VehicleState, f_true: float, f_nominal: float,
-                              f_received: float, n_samples: int = DEFAULT_SAMPLES,
-                              n: float = 1.0):
+                              f_received: float, n_samples: int = DEFAULT_SAMPLES):
     """Curves implied by the true vs the nominal reference frequency.
 
     Returns (curve_true, curve_nominal, shift); shift is None when either
     curve is empty (a cone pointing away from the earth is reported through
     its topology, not raised).
     """
-    cone_true = build_cone(vs, DopplerMeasurement(f_received, f_true), n=n)
-    cone_nom = build_cone(vs, DopplerMeasurement(f_received, f_nominal), n=n)
+    cone_true = build_cone(vs, DopplerMeasurement(f_received, f_true))
+    cone_nom = build_cone(vs, DopplerMeasurement(f_received, f_nominal))
     curve_true = intersect_cone_ellipsoid(cone_true, n_samples=n_samples)
     curve_nom = intersect_cone_ellipsoid(cone_nom, n_samples=n_samples)
     if len(curve_true) == 0 or len(curve_nom) == 0:

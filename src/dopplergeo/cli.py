@@ -169,12 +169,13 @@ def n_samples_from_config(cfg: dict, override: int | None) -> int:
 
 
 def sweep_configs(paths, samples: int | None) -> list:
-    """(config, cone, curve) for each config path. Every config is loaded,
-    its cone built and its sample count checked before the first sweep."""
+    """(config, curve) for each config path; curve.cone is the config's cone.
+    Every config is loaded, its cone built and its sample count checked
+    before the first sweep."""
     cfgs = [load_config(path) for path in paths]
     cones = [cone_from_config(cfg)[0] for cfg in cfgs]
     counts = [n_samples_from_config(cfg, samples) for cfg in cfgs]
-    return [(cfg, cone, intersect_cone_ellipsoid(cone, n_samples=n))
+    return [(cfg, intersect_cone_ellipsoid(cone, n_samples=n))
             for cfg, cone, n in zip(cfgs, cones, counts)]
 
 
@@ -211,8 +212,12 @@ def geodetic_rows(points_ecef) -> np.ndarray:
 
 
 def write_outputs(cfg: dict, out_dir: str | None, stem: str, polylines, placemark_sets):
-    """Write the configured documents; each distinct row array is formatted
-    once, before any file is opened, and shared by both writers."""
+    """Write the configured documents, leaving out empty row sets; each
+    distinct row array is formatted once, before any file is opened, and
+    shared by both writers. out_dir, when not None, overrides the config's
+    output dir, and either must be a non-empty string."""
+    polylines, placemark_sets = ([entry for entry in sets if len(entry[1])]
+                                 for sets in (polylines, placemark_sets))
     positions = {}
     for _, rows, _ in (*polylines, *placemark_sets):
         if id(rows) not in positions:
@@ -224,10 +229,10 @@ def write_outputs(cfg: dict, out_dir: str | None, stem: str, polylines, placemar
     formats = output.get("formats", ["kml", "geojson"])
     if not isinstance(formats, list) or not all(f in ("kml", "geojson") for f in formats):
         raise ConfigError(f'output formats must be a list of "kml" and "geojson", got {formats!r}')
-    directory = output.get("dir", ".")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError(f"output dir must be a non-empty string, got {directory!r}")
-    directory = out_dir or directory
+    # out_dir, when given, is checked last and so is the directory written to
+    for directory in [output.get("dir", ".")] + ([] if out_dir is None else [out_dir]):
+        if not isinstance(directory, str) or not directory:
+            raise ConfigError(f"output dir must be a non-empty string, got {directory!r}")
     os.makedirs(directory, exist_ok=True)
     written = []
     if "kml" in formats:
@@ -270,14 +275,9 @@ def cmd_cone(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    [(cfg, _, curve)] = sweep_configs([args.config], args.samples)
-    polylines = []
-    if len(curve.points_near):
-        polylines.append(("ellipsoid curve (visible)", geodetic_rows(curve.points_near),
-                          STYLE_ELLIPSOID))
-    if len(curve.points_far):
-        polylines.append(("ellipsoid curve (far side)", geodetic_rows(curve.points_far),
-                          STYLE_ELLIPSOID))
+    [(cfg, curve)] = sweep_configs([args.config], args.samples)
+    polylines = [("ellipsoid curve (visible)", geodetic_rows(curve.points_near), STYLE_ELLIPSOID),
+                 ("ellipsoid curve (far side)", geodetic_rows(curve.points_far), STYLE_ELLIPSOID)]
     written = write_outputs(cfg, args.out, "intersect", polylines, [])
     print(f"topology: {curve.topology}")
     print(f"visible points: {len(curve.points_near)}  far points: {len(curve.points_far)}")
@@ -289,21 +289,17 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_terrain(args) -> int:
-    [(cfg, cone, curve)] = sweep_configs([args.config], args.samples)
+    [(cfg, curve)] = sweep_configs([args.config], args.samples)
     grid = load_terrain(cfg)
-    terrain = cone_terrain_curve(curve, cone, grid, TerrainSearchConfig.for_grid(grid))
+    terrain = cone_terrain_curve(curve, grid, TerrainSearchConfig.for_grid(grid))
 
     ellipsoid_rows = geodetic_rows(curve.points_near)
     terrain_rows = terrain.points
-    polylines = []
-    marks = []
-    if len(ellipsoid_rows):
-        polylines.append(("ellipsoid curve", ellipsoid_rows, STYLE_ELLIPSOID))
-        marks.append(("ellipsoid marks", ellipsoid_rows, STYLE_ELLIPSOID))
-    if len(terrain_rows):
-        polylines.append(("terrain curve", terrain_rows, STYLE_TERRAIN))
-        marks.append(("terrain marks", terrain_rows, STYLE_TERRAIN))
-    written = write_outputs(cfg, args.out, "terrain", polylines, marks)
+    written = write_outputs(cfg, args.out, "terrain",
+                            [("ellipsoid curve", ellipsoid_rows, STYLE_ELLIPSOID),
+                             ("terrain curve", terrain_rows, STYLE_TERRAIN)],
+                            [("ellipsoid marks", ellipsoid_rows, STYLE_ELLIPSOID),
+                             ("terrain marks", terrain_rows, STYLE_TERRAIN)])
     print(f"ellipsoid points: {len(ellipsoid_rows)}  terrain points: {len(terrain_rows)}")
     if terrain.gaps:
         spans = ", ".join(f"[{a:.4f}, {b:.4f}]" for a, b in terrain.gaps)
@@ -316,8 +312,7 @@ def cmd_terrain(args) -> int:
 
 
 def cmd_shift(args) -> int:
-    (_, _, curve_a), (_, _, curve_b) = sweep_configs([args.config_a, args.config_b],
-                                                     args.samples)
+    (_, curve_a), (_, curve_b) = sweep_configs([args.config_a, args.config_b], args.samples)
     if len(curve_a) == 0 or len(curve_b) == 0:
         print("shift undefined: at least one curve is empty "
               f"(topologies {curve_a.topology}, {curve_b.topology})")

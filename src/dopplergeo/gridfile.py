@@ -2,7 +2,7 @@
 # -------------------------------------------------------------
 # Portable text format for terrain grids ("key = value" header, then
 # whitespace-separated heights) so test fixtures are human-readable, plus
-# synthetic tile generators (flat, ridge, random).
+# synthetic tile generators (flat, ridge).
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from .terrain import VOID_ELEVATION, TerrainGrid
+from .terrain import TerrainGrid
 
 REQUIRED_KEYS = ("lat0", "lon0", "dlat", "dlon", "n_lat", "n_lon")
 
@@ -143,20 +143,3 @@ def make_ridge_grid(lat0: float, lon0: float, dlat: float, dlon: float,
     profile = crest * (1.0 - np.abs(j - mid) / max(mid, 1.0))
     h = np.tile(np.clip(profile, 0.0, None), (n_lat, 1))
     return TerrainGrid(lat0=lat0, lon0=lon0, dlat=dlat, dlon=dlon, H=h, N=geoid_n)
-
-
-def make_random_tile(rng: np.random.Generator, level: int,
-                     void_fraction: float = 0.02) -> TerrainGrid:
-    """Random integer-height tile at a level's nominal spacing, with voids,
-    origin on a whole arcsecond. Intended for serializer round-trip tests."""
-    from .dted import LEVEL_LAT_INTERVAL
-
-    spacing = LEVEL_LAT_INTERVAL[level] / 36000.0
-    n_lat = int(rng.integers(4, 40))
-    n_lon = int(rng.integers(4, 40))
-    lat0 = float(rng.integers(-80 * 3600, 80 * 3600)) / 3600.0
-    lon0 = float(rng.integers(-179 * 3600, 179 * 3600)) / 3600.0
-    h = rng.integers(-500, 4000, size=(n_lat, n_lon)).astype(float)
-    voids = rng.random((n_lat, n_lon)) < void_fraction
-    h[voids] = VOID_ELEVATION
-    return TerrainGrid(lat0=lat0, lon0=lon0, dlat=spacing, dlon=spacing, H=h)

@@ -32,7 +32,8 @@ MAX_SAMPLES = 100_000
 
 @dataclass(frozen=True)
 class IntersectionCurve:
-    """Per-ray sweep results plus the assembled curve and its topology label.
+    """The sweep of `cone`: per-ray results plus the assembled curve and its
+    topology label.
 
     topology (empty, tangent_point, single_closed_curve or two_curves) is
     read from the sampled sweep alone: its runs of hit rays, whether every
@@ -48,6 +49,7 @@ class IntersectionCurve:
     same rays, where they exist.
     """
 
+    cone: DopplerCone
     topology: str
     etas: np.ndarray
     s_near: np.ndarray
@@ -178,6 +180,7 @@ def intersect_cone_ellipsoid(cone: DopplerCone, e: Ellipsoid = WGS84,
 
     topology = _classify(hit, tangent, far_exists, runs)
     return IntersectionCurve(
+        cone=cone,
         topology=topology,
         etas=etas,
         s_near=s_near,

@@ -366,12 +366,12 @@ def map_point_to_terrain(p_i, receiver, posts: EcefPostSet, cfg: TerrainSearchCo
                       grid_index=tuple(np.unravel_index(int(posts.index[k]), posts.shape)))
 
 
-def _rays(curve: IntersectionCurve, cone: DopplerCone,
+def _rays(curve: IntersectionCurve,
           cfg: TerrainSearchConfig) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Unit directions from the apex to the visible points, their lengths,
     and the reach and far bound of the cone-frame prefilter: tr and the far
     bound of the longest ray, each widened by PREFILTER_SLACK."""
-    sep = curve.points_near - cone.apex
+    sep = curve.points_near - curve.cone.apex
     ray_len = np.linalg.norm(sep, axis=1)
     if (ray_len == 0.0).any():
         raise ValueError("intersection point coincides with the receiver")
@@ -379,9 +379,10 @@ def _rays(curve: IntersectionCurve, cone: DopplerCone,
             FAR_BOUND_FACTOR * ray_len.max(initial=0.0) * (1.0 + PREFILTER_SLACK))
 
 
-def cone_terrain_curve(curve: IntersectionCurve, cone: DopplerCone, grid: TerrainGrid,
+def cone_terrain_curve(curve: IntersectionCurve, grid: TerrainGrid,
                        cfg: TerrainSearchConfig) -> TerrainCurve:
-    """Map every visible point of `curve`, the sweep of `cone`, onto the grid.
+    """Map every visible point of `curve` onto the grid, along the rays from
+    the apex of its cone.
 
     Only the posts of the SUB_BLOCK-square sub-blocks of POST_BLOCK-square
     blocks whose bounding spheres reach the cone-frame prefilter are
@@ -389,14 +390,14 @@ def cone_terrain_curve(curve: IntersectionCurve, cone: DopplerCone, grid: Terrai
     the prefilter keeps, so the result equals the search over every post.
     Raises EmptyGrid when every post is void.
     """
-    rays = _rays(curve, cone, cfg)
+    rays = _rays(curve, cfg)
     _, _, reach, far = rays
-    return _map_posts(curve, cone, _posts_near_cone(grid, cone, reach, far), cfg, rays)
+    return _map_posts(curve, _posts_near_cone(grid, curve.cone, reach, far), cfg, rays)
 
 
-def _map_posts(curve: IntersectionCurve, cone: DopplerCone, posts: EcefPostSet,
-               cfg: TerrainSearchConfig, rays: tuple) -> TerrainCurve:
-    """Map every visible point of `curve`, the sweep of `cone`, onto the posts.
+def _map_posts(curve: IntersectionCurve, posts: EcefPostSet, cfg: TerrainSearchConfig,
+               rays: tuple) -> TerrainCurve:
+    """Map every visible point of `curve` onto the posts.
 
     Every ray leaves the cone apex, so the posts are rotated once into the
     cone frame (the sweep's rotation, axis +z), giving each its distance rho
@@ -407,9 +408,9 @@ def _map_posts(curve: IntersectionCurve, cone: DopplerCone, posts: EcefPostSet,
     rule of map_point_to_terrain then picks each ray's post among its pairs,
     so the result equals that scan run ray by ray. Hits are reported in
     sweep order; runs of missed rays become gap intervals. `rays` is
-    _rays(curve, cone, cfg).
+    _rays(curve, cfg).
     """
-    etas = curve.etas_near
+    cone, etas = curve.cone, curve.etas_near
     dirs, ray_len, reach, far = rays
 
     frame = (posts.ecef - cone.apex) @ cone.rotation

@@ -1,12 +1,15 @@
-"""Terrain test oracles shared by the terrain tests and the acceptance suite:
-a flat grid covering a curve's visible points, and the 1 m ray march."""
+"""Terrain test oracles and tiles shared by the terrain, DTED and acceptance
+tests: a flat grid covering a curve's visible points, the 1 m ray march,
+and random tiles for DTED round trips."""
 
 import math
 
 import numpy as np
 
+from dopplergeo.dted import LEVEL_LAT_INTERVAL
 from dopplergeo.geodesy import ecef_to_geodetic_arrays
 from dopplergeo.gridfile import make_flat_grid
+from dopplergeo.terrain import VOID_ELEVATION, TerrainGrid
 
 
 def covering_grid(curve, height=0.0, spacing=3.0 / 3600.0, margin=0.01):
@@ -40,3 +43,18 @@ def march_first_crossing(receiver, p_i, grid, step=1.0):
                + surface[i0, j0 + 1] * (1 - wi) * wj + surface[i0 + 1, j0 + 1] * wi * wj)
     idx = np.flatnonzero(inside & (h <= terrain))
     return None if len(idx) == 0 else pts[idx[0]]
+
+
+def make_random_tile(rng: np.random.Generator, level: int,
+                     void_fraction: float = 0.02) -> TerrainGrid:
+    """Random integer-height tile at a level's nominal spacing, with voids,
+    origin on a whole arcsecond."""
+    spacing = LEVEL_LAT_INTERVAL[level] / 36000.0
+    n_lat = int(rng.integers(4, 40))
+    n_lon = int(rng.integers(4, 40))
+    lat0 = float(rng.integers(-80 * 3600, 80 * 3600)) / 3600.0
+    lon0 = float(rng.integers(-179 * 3600, 179 * 3600)) / 3600.0
+    h = rng.integers(-500, 4000, size=(n_lat, n_lon)).astype(float)
+    voids = rng.random((n_lat, n_lon)) < void_fraction
+    h[voids] = VOID_ELEVATION
+    return TerrainGrid(lat0=lat0, lon0=lon0, dlat=spacing, dlon=spacing, H=h)

@@ -34,11 +34,10 @@ from dopplergeo.geodesy import (
     geodetic_to_ecef,
     geodetic_to_ecef_arrays,
 )
-from dopplergeo.gridfile import make_random_tile
 from dopplergeo.intersect import ellipsoid_residual, intersect_cone_ellipsoid
 from dopplergeo.terrain import TerrainSearchConfig, cone_terrain_curve
 
-from terrain_oracles import covering_grid, march_first_crossing
+from terrain_oracles import covering_grid, make_random_tile, march_first_crossing
 
 C = SPEED_OF_LIGHT
 
@@ -192,14 +191,14 @@ def test_criterion_6_terrain_flat_earth_equivalence():
 
     flat = covering_grid(curve, height=0.0)
     cfg = TerrainSearchConfig.for_grid(flat)
-    tc = cone_terrain_curve(curve, cone, flat, cfg)
+    tc = cone_terrain_curve(curve, flat, cfg)
     assert len(tc.points) == len(curve.points_near)
     terrain_pts = geodetic_to_ecef_arrays(*tc.points.T)
     flat_dist = point_to_polyline_distance(terrain_pts, curve.points_near).max()
 
     plateau = covering_grid(curve, height=500.0)
     cfg500 = TerrainSearchConfig.for_grid(plateau)
-    tc500 = cone_terrain_curve(curve, cone, plateau, cfg500)
+    tc500 = cone_terrain_curve(curve, plateau, cfg500)
     assert len(tc500.points) == len(curve.points_near)
     nearer = bool((tc500.s < np.linalg.norm(curve.points_near - cone.apex, axis=1)).all())
     within_tr = bool((tc500.ray_distance <= cfg500.tr).all())

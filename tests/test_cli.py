@@ -402,6 +402,16 @@ def test_empty_output_dir_exit_4(tmp_path, capsys, monkeypatch, out):
     assert os.listdir(tmp_path) == ["empty_dir.json"]
 
 
+def test_empty_out_flag_exit_4(tmp_path, capsys, monkeypatch):
+    # --out "" is given, so it is checked like the config's dir; it used to
+    # be ignored, and the files went to the config's dir
+    monkeypatch.chdir(tmp_path)
+    path = write_json(tmp_path / "dot_dir.json", dict(STEEP, output={"dir": "."}))
+    assert main(["intersect", "--config", path, "--out", ""]) == 4
+    assert "output dir must be a non-empty string, got ''" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["dot_dir.json"]
+
+
 def test_write_outputs_formats_each_row_array_once(tmp_path, monkeypatch):
     formatted = []
 

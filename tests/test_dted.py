@@ -16,8 +16,10 @@ from dopplergeo.dted import (
     read_dted,
     write_dted,
 )
-from dopplergeo.gridfile import make_flat_grid, make_random_tile
+from dopplergeo.gridfile import make_flat_grid
 from dopplergeo.terrain import VOID_ELEVATION, TerrainGrid
+
+from terrain_oracles import make_random_tile
 
 HEADERS = 80 + 648 + 2700
 

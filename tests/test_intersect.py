@@ -149,6 +149,7 @@ def test_axis_away_empty():
     curve = intersect_cone_ellipsoid(cone)
     assert curve.topology == "empty"
     assert len(curve) == 0
+    assert curve.cone is cone
 
 
 def test_constructed_tangency():
@@ -183,6 +184,7 @@ def test_grazing_cone_single_closed_curve():
 def test_dual_residuals_and_half_cone():
     cone = cone_from_geometry(UAV.position_ecef(), UAV.velocity_dir, math.radians(26.56))
     curve = intersect_cone_ellipsoid(cone)
+    assert curve.cone is cone
     for pts in (curve.points_near, curve.points_far):
         assert ellipsoid_residual(pts).max() < 1e-9
         assert cone_surface_residual(cone, pts).max() < 1e-9 * quad_form_scale(cone)

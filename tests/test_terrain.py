@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -37,11 +38,11 @@ SPACING = 3.0 / 3600.0  # one level-1 style post every ~90 m
 
 
 def steep_scenario(n_samples=180):
-    """Cone whose visible curve lands a few km below the vehicle."""
+    """Sweep of a cone whose visible curve lands a few km below the vehicle."""
     vs = VehicleState.from_attitude(GeodeticCoord(-34.6462, 138.833, 1500.0), 50.0,
                                     AttitudeEuler(0.0, -70.0, 190.0))
     cone = cone_from_geometry(vs.position_ecef(), vs.velocity_dir, math.radians(15.0))
-    return cone, intersect_cone_ellipsoid(cone, n_samples=n_samples)
+    return intersect_cone_ellipsoid(cone, n_samples=n_samples)
 
 
 def scan_gaps(etas, found):
@@ -63,15 +64,15 @@ def terrain_ecef(tc):
     return geodetic_to_ecef_arrays(tc.points[:, 0], tc.points[:, 1], tc.points[:, 2])
 
 
-def assert_matches_scan(curve, cone, grid, cfg):
+def assert_matches_scan(curve, grid, cfg):
     """The pruned, batched search equals map_point_to_terrain run ray by ray
     over every post of the grid."""
-    return assert_posts_match_scan(cone_terrain_curve(curve, cone, grid, cfg), curve, cone,
+    return assert_posts_match_scan(cone_terrain_curve(curve, grid, cfg), curve,
                                    grid_to_ecef_posts(grid), cfg)
 
 
-def assert_posts_match_scan(tc, curve, cone, posts, cfg):
-    hits = [map_point_to_terrain(p_i, cone.apex, posts, cfg) for p_i in curve.points_near]
+def assert_posts_match_scan(tc, curve, posts, cfg):
+    hits = [map_point_to_terrain(p_i, curve.cone.apex, posts, cfg) for p_i in curve.points_near]
     found = [hit is not None for hit in hits]
     hits = [hit for hit in hits if hit is not None]
     assert tc.etas.tolist() == curve.etas_near[found].tolist()
@@ -83,6 +84,13 @@ def assert_posts_match_scan(tc, curve, cone, posts, cfg):
                            rtol=1e-9, atol=1e-9)
         assert np.abs(terrain_ecef(tc) - np.array([hit.point for hit in hits])).max() < 1e-6
     return tc
+
+
+def test_terrain_helpers_take_the_curve_alone():
+    # the curve holds the cone it was swept from, so no helper takes a
+    # second cone that could differ from it
+    for helper in (cone_terrain_curve, _rays, _map_posts):
+        assert "cone" not in inspect.signature(helper).parameters
 
 
 def test_flat_posts_on_ellipsoid():
@@ -190,39 +198,39 @@ def test_posts_peak_memory_near_the_result():
 
 
 def test_flat_grid_mapping_stays_local():
-    cone, curve = steep_scenario()
+    curve = steep_scenario()
     grid = covering_grid(curve)
     posts = grid_to_ecef_posts(grid)
     cfg = TerrainSearchConfig.for_grid(grid)
     for p_i in curve.points_near[::10]:
-        hit = map_point_to_terrain(p_i, cone.apex, posts, cfg)
+        hit = map_point_to_terrain(p_i, curve.cone.apex, posts, cfg)
         assert hit is not None
         assert np.linalg.norm(hit.point - p_i) <= grid.max_post_spacing_m()
         assert hit.ray_distance <= cfg.tr
 
 
 def test_plateau_mapping_hits_before_ellipsoid():
-    cone, curve = steep_scenario()
+    curve = steep_scenario()
     grid = covering_grid(curve, height=500.0)
     posts = grid_to_ecef_posts(grid)
     cfg = TerrainSearchConfig.for_grid(grid)
     spacing = grid.max_post_spacing_m()
     for p_i in curve.points_near[::10]:
-        hit = map_point_to_terrain(p_i, cone.apex, posts, cfg)
+        hit = map_point_to_terrain(p_i, curve.cone.apex, posts, cfg)
         assert hit is not None
-        assert hit.s < np.linalg.norm(p_i - cone.apex)
+        assert hit.s < np.linalg.norm(p_i - curve.cone.apex)
         assert hit.ray_distance <= cfg.tr
-        oracle = march_first_crossing(cone.apex, p_i, grid)
+        oracle = march_first_crossing(curve.cone.apex, p_i, grid)
         assert oracle is not None
         assert np.linalg.norm(hit.point - oracle) <= spacing
 
 
 def test_ray_outside_grid_is_no_hit():
-    cone, curve = steep_scenario()
+    curve = steep_scenario()
     grid = make_flat_grid(10.0, 10.0, SPACING, SPACING, 5, 5)  # far away
     posts = grid_to_ecef_posts(grid)
     cfg = TerrainSearchConfig.for_grid(grid)
-    assert map_point_to_terrain(curve.points_near[0], cone.apex, posts, cfg) is None
+    assert map_point_to_terrain(curve.points_near[0], curve.cone.apex, posts, cfg) is None
 
 
 def test_equidistant_tie_takes_lowest_grid_index():
@@ -236,25 +244,25 @@ def test_equidistant_tie_takes_lowest_grid_index():
     assert hit.grid_index == (0, 3)  # flat index 3 beats flat index 7
 
     # the batched search breaks a tie within TIE_EPS the same way
-    cone, curve = steep_scenario()
+    curve = steep_scenario()
     k = len(curve.points_near) // 3
-    ray = curve.points_near[k] - cone.apex
+    ray = curve.points_near[k] - curve.cone.apex
     ray /= np.linalg.norm(ray)
     side = np.cross(ray, [0.0, 0.0, 1.0])
     side /= np.linalg.norm(side)
-    mid = cone.apex + 0.9 * curve.ranges_near[k] * ray
+    mid = curve.cone.apex + 0.9 * curve.ranges_near[k] * ray
     posts = EcefPostSet(ecef=np.array([mid + 20.0 * side, mid - 20.0 * side]),
                         index=np.array([7, 3]), shape=(5, 5))
-    tc = assert_posts_match_scan(_map_posts(curve, cone, posts, cfg, _rays(curve, cone, cfg)),
-                                 curve, cone, posts, cfg)
+    tc = assert_posts_match_scan(_map_posts(curve, posts, cfg, _rays(curve, cfg)), curve, posts,
+                                 cfg)
     assert tuple(tc.grid_index[list(tc.etas).index(curve.etas_near[k])]) == (0, 3)
 
 
 def test_terrain_curve_flat_equivalence():
-    cone, curve = steep_scenario()
+    curve = steep_scenario()
     grid = covering_grid(curve)
     cfg = TerrainSearchConfig.for_grid(grid)
-    tc = cone_terrain_curve(curve, cone, grid, cfg)
+    tc = cone_terrain_curve(curve, grid, cfg)
     assert len(tc.points) == len(curve.points_near)
     assert tc.gaps == []
     spacing = grid.max_post_spacing_m()
@@ -263,18 +271,18 @@ def test_terrain_curve_flat_equivalence():
 
 
 def test_terrain_curve_deterministic():
-    cone, curve = steep_scenario()
+    curve = steep_scenario()
     grid = covering_grid(curve, height=120.0)
     cfg = TerrainSearchConfig.for_grid(grid)
-    a = cone_terrain_curve(curve, cone, grid, cfg)
-    b = cone_terrain_curve(curve, cone, grid, cfg)
+    a = cone_terrain_curve(curve, grid, cfg)
+    b = cone_terrain_curve(curve, grid, cfg)
     assert np.array_equal(a.grid_index, b.grid_index)
     assert np.array_equal(a.points, b.points)
     assert a.gaps == b.gaps
 
 
 def test_terrain_curve_records_gaps():
-    cone, curve = steep_scenario()
+    curve = steep_scenario()
     lat, lon, _ = ecef_to_geodetic_arrays(curve.points_near)
     # grid covering only the eastern half of the curve
     mid = 0.5 * (lon.min() + lon.max())
@@ -284,7 +292,7 @@ def test_terrain_curve_records_gaps():
     n_lon = int((lon.max() + 0.01 - lon0) / SPACING) + 2
     grid = make_flat_grid(lat0, lon0, SPACING, SPACING, n_lat, n_lon)
     cfg = TerrainSearchConfig.for_grid(grid)
-    tc = assert_matches_scan(curve, cone, grid, cfg)
+    tc = assert_matches_scan(curve, grid, cfg)
     assert 0 < len(tc.points) < len(curve.points_near)
     assert len(tc.gaps) >= 1
 
@@ -295,7 +303,7 @@ def test_empty_curve_maps_to_empty_terrain_curve():
     curve = intersect_cone_ellipsoid(cone)
     grid = make_flat_grid(-35.0, 138.0, SPACING, SPACING, 4, 4)
     cfg = TerrainSearchConfig.for_grid(grid)
-    tc = cone_terrain_curve(curve, cone, grid, cfg)
+    tc = cone_terrain_curve(curve, grid, cfg)
     assert tc.points.shape == (0, 3) and tc.grid_index.shape == (0, 2)
     assert len(tc.etas) == len(tc.s) == len(tc.ray_distance) == 0 and tc.gaps == []
 
@@ -328,14 +336,14 @@ def test_batched_matches_scan_across_antimeridian(lon_rx, yaw, lon0, psi_deg, n_
     cone = cone_from_geometry(vs.position_ecef(), vs.velocity_dir, math.radians(psi_deg))
     curve = intersect_cone_ellipsoid(cone, n_samples=n_rays)
     grid = make_flat_grid(-34.75, lon0, SPACING, SPACING, 120, 120)
-    tc = assert_matches_scan(curve, cone, grid, TerrainSearchConfig.for_grid(grid))
+    tc = assert_matches_scan(curve, grid, TerrainSearchConfig.for_grid(grid))
     assert len(tc.points) > 0
 
 
 def test_batched_matches_scan_steep():
-    cone, curve = steep_scenario()
+    curve = steep_scenario()
     grid = covering_grid(curve, height=200.0)
-    assert len(assert_matches_scan(curve, cone, grid, TerrainSearchConfig.for_grid(grid)).points)
+    assert len(assert_matches_scan(curve, grid, TerrainSearchConfig.for_grid(grid)).points)
 
 
 REGIONS = {"mid": (-60.0, 60.0, -170.0, 170.0), "north": (80.0, 86.0, -180.0, 180.0),
@@ -392,7 +400,7 @@ def test_batched_matches_scan_property(region, fractions, plane, n_rays, spacing
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(terrain, "POST_BLOCK", block)
         patch.setattr(terrain, "SUB_BLOCK", sub_block)
-        assert_matches_scan(curve, cone, grid, TerrainSearchConfig.for_grid(grid))
+        assert_matches_scan(curve, grid, TerrainSearchConfig.for_grid(grid))
 
 
 def block_at_the_bound(rng, extent):
@@ -478,7 +486,7 @@ def test_block_holding_a_post_at_the_bound_is_kept(extent):
                                    TerrainSearchConfig(tr=1e3))
         assert hit.grid_index == nearest
         cfg = TerrainSearchConfig(tr=hit.ray_distance + 1e-9)
-        tc = assert_matches_scan(curve, cone, grid, cfg)
+        tc = assert_matches_scan(curve, grid, cfg)
         assert 0.0 in tc.etas
 
 
@@ -498,7 +506,7 @@ def test_sub_blocks_convert_a_third_of_the_block_posts():
         cone = cone_from_geometry(vs.position_ecef(), vs.velocity_dir,
                                   math.radians(rng.uniform(35.0, 45.0)))
         curve = intersect_cone_ellipsoid(cone, n_samples=180)
-        _, _, reach, far = _rays(curve, cone, TerrainSearchConfig.for_grid(grid))
+        _, _, reach, far = _rays(curve, TerrainSearchConfig.for_grid(grid))
         kept = len(_posts_near_cone(grid, cone, reach, far).index)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(terrain, "SUB_BLOCK", terrain.POST_BLOCK)
