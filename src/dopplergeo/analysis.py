@@ -107,11 +107,7 @@ class RelativisticFactor:
 
 
 def lorentz_factor(v: float) -> RelativisticFactor:
-    """Lorentz factor for speed v in m/s. Raises Superluminal for v >= c."""
-    if v >= SPEED_OF_LIGHT:
-        raise Superluminal(f"speed {v} m/s is not below c")
-    if v < 0.0:
-        raise ValueError("speed must be nonnegative")
+    """Lorentz factor for speed v in m/s. Raises Superluminal unless 0 <= v < c."""
     return RelativisticFactor(varsigma=v / SPEED_OF_LIGHT)
 
 

@@ -200,10 +200,10 @@ def load_terrain(cfg: dict):
                 return read_dted(f.read(), geoid_n=geoid_n)
         return load_portable_grid(path)
     except OSError as exc:
-        raise IOError(f"cannot read terrain {path}: {exc}") from exc
+        raise OSError(f"cannot read terrain {path}: {exc}") from exc
     except (DtedError, ParseError, UnicodeDecodeError) as exc:
         # a binary tile read as a portable grid fails to decode as UTF-8
-        raise IOError(f"cannot parse terrain {path}: {exc}") from exc
+        raise OSError(f"cannot parse terrain {path}: {exc}") from exc
 
 
 def geodetic_rows(points_ecef) -> np.ndarray:
@@ -234,18 +234,18 @@ def write_outputs(cfg: dict, out_dir: str | None, stem: str, polylines, placemar
         if not isinstance(directory, str) or not directory:
             raise ConfigError(f"output dir must be a non-empty string, got {directory!r}")
     os.makedirs(directory, exist_ok=True)
-    written = []
-    if "kml" in formats:
-        path = os.path.join(directory, f"{stem}.kml")
-        with open(path, "wb") as f:
-            f.write(write_kml(polylines, placemark_sets, name=stem))
-        written.append(path)
-    if "geojson" in formats:
-        path = os.path.join(directory, f"{stem}.geojson")
-        with open(path, "wb") as f:
-            f.write(write_geojson(polylines, placemark_sets))
-        written.append(path)
-    return written
+    # the writers are looked up at call time, where a tracer may wrap them
+    documents = {"kml": lambda: write_kml(polylines, placemark_sets, name=stem),
+                 "geojson": lambda: write_geojson(polylines, placemark_sets)}
+    return [write_file(os.path.join(directory, f"{stem}.{fmt}"), document())
+            for fmt, document in documents.items() if fmt in formats]
+
+
+def write_file(path: str, data: bytes) -> str:
+    """Write bytes to path, the CLI's one way to write a file; returns path."""
+    with open(path, "wb") as f:
+        f.write(data)
+    return path
 
 
 def cmd_cone(args) -> int:
@@ -342,14 +342,12 @@ def cmd_gen_tile(args) -> int:
     # the flat height and the ridge crest are both the seventh argument
     grid = maker(args.lat0, args.lon0, spacing, spacing, args.n_lat, args.n_lon, args.height,
                  args.geoid_n)
-    if args.format == "dted":
-        level = args.level if args.level is not None else level_for_spacing(grid.dlat)
-        data = write_dted(grid, level)
-        with open(args.out_path, "wb") as f:
-            f.write(data)
-    else:
-        with open(args.out_path, "w", encoding="utf-8") as f:
-            f.write(write_portable_grid(grid))
+    if args.format == "dted" and args.level not in (None, level_for_spacing(grid.dlat)):
+        raise ConfigError(f"--level {args.level} does not match --spacing-arcsec "
+                          f"{args.spacing_arcsec}")
+    # text mode would write the grid's newlines as \r\n on some platforms
+    data = write_dted(grid) if args.format == "dted" else write_portable_grid(grid).encode("utf-8")
+    write_file(args.out_path, data)
     print(f"wrote {args.out_path} ({args.n_lat}x{args.n_lon} posts, kind {args.kind})")
     return EXIT_OK
 
@@ -417,7 +415,7 @@ def main(argv=None) -> int:
     except InfeasibleShift as exc:
         print(f"infeasible measurement: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (IOError, OSError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except EmptyGrid as exc:

@@ -65,7 +65,6 @@ class VehicleState:
     position: GeodeticCoord
     speed: float
     velocity_dir: np.ndarray
-    attitude: AttitudeEuler | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.speed) and self.speed > 0.0):
@@ -76,7 +75,7 @@ class VehicleState:
     def from_attitude(cls, position: GeodeticCoord, speed: float,
                       attitude: AttitudeEuler) -> "VehicleState":
         """Velocity direction from the body x-axis via the attitude rotation."""
-        return cls(position=position, speed=speed, attitude=attitude,
+        return cls(position=position, speed=speed,
                    velocity_dir=body_to_ecef_direction(attitude, position))
 
     @classmethod

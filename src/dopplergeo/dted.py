@@ -119,27 +119,22 @@ def _record_sums(records: np.ndarray) -> np.ndarray:
     return records[:, :-4].sum(axis=1, dtype=np.uint32)
 
 
-def write_dted(grid: TerrainGrid, level: int) -> bytes:
-    """Serialize a TerrainGrid as a DTED tile of the given level.
+def write_dted(grid: TerrainGrid) -> bytes:
+    """Serialize a TerrainGrid as a DTED tile of the level whose nominal
+    latitude interval is the grid's dlat (level_for_spacing).
 
-    The latitude interval must match the level's nominal spacing; the
-    longitude interval is written as declared (zone doubling is the
-    caller's business). Heights must be finite whole meters; the geoid
+    The longitude interval is written as declared (zone doubling is the
+    caller's business). Heights are rounded to whole meters, half to even
+    (-123.5 to -124, 812.25 to 812), and must be finite; the geoid
     undulation is not carried by the format. At most 9999 posts a side.
     """
-    if level not in LEVEL_LAT_INTERVAL:
-        raise DtedError(f"unsupported level {level}")
-    lat_tenths = _interval_tenths(grid.dlat)
-    if lat_tenths != LEVEL_LAT_INTERVAL[level]:
-        raise SpacingMismatch(
-            f"lat interval {lat_tenths} tenths != level {level} nominal "
-            f"{LEVEL_LAT_INTERVAL[level]}")
+    level = level_for_spacing(grid.dlat)
     header = bytearray(b" " * HEADER_SIZE)
     for at, text in {**SENTINELS, **FIXED_TEXT}.items():
         header[at:at + len(text)] = text
     values = {"lon0": _encode_angle(grid.lon0, "EW"), "lat0": _encode_angle(grid.lat0, "NS"),
               "lon_interval": f"{_interval_tenths(grid.dlon):04d}",
-              "lat_interval": f"{lat_tenths:04d}", "n_lon": f"{grid.n_lon:04d}",
+              "lat_interval": f"{LEVEL_LAT_INTERVAL[level]:04d}", "n_lon": f"{grid.n_lon:04d}",
               "n_lat": f"{grid.n_lat:04d}", "level": f"DTED{level}"}
     for name, text in values.items():
         field = FIELDS[name]

@@ -222,14 +222,14 @@ def test_criterion_7_dted_round_trip():
     for _ in range(100):
         level = int(rng.integers(0, 3))
         grid = make_random_tile(rng, level)
-        back = read_dted(write_dted(grid, level))
+        back = read_dted(write_dted(grid))
         assert np.array_equal(back.H, grid.H)
         assert (back.lat0, back.lon0, back.dlat, back.dlon) == \
                (grid.lat0, grid.lon0, grid.dlat, grid.dlon)
     elapsed = time.monotonic() - start
 
     grid = make_random_tile(rng, 1)
-    data = bytearray(write_dted(grid, 1))
+    data = bytearray(write_dted(grid))
     rec = 8 + 2 * grid.n_lat + 4
     data[80 + 648 + 2700 + 3 * rec + 10] ^= 0xFF
     try:

@@ -25,8 +25,8 @@ from dopplergeo.intersect import intersect_cone_ellipsoid
 
 C = SPEED_OF_LIGHT
 
-LEOS = VehicleState.from_attitude(GeodeticCoord(0.0, 0.0, 200e3), 7800.0,
-                                  AttitudeEuler(0.0, 0.0, 0.0))
+LEOS_ATTITUDE = AttitudeEuler(0.0, 0.0, 0.0)
+LEOS = VehicleState.from_attitude(GeodeticCoord(0.0, 0.0, 200e3), 7800.0, LEOS_ATTITUDE)
 UAV = VehicleState.from_attitude(GeodeticCoord(-34.6462, 138.833, 2000.0), 50.0,
                                  AttitudeEuler(0.0, -30.0, 190.0))
 
@@ -275,7 +275,7 @@ def test_relativistic_delta_magnitude():
 def test_relativistic_delta_quadratic_in_speed():
     m1 = DopplerMeasurement(299798033.4329, 299792518.0)
     d1 = relativistic_semi_angle_delta(LEOS, m1)
-    double = VehicleState.from_attitude(LEOS.position, 15600.0, LEOS.attitude)
+    double = VehicleState.from_attitude(LEOS.position, 15600.0, LEOS_ATTITUDE)
     # double the shift too so the cone geometry (the angle) stays fixed
     m2 = DopplerMeasurement(299792518.0 + 2.0 * m1.shift, 299792518.0)
     d2 = relativistic_semi_angle_delta(double, m2)

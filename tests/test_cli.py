@@ -293,6 +293,17 @@ def test_gen_tile_dted_too_many_posts_exit_4(tmp_path, capsys):
     assert not tile.exists()
 
 
+def test_gen_tile_wrong_level_exit_4(tmp_path, capsys):
+    # the level follows from the spacing; a --level that names another one
+    # is rejected before the tile is written
+    tile = tmp_path / "tile.dt2"
+    assert main(["gen-tile", "--format", "dted", "--level", "2", "--spacing-arcsec", "3",
+                 "--out-path", str(tile), "--lat0", "-35.0", "--lon0", "138.0",
+                 "--n-lat", "4", "--n-lon", "4"]) == 4
+    assert "--level 2 does not match --spacing-arcsec 3.0" in capsys.readouterr().err
+    assert not tile.exists()
+
+
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("numerical fault")

@@ -32,7 +32,7 @@ def small_tile(level=1):
 
 def test_round_trip_identity():
     grid = small_tile()
-    back = read_dted(write_dted(grid, 1))
+    back = read_dted(write_dted(grid))
     assert back.lat0 == grid.lat0 and back.lon0 == grid.lon0
     assert back.dlat == grid.dlat and back.dlon == grid.dlon
     assert np.array_equal(back.H, grid.H)
@@ -43,7 +43,7 @@ def test_round_trip_random_tiles_all_levels():
     for _ in range(30):
         level = int(rng.integers(0, 3))
         grid = make_random_tile(rng, level)
-        back = read_dted(write_dted(grid, level))
+        back = read_dted(write_dted(grid))
         assert np.array_equal(back.H, grid.H)
         assert (back.lat0, back.lon0, back.dlat, back.dlon) == \
                (grid.lat0, grid.lon0, grid.dlat, grid.dlon)
@@ -52,7 +52,7 @@ def test_round_trip_random_tiles_all_levels():
 def test_voids_survive_and_are_not_zero():
     grid = small_tile()
     grid.H[2, 1] = VOID_ELEVATION
-    back = read_dted(write_dted(grid, 1))
+    back = read_dted(write_dted(grid))
     assert back.H[2, 1] == VOID_ELEVATION
     assert back.void_mask[2, 1]
 
@@ -60,7 +60,7 @@ def test_voids_survive_and_are_not_zero():
 def test_negative_elevations_sign_magnitude():
     grid = small_tile()
     assert (grid.H < 0).any()
-    back = read_dted(write_dted(grid, 1))
+    back = read_dted(write_dted(grid))
     assert np.array_equal(back.H, grid.H)
 
 
@@ -72,7 +72,7 @@ def test_bad_magic():
 
 
 def test_truncated_stream():
-    data = write_dted(small_tile(), 1)
+    data = write_dted(small_tile())
     with pytest.raises(TruncatedFile):
         read_dted(data[:HEADERS - 10])
     with pytest.raises(TruncatedFile):
@@ -81,7 +81,7 @@ def test_truncated_stream():
 
 def test_checksum_mismatch_names_record():
     grid = small_tile()
-    data = bytearray(write_dted(grid, 1))
+    data = bytearray(write_dted(grid))
     rec_size = 8 + 2 * grid.n_lat + 4
     data[HEADERS + rec_size + 9] ^= 0x5A  # corrupt record 1 payload
     with pytest.raises(ChecksumMismatch) as err:
@@ -91,7 +91,7 @@ def test_checksum_mismatch_names_record():
 
 def test_bad_record_sentinel():
     grid = small_tile()
-    data = bytearray(write_dted(grid, 1))
+    data = bytearray(write_dted(grid))
     data[HEADERS] = 0x00
     with pytest.raises(InconsistentHeader):
         read_dted(bytes(data))
@@ -99,21 +99,16 @@ def test_bad_record_sentinel():
 
 def test_level_spacing_consistency_checked():
     grid = small_tile(level=1)
-    data = bytearray(write_dted(grid, 1))
+    data = bytearray(write_dted(grid))
     data[80 + 59:80 + 64] = b"DTED2"  # claim level 2 over level-1 spacing
     with pytest.raises(InconsistentHeader):
         read_dted(bytes(data))
 
 
-def test_writer_rejects_wrong_level():
-    with pytest.raises(SpacingMismatch):
-        write_dted(small_tile(level=1), 2)
-
-
 def test_writer_rejects_unencodable_spacing():
     grid = make_flat_grid(-35.0, 138.0, 0.001234, 0.001234, 4, 4)
     with pytest.raises(SpacingMismatch):
-        write_dted(grid, 1)
+        write_dted(grid)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -124,7 +119,7 @@ def test_writer_rejects_non_finite_heights(value):
     h[2, 1] = value
     grid = TerrainGrid(lat0=-35.0, lon0=138.0, dlat=30 / 36000.0, dlon=30 / 36000.0, H=h)
     with pytest.raises(DtedError, match="finite"):
-        write_dted(grid, 1)
+        write_dted(grid)
 
 
 @pytest.mark.parametrize("lat0, lon0, shape", [
@@ -133,7 +128,7 @@ def test_writer_rejects_values_wider_than_their_field(lat0, lon0, shape):
     # a five-digit post count used to widen the UHL past its 80 bytes
     grid = make_flat_grid(lat0, lon0, 1 / 3600, 1 / 3600, *shape)
     with pytest.raises(DtedError, match="does not fit"):
-        write_dted(grid, 2)
+        write_dted(grid)
 
 
 def test_level_for_spacing():
@@ -145,7 +140,7 @@ def test_level_for_spacing():
 
 
 def test_geoid_attached_at_read_time():
-    back = read_dted(write_dted(small_tile(), 1), geoid_n=-4.5)
+    back = read_dted(write_dted(small_tile()), geoid_n=-4.5)
     assert back.N == -4.5
 
 
@@ -221,7 +216,7 @@ def test_array_writer_matches_record_loop(level, n_lat, n_lon, lon_factor, void_
     grid = TerrainGrid(lat0=float(rng.integers(-90 * 3600, 90 * 3600)) / 3600.0,
                        lon0=float(rng.integers(-180 * 3600, 180 * 3600)) / 3600.0,
                        dlat=spacing, dlon=spacing * lon_factor, H=h)
-    data = write_dted(grid, level)
+    data = write_dted(grid)
     assert data == write_by_loop(grid, level)
     assert np.array_equal(read_dted(data).H, np.rint(h))
 
@@ -255,7 +250,7 @@ def test_one_pass_reader_matches_record_loop(level, n_lat, n_lon, void_fraction,
     h[rng.random((n_lat, n_lon)) < void_fraction] = VOID_ELEVATION
     grid = TerrainGrid(lat0=float(rng.integers(-80, 80)), lon0=float(rng.integers(-179, 179)),
                        dlat=spacing, dlon=spacing, H=h)
-    data = bytearray(write_dted(grid, level))
+    data = bytearray(write_dted(grid))
     rec_size = 8 + 2 * n_lat + 4
     # any 16-bit word, the sign-magnitude negative zero 0x8000 included,
     # written with a valid checksum
