@@ -26,6 +26,10 @@ POINT_BLOCK = 256
 SEGMENT_GROUP = 16
 
 
+# each atmosphere kind and the AtmosphereModel fields it reads
+ATMOSPHERE_FIELDS = {"vacuum": (), "constant_index": ("n",), "two_layer": ("layers",)}
+
+
 class Superluminal(ValueError):
     """Speed at or above the speed of light."""
 
@@ -39,8 +43,9 @@ class AtmosphereModel:
     """Refractive-index model: vacuum, one constant index, or flat layers.
 
     layers lists (top altitude m, index) with finite tops in increasing
-    altitude; space above the last top is vacuum. Indices must be finite
-    and >= 1.
+    altitude; space above the last top is vacuum. Only kind "two_layer"
+    takes layers, and it needs at least one. Indices must be finite and
+    >= 1.
     """
 
     kind: str = "vacuum"
@@ -48,7 +53,7 @@ class AtmosphereModel:
     layers: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("vacuum", "constant_index", "two_layer"):
+        if self.kind not in ATMOSPHERE_FIELDS:
             raise ValueError(f"unknown atmosphere kind {self.kind!r}")
         if not (math.isfinite(self.n) and self.n >= 1.0):
             raise ValueError(f"refractive index must be finite and >= 1, got {self.n}")
@@ -58,6 +63,9 @@ class AtmosphereModel:
             raise ValueError("layer indices must be finite and >= 1")
         if not all(map(math.isfinite, tops)) or any(b <= a for a, b in zip(tops, tops[1:])):
             raise ValueError("layer tops must be finite and strictly increasing")
+        if (self.kind == "two_layer") != bool(layers):
+            raise ValueError(f"atmosphere kind {self.kind!r} with {len(layers)} layers: "
+                             "two_layer needs layers, and no other kind takes them")
         object.__setattr__(self, "layers", layers)
 
     def index_at(self, altitude_m: float) -> float:

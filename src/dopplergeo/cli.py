@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .analysis import AtmosphereModel, curve_shift
+from .analysis import ATMOSPHERE_FIELDS, AtmosphereModel, curve_shift
 from .cone import (
     DopplerCone,
     DopplerMeasurement,
@@ -52,7 +52,7 @@ from .intersect import (
     TOPOLOGY_EMPTY,
     intersect_cone_ellipsoid,
 )
-from .terrain import EmptyGrid, TerrainSearchConfig, cone_terrain_curve
+from .terrain import EmptyGrid, InvalidGrid, TerrainSearchConfig, cone_terrain_curve
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -122,13 +122,17 @@ def vehicle_from_config(cfg: dict) -> VehicleState:
 def atmosphere_from_config(cfg: dict) -> AtmosphereModel:
     a = config_section(cfg, "atmosphere")
     try:
-        return AtmosphereModel(kind=a.get("kind", "vacuum"),
-                               n=config_number(a.get("n", 1.0003), "atmosphere n"),
-                               layers=tuple((config_number(t, "atmosphere layer top"),
-                                             config_number(n, "atmosphere layer index"))
-                                            for t, n in a.get("layers", [])))
+        model = AtmosphereModel(kind=a.get("kind", "vacuum"),
+                                n=config_number(a.get("n", 1.0003), "atmosphere n"),
+                                layers=tuple((config_number(t, "atmosphere layer top"),
+                                              config_number(n, "atmosphere layer index"))
+                                             for t, n in a.get("layers", [])))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad atmosphere config: {exc}") from exc
+    unused = sorted(set(a) - {"kind", *ATMOSPHERE_FIELDS[model.kind]})
+    if unused:
+        raise ConfigError(f"atmosphere kind {model.kind!r} takes no {', '.join(unused)}")
+    return model
 
 
 def cone_from_config(cfg: dict) -> tuple[DopplerCone, VehicleState]:
@@ -194,6 +198,9 @@ def load_terrain(cfg: dict):
         fmt = "dted" if os.path.splitext(path)[1].lower().startswith(".dt") else "grid"
     if fmt not in ("dted", "grid"):
         raise ConfigError(f'terrain format must be "dted" or "grid", got {fmt!r}')
+    if fmt == "grid" and "geoid_n_m" in t:
+        raise ConfigError("terrain geoid_n_m applies to DTED tiles only: a portable grid "
+                          "gives its own geoid_n or geoid_grid")
     try:
         if fmt == "dted":
             with open(path, "rb") as f:
@@ -201,7 +208,7 @@ def load_terrain(cfg: dict):
         return load_portable_grid(path)
     except OSError as exc:
         raise OSError(f"cannot read terrain {path}: {exc}") from exc
-    except (DtedError, ParseError, UnicodeDecodeError) as exc:
+    except (DtedError, InvalidGrid, ParseError, UnicodeDecodeError) as exc:
         # a binary tile read as a portable grid fails to decode as UTF-8
         raise OSError(f"cannot parse terrain {path}: {exc}") from exc
 
@@ -337,6 +344,9 @@ def cmd_gen_tile(args) -> int:
     if not spacing > 0:  # tested in degrees: 1e-321 arcsec underflows to 0
         raise ConfigError(f"--spacing-arcsec must be positive, got {args.spacing_arcsec} "
                           f"({spacing} degrees)")
+    if args.format == "dted" and args.geoid_n != 0.0:
+        raise ConfigError(f"--geoid-n {args.geoid_n} does not apply to --format dted: a DTED "
+                          "tile carries no undulation (the terrain config's geoid_n_m does)")
     makers = {"flat": make_flat_grid, "plateau": make_flat_grid, "ridge": make_ridge_grid}
     maker = makers[args.kind]
     # the flat height and the ridge crest are both the seventh argument
@@ -394,8 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n-lat", type=int, default=101)
     p_gen.add_argument("--n-lon", type=int, default=101)
     p_gen.add_argument("--height", type=float, default=0.0,
-                       help="post height (crest height for ridge)")
-    p_gen.add_argument("--geoid-n", type=float, default=0.0)
+                       help="post height [m] (crest height for ridge); a DTED tile rounds "
+                            "heights to whole meters, half to even")
+    p_gen.add_argument("--geoid-n", type=float, default=0.0,
+                       help="geoid undulation [m] of a portable grid (DTED carries none)")
     p_gen.add_argument("--level", type=int, choices=[0, 1, 2],
                        help="DTED level (default: from spacing)")
     p_gen.set_defaults(func=cmd_gen_tile)
@@ -421,7 +433,9 @@ def main(argv=None) -> int:
     except EmptyGrid as exc:
         print(f"terrain error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, DtedError) as exc:
+    except (ConfigError, DtedError, InvalidGrid) as exc:
+        # InvalidGrid reaches here only from gen-tile: a tile read from a
+        # file is an i/o error (load_terrain)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

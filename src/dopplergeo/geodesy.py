@@ -51,9 +51,15 @@ def normalize_longitude(lon_deg):
     360, or 180 where that rounds to -180 (an ulp past 180 + 360 k).
     Idempotent; a scalar gives a float, an array an array."""
     lon = np.asarray(lon_deg, dtype=float)
-    lon = np.where((lon > 180.0) | (lon <= -180.0), 180.0 - (180.0 - lon) % 360.0, lon)
-    lon = np.where(lon == -180.0, 180.0, lon)
+    lon = _antimeridian_east(np.where((lon > 180.0) | (lon <= -180.0),
+                                      180.0 - (180.0 - lon) % 360.0, lon))
     return float(lon) if lon.ndim == 0 else lon
+
+
+def _antimeridian_east(lon):
+    """-180 as 180, the last step of normalize_longitude and on [-180, 180]
+    the whole of it."""
+    return np.where(lon == -180.0, 180.0, lon)
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ def _ecef_from_trig(sin_lat, cos_lat, sin_lon, cos_lon, h) -> np.ndarray:
 
 
 def ecef_to_geodetic_arrays(p):
-    """Vectorized ECEF -> (lat_deg, lon_deg, h).
+    """Vectorized ECEF -> (lat_deg, lon_deg, h), lon in (-180, 180].
 
     Closed-form evaluation plus one fixed-point correction of the parametric
     latitude, which holds the round-trip error below 1e-8 m for |h| < 500 km
@@ -133,7 +139,7 @@ def ecef_to_geodetic_arrays(p):
                      (1.0 - f) * (rho - e2 * a * np.cos(mu) ** 3))
     sin_lat = np.sin(lat)
     h = rho * np.cos(lat) + z * sin_lat - a * np.sqrt(1.0 - e2 * sin_lat ** 2)
-    return np.degrees(lat), np.degrees(lon), h
+    return np.degrees(lat), _antimeridian_east(np.degrees(lon)), h
 
 
 def enu_matrix(origin: GeodeticCoord) -> np.ndarray:

@@ -6,6 +6,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -92,8 +93,6 @@ def _parse_portable_grid(text: str) -> tuple[dict[str, str], dict]:
 
 
 def _scalar_grid(header: dict[str, str], fields: dict) -> TerrainGrid:
-    if "geoid_grid" in header:
-        raise ParseError("geoid_grid reference requires load_portable_grid")
     try:
         n_val = float(header.get("geoid_n", 0.0))
     except ValueError as exc:
@@ -106,22 +105,34 @@ def _scalar_grid(header: dict[str, str], fields: dict) -> TerrainGrid:
 def read_portable_grid(text: str) -> TerrainGrid:
     """Parse portable grid text with a scalar undulation (geoid_n, default
     0); a geoid_grid companion reference needs load_portable_grid."""
-    return _scalar_grid(*_parse_portable_grid(text))
+    header, fields = _parse_portable_grid(text)
+    if "geoid_grid" in header:
+        raise ParseError("geoid_grid reference requires load_portable_grid")
+    return _scalar_grid(header, fields)
 
 
 def load_portable_grid(path: str) -> TerrainGrid:
     """Read a portable grid file, resolving a geoid_grid companion reference
-    (a second portable grid, beside it, whose heights are undulation values)."""
+    (a second portable grid, beside it, whose heights are undulation values
+    at the tile's posts: its six header values must equal the tile's). A
+    tile gives geoid_n or geoid_grid, not both."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     header, fields = _parse_portable_grid(text)
     ref = header.get("geoid_grid")
     if ref is None:
         return _scalar_grid(header, fields)
+    if "geoid_n" in header:
+        raise ParseError("a tile gives geoid_n or geoid_grid, not both")
+    grid = _scalar_grid(header, fields)
     companion = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
     with open(companion, "r", encoding="utf-8") as f:
-        n_grid = read_portable_grid(f.read()).H
-    return TerrainGrid(**fields, N=n_grid)
+        n_grid = read_portable_grid(f.read())
+    for key in REQUIRED_KEYS:
+        if getattr(n_grid, key) != getattr(grid, key):
+            raise ParseError(f"undulation grid {ref} has {key} = {getattr(n_grid, key)!r}, "
+                             f"the tile {getattr(grid, key)!r}")
+    return dataclasses.replace(grid, N=n_grid.H)
 
 
 def make_flat_grid(lat0: float, lon0: float, dlat: float, dlon: float,

@@ -57,6 +57,12 @@ class EmptyGrid(ValueError):
     """Every post in the grid is void."""
 
 
+class InvalidGrid(ValueError):
+    """A TerrainGrid that is not a tile on the globe: H not 2-d, a spacing
+    that is not positive, an N grid of another shape than H, or a first or
+    last post row outside [-90, 90] degrees of latitude."""
+
+
 @dataclass(frozen=True)
 class TerrainGrid:
     """Uniform angular grid of orthometric heights with geoid undulation.
@@ -64,9 +70,11 @@ class TerrainGrid:
     lat0/lon0 name the south-west corner post; H is indexed [lat, lon] with
     row 0 at lat0. N is the geoid undulation: a scalar or an array matching
     H. Void posts carry VOID_ELEVATION and are never treated as height 0.
-    Every height and undulation must be finite (the readers reject others;
-    it is not checked here): the terrain search takes NaN for a post that
-    holds no height.
+    Every post row lies in [-90, 90] degrees of latitude (InvalidGrid
+    otherwise); the longitudes may run past the antimeridian. Every height
+    and undulation must be finite (the readers reject others; it is not
+    checked here): the terrain search takes NaN for a post that holds no
+    height.
     """
 
     lat0: float
@@ -79,15 +87,20 @@ class TerrainGrid:
     def __post_init__(self):
         h = np.asarray(self.H, dtype=float)
         if h.ndim != 2:
-            raise ValueError("H must be a 2-d array [lat, lon]")
+            raise InvalidGrid("H must be a 2-d array [lat, lon]")
         if not (self.dlat > 0.0 and self.dlon > 0.0):
-            raise ValueError("post spacing must be positive")
+            raise InvalidGrid("post spacing must be positive")
+        # the last row as lats() computes it
+        lat_end = self.lat0 + self.dlat * max(h.shape[0] - 1, 0)
+        if not -90.0 <= self.lat0 <= lat_end <= 90.0:
+            raise InvalidGrid(f"post rows from latitude {self.lat0} to {lat_end} "
+                              "leave [-90, 90]")
         object.__setattr__(self, "H", h)
         n = self.N
         if not np.isscalar(n):
             n = np.asarray(n, dtype=float)
             if n.shape != h.shape:
-                raise ValueError("N grid shape must match H")
+                raise InvalidGrid(f"N grid shape {n.shape} must match H {h.shape}")
             object.__setattr__(self, "N", n)
 
     @property
@@ -453,7 +466,7 @@ def _map_posts(curve: IntersectionCurve, posts: EcefPostSet, cfg: TerrainSearchC
     edges = np.diff(missed.astype(int), prepend=0, append=0)
     starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
     return TerrainCurve(
-        points=np.column_stack([lat, normalize_longitude(lon), h]),
+        points=np.column_stack([lat, lon, h]),
         etas=etas[ray[pick]],
         s=s[pick],
         ray_distance=perp[pick],

@@ -149,6 +149,18 @@ def test_conflicting_velocity_sources_exit_4(tmp_path, capsys):
     ("intersect", "sweep", {"n_samples": "720"}),
     ("terrain", "terrain", {"path": "missing.dt2", "geoid_n_m": True}),
     ("terrain", "terrain", {"path": "missing.dt2", "geoid_n_m": "5"}),
+    # values that do not apply used to be dropped without a word: a portable
+    # grid gives its own undulation, and each atmosphere kind reads only its
+    # own field (two_layer without layers was vacuum)
+    ("terrain", "terrain", {"path": "missing.grid", "geoid_n_m": 500.0}),
+    ("terrain", "terrain", {"path": "missing.dt2", "format": "grid", "geoid_n_m": 0.0}),
+    ("cone", "atmosphere", {"kind": "vacuum", "n": 1.5}),
+    ("cone", "atmosphere", {"n": 1.0003}),
+    ("cone", "atmosphere", {"kind": "constant_index", "n": 1.0003, "layers": [[1e4, 1.0003]]}),
+    ("cone", "atmosphere", {"kind": "two_layer", "n": 1.0003, "layers": [[1e4, 1.0003]]}),
+    ("cone", "atmosphere", {"kind": "two_layer"}),
+    ("cone", "atmosphere", {"kind": "two_layer", "layers": []}),
+    ("cone", "atmosphere", {"kind": "constant_index", "index": 1.0003}),
 ])
 def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
     cfg = dict(STEEP, **{section: values})
@@ -281,6 +293,28 @@ def test_gen_tile_non_finite_option_exit_4(tmp_path, capsys, fmt, option, value)
         assert f"{option} must be positive, got {value}" in capsys.readouterr().err
     else:
         assert f"{option} must be finite, got {float(value)}" in capsys.readouterr().err
+    assert not tile.exists()
+
+
+@pytest.mark.parametrize("fmt", ["grid", "dted"])
+@pytest.mark.parametrize("lat0, n_lat, last_row", [("95", "4", "95.0025"),
+                                                   ("89.9", "400", "90.2325")])
+def test_gen_tile_off_the_globe_exit_4(tmp_path, capsys, fmt, lat0, n_lat, last_row):
+    # both formats used to write the tile, and both readers read it back
+    tile = tmp_path / "tile"
+    assert main(["gen-tile", "--format", fmt, "--out-path", str(tile), "--lat0", lat0,
+                 "--lon0", "0", "--n-lat", n_lat, "--n-lon", "4"]) == 4
+    err = capsys.readouterr().err
+    assert f"from latitude {float(lat0)} to {last_row}" in err and "leave [-90, 90]" in err
+    assert not tile.exists()
+
+
+def test_gen_tile_dted_geoid_n_exit_4(tmp_path, capsys):
+    # a DTED tile carries no undulation: it used to read back with N = 0
+    tile = tmp_path / "tile.dt1"
+    assert main(["gen-tile", "--format", "dted", "--out-path", str(tile), "--lat0", "-35.0",
+                 "--lon0", "138.0", "--n-lat", "4", "--n-lon", "4", "--geoid-n", "25"]) == 4
+    assert "--geoid-n 25.0 does not apply to --format dted" in capsys.readouterr().err
     assert not tile.exists()
 
 
@@ -485,6 +519,37 @@ def test_terrain_geoid_reference_after_heights_exit_3(tmp_path, capsys):
     path = write_json(tmp_path / "t.json", cfg)
     assert main(["terrain", "--config", path, "--out", str(tmp_path)]) == 3
     assert "line 11: bad height value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["grid", "dted"])
+def test_terrain_tile_off_the_globe_exit_3(tmp_path, capsys, fmt):
+    # lat0 95 N in a header: both readers used to take it
+    tile = tmp_path / f"tile.{'dt1' if fmt == 'dted' else fmt}"
+    assert main(["gen-tile", "--format", fmt, "--out-path", str(tile), "--lat0", "-34.75",
+                 "--lon0", "138.75", "--n-lat", "4", "--n-lon", "4"]) == 0
+    if fmt == "dted":
+        data = bytearray(tile.read_bytes())
+        data[12:20] = b"0950000N"
+        tile.write_bytes(bytes(data))
+    else:
+        tile.write_text(tile.read_text().replace("lat0 = -34.75", "lat0 = 95.0"))
+    path = write_json(tmp_path / "t.json", dict(STEEP, terrain={"path": str(tile)}))
+    assert main(["terrain", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"cannot parse terrain {tile}" in err and "from latitude 95.0" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_terrain_companion_of_another_shape_exit_3(tmp_path, capsys):
+    # a 1 x 3 undulation grid beside a 2 x 2 tile used to end in a traceback
+    (tmp_path / "n.grid").write_text(write_portable_grid(
+        make_flat_grid(-34.75, 138.75, 0.01, 0.01, 1, 3, height=-5.0)))
+    tile = tmp_path / "tile.grid"
+    tile.write_text(write_portable_grid(make_flat_grid(-34.75, 138.75, 0.01, 0.01, 2, 2))
+                    .replace("geoid_n = 0.0", "geoid_grid = n.grid"))
+    path = write_json(tmp_path / "t.json", dict(STEEP, terrain={"path": str(tile)}))
+    assert main(["terrain", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "undulation grid n.grid has n_lat = 1, the tile 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, fmt", [("tile.grid", None), ("tile.dt1", "grid")])

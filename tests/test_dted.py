@@ -17,7 +17,7 @@ from dopplergeo.dted import (
     write_dted,
 )
 from dopplergeo.gridfile import make_flat_grid
-from dopplergeo.terrain import VOID_ELEVATION, TerrainGrid
+from dopplergeo.terrain import VOID_ELEVATION, InvalidGrid, TerrainGrid
 
 from terrain_oracles import make_random_tile
 
@@ -139,6 +139,24 @@ def test_level_for_spacing():
         level_for_spacing(17 / 36000.0)
 
 
+@pytest.mark.parametrize("level", sorted(LEVEL_LAT_INTERVAL))
+@pytest.mark.parametrize("lat0", [89.0, -90.0])
+def test_cell_ending_at_a_pole_round_trips(level, lat0):
+    # a one-degree cell: its last row is exactly 90 or -89 at every level
+    rows = 36000 // LEVEL_LAT_INTERVAL[level] + 1
+    grid = make_flat_grid(lat0, 0.0, LEVEL_LAT_INTERVAL[level] / 36000.0, 0.01, rows, 2)
+    assert grid.lats()[-1] == lat0 + 1.0
+    back = read_dted(write_dted(grid))
+    assert (back.lat0, back.dlat, back.H.shape) == (lat0, grid.dlat, grid.H.shape)
+
+
+def test_header_off_the_globe_rejected():
+    data = bytearray(write_dted(small_tile()))
+    data[12:20] = b"0950000N"  # lat0 95 N
+    with pytest.raises(InvalidGrid, match="from latitude 95.0"):
+        read_dted(bytes(data))
+
+
 def test_geoid_attached_at_read_time():
     back = read_dted(write_dted(small_tile()), geoid_n=-4.5)
     assert back.N == -4.5
@@ -213,7 +231,9 @@ def test_array_writer_matches_record_loop(level, n_lat, n_lon, lon_factor, void_
     h[rng.random((n_lat, n_lon)) < 0.1] = 32767.0
     h[rng.random((n_lat, n_lon)) < 0.1] = -32767.0
     h[rng.random((n_lat, n_lon)) < void_fraction] = VOID_ELEVATION
-    grid = TerrainGrid(lat0=float(rng.integers(-90 * 3600, 90 * 3600)) / 3600.0,
+    # the last row at most at the pole: each row is a whole number of arcseconds
+    top = 90 * 3600 - LEVEL_LAT_INTERVAL[level] // 10 * (n_lat - 1)
+    grid = TerrainGrid(lat0=float(rng.integers(-90 * 3600, top + 1)) / 3600.0,
                        lon0=float(rng.integers(-180 * 3600, 180 * 3600)) / 3600.0,
                        dlat=spacing, dlon=spacing * lon_factor, H=h)
     data = write_dted(grid)

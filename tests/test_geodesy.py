@@ -71,6 +71,22 @@ def test_polar_axis_arrays_stay_finite():
     assert np.abs(h_back - np.tile(h, 2)).max() < 1e-9
 
 
+def test_antimeridian_point_converts_to_lon_180():
+    # arctan2's range is [-180, 180]: this point came back at lon -180.0
+    _, lon, _ = ecef_to_geodetic_arrays(geodetic_to_ecef_arrays(10.0, -180.0, 0.0))
+    assert lon == 180.0
+
+
+COORD = st.floats(-7e6, 7e6)
+
+
+@given(x=COORD.filter(lambda x: abs(x) > 1e5), y=st.sampled_from([0.0, -0.0]) | COORD, z=COORD)
+def test_geodetic_longitude_folded_like_normalize_longitude(x, y, z):
+    # off the polar axis; y = -0.0 with x < 0 is arctan2's -180
+    _, lon, _ = ecef_to_geodetic_arrays(np.array([[x, y, z]]))
+    assert lon.tobytes() == normalize_longitude(np.degrees(np.arctan2([y], [x]))).tobytes()
+
+
 def test_round_trip_random_points():
     rng = np.random.default_rng(2024)
     n = 10000

@@ -35,9 +35,17 @@ HEIGHTS = st.one_of(st.sampled_from([VOID_ELEVATION, -0.0, 0.0]),
 
 @st.composite
 def tiles(draw):
+    """Tiles on the globe: every post row in [-90, 90] degrees of latitude
+    (test_terrain checks that the others are rejected); lon0, the heights
+    and N take any finite value."""
     shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
     spacing = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-    return TerrainGrid(lat0=draw(FINITE), lon0=draw(FINITE), dlat=draw(spacing),
+    rows = shape[0] - 1
+    dlat = draw(spacing if rows == 0 else st.floats(0.0, 180.0 / rows, exclude_min=True)
+                .filter(lambda dlat: dlat * rows <= 180.0))
+    span = dlat * rows
+    lat0 = draw(st.floats(-90.0, max(90.0 - span, -90.0)).filter(lambda lat0: lat0 + span <= 90.0))
+    return TerrainGrid(lat0=lat0, lon0=draw(FINITE), dlat=dlat,
                        dlon=draw(spacing), H=draw(arrays(float, shape, elements=HEIGHTS)),
                        N=draw(FINITE))
 
@@ -151,6 +159,36 @@ def test_companion_geoid_file(tmp_path):
     grid = load_portable_grid(str(tmp_path / "tile.grid"))
     assert np.array_equal(np.asarray(grid.N), [[-5.0, -6.0]])
     assert np.array_equal(grid.H, [[100.0, 200.0]])
+
+
+def write_tile_with_companion(tmp_path, companion: TerrainGrid, tile_text: str = ""):
+    """A 2 x 2 tile at (-35, 138) referencing companion; returns its path."""
+    (tmp_path / "n.grid").write_text(write_portable_grid(companion))
+    tile = tmp_path / "tile.grid"
+    tile.write_text(tile_text or write_portable_grid(grid_with(0.0, (0, 0), (2, 2)))
+                    .replace("geoid_n = 0.0", "geoid_grid = n.grid"))
+    return str(tile)
+
+
+@pytest.mark.parametrize("key, change", [
+    ("lat0", {"lat0": -35.5}), ("lon0", {"lon0": 139.0}), ("dlat", {"dlat": 0.002}),
+    ("dlon", {"dlon": 0.002}), ("n_lat", {"H": np.zeros((1, 3))})])
+def test_companion_header_must_match_tile(tmp_path, key, change):
+    # a companion of another shape used to end in a ValueError, one of the
+    # same shape on other posts was applied to the tile's posts
+    fields = dict(lat0=-35.0, lon0=138.0, dlat=0.001, dlon=0.001, H=np.zeros((2, 2)))
+    path = write_tile_with_companion(tmp_path, TerrainGrid(**{**fields, **change}))
+    with pytest.raises(ParseError, match=f"undulation grid n.grid has {key} = "):
+        load_portable_grid(path)
+
+
+def test_tile_with_both_undulation_keys_rejected(tmp_path):
+    # geoid_n used to be dropped in favour of the companion
+    text = write_portable_grid(grid_with(0.0, (0, 0), (2, 2), geoid_n=7.0)).replace(
+        "geoid_n = 7.0", "geoid_n = 7.0\ngeoid_grid = n.grid")
+    path = write_tile_with_companion(tmp_path, grid_with(-5.0, (0, 0), (2, 2)), text)
+    with pytest.raises(ParseError, match="geoid_n or geoid_grid, not both"):
+        load_portable_grid(path)
 
 
 def test_load_without_reference(tmp_path):

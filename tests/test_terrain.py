@@ -22,6 +22,7 @@ from dopplergeo.terrain import (
     VOID_ELEVATION,
     EcefPostSet,
     EmptyGrid,
+    InvalidGrid,
     TerrainGrid,
     TerrainSearchConfig,
     _map_posts,
@@ -135,13 +136,37 @@ def test_all_void_grid_raises():
 @pytest.mark.parametrize("dlat, dlon", [(0.0, SPACING), (SPACING, -SPACING),
                                         (math.nan, SPACING), (SPACING, math.nan)])
 def test_grid_spacing_must_be_positive(dlat, dlon):
-    with pytest.raises(ValueError, match="post spacing must be positive"):
+    with pytest.raises(InvalidGrid, match="post spacing must be positive"):
         TerrainGrid(lat0=0.0, lon0=0.0, dlat=dlat, dlon=dlon, H=np.zeros((2, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lat0=st.floats(allow_nan=False, allow_infinity=False)
+       | st.sampled_from([95.0, -90.5, 89.9, 90.0, -90.0]),
+       dlat=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+       | st.just(3 / 3600), n_lat=st.integers(1, 40) | st.just(400))
+def test_grid_rows_must_lie_on_the_globe(lat0, dlat, n_lat):
+    # the tiles that the round-trip properties drew before this rule: a row
+    # off [-90, 90] (95, or 89.9 + 399 x 3 arcsec = 90.2325) is not a tile
+    with np.errstate(over="ignore"):
+        lats = lat0 + dlat * np.arange(n_lat)
+    args = dict(lat0=lat0, lon0=0.0, dlat=dlat, dlon=1.0, H=np.zeros((n_lat, 2)))
+    if -90.0 <= lats[0] and lats[-1] <= 90.0:
+        assert TerrainGrid(**args).lats()[-1] == lats[-1]
+    else:
+        with pytest.raises(InvalidGrid, match=r"leave \[-90, 90\]"):
+            TerrainGrid(**args)
+
+
+def test_grid_undulation_shape_must_match():
+    with pytest.raises(InvalidGrid, match=r"N grid shape \(1, 3\) must match H \(2, 2\)"):
+        TerrainGrid(lat0=0.0, lon0=0.0, dlat=SPACING, dlon=SPACING, H=np.zeros((2, 2)),
+                    N=np.zeros((1, 3)))
 
 
 def per_post_ecef(grid):
     """Post conversion the long way, the oracle of grid_to_ecef_posts: full
-    lat/lon grids, longitudes past +-180 folded, then every valid post's own
+    lat/lon grids, longitudes past +-180 folded into (-180, 180], then every valid post's own
     (lat, lon, H + N) converted."""
     lat = np.repeat(grid.lats(), grid.n_lon).reshape(grid.H.shape)
     lon = np.tile(grid.lons(), grid.n_lat).reshape(grid.H.shape)
@@ -150,6 +175,7 @@ def per_post_ecef(grid):
     lon_v = lon.ravel()[flat]
     wrap = (lon_v > 180.0) | (lon_v <= -180.0)
     lon_v[wrap] = 180.0 - (180.0 - lon_v[wrap]) % 360.0
+    lon_v[lon_v == -180.0] = 180.0  # a fold that rounds to -180, as 180.00000000000003 does
     return geodetic_to_ecef_arrays(lat.ravel()[flat], lon_v, h.ravel()[flat]), flat
 
 
