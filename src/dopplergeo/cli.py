@@ -347,6 +347,9 @@ def cmd_gen_tile(args) -> int:
     if args.format == "dted" and args.geoid_n != 0.0:
         raise ConfigError(f"--geoid-n {args.geoid_n} does not apply to --format dted: a DTED "
                           "tile carries no undulation (the terrain config's geoid_n_m does)")
+    if args.format == "grid" and args.level is not None:
+        raise ConfigError(f"--level {args.level} does not apply to --format grid: "
+                          "a level is a DTED post spacing")
     makers = {"flat": make_flat_grid, "plateau": make_flat_grid, "ridge": make_ridge_grid}
     maker = makers[args.kind]
     # the flat height and the ridge crest are both the seventh argument
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--geoid-n", type=float, default=0.0,
                        help="geoid undulation [m] of a portable grid (DTED carries none)")
     p_gen.add_argument("--level", type=int, choices=[0, 1, 2],
-                       help="DTED level (default: from spacing)")
+                       help="DTED level, --format dted only (default: from spacing)")
     p_gen.set_defaults(func=cmd_gen_tile)
     return parser
 

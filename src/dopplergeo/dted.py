@@ -70,6 +70,14 @@ def _encode_angle(value_deg: float, hemispheres: str) -> str:
     return f"{d:03d}{m:02d}{s:02d}{hemi}"
 
 
+def _check_longitude(lon_deg: float, error: type[DtedError]) -> None:
+    """A DTED origin longitude lies in [-180, 180], though a portable
+    grid's may not: the writer raises DtedError, the reader
+    InconsistentHeader."""
+    if not -180.0 <= lon_deg <= 180.0:
+        raise error(f"origin longitude {lon_deg} lies outside [-180, 180]")
+
+
 def _decode_angle(text: bytes) -> float:
     body, hemi = text[:-1].decode("ascii"), chr(text[-1])
     s = int(body[-2:])
@@ -126,8 +134,10 @@ def write_dted(grid: TerrainGrid) -> bytes:
     The longitude interval is written as declared (zone doubling is the
     caller's business). Heights are rounded to whole meters, half to even
     (-123.5 to -124, 812.25 to 812), and must be finite; the geoid
-    undulation is not carried by the format. At most 9999 posts a side.
+    undulation is not carried by the format. At most 9999 posts a side,
+    and the origin longitude lies in [-180, 180].
     """
+    _check_longitude(grid.lon0, DtedError)
     level = level_for_spacing(grid.dlat)
     header = bytearray(b" " * HEADER_SIZE)
     for at, text in {**SENTINELS, **FIXED_TEXT}.items():
@@ -174,6 +184,7 @@ def read_dted(data: bytes, geoid_n: float = 0.0) -> TerrainGrid:
             int(data[FIELDS[name]]) for name in ("lon_interval", "lat_interval", "n_lon", "n_lat"))
     except (ValueError, IndexError) as exc:
         raise InconsistentHeader(f"unparseable UHL fields: {exc}") from exc
+    _check_longitude(lon0, InconsistentHeader)
     if n_lat < 1 or n_lon < 1 or lat_tenths < 1 or lon_tenths < 1:
         raise InconsistentHeader("nonpositive post counts or intervals")
 

@@ -114,7 +114,8 @@ def read_portable_grid(text: str) -> TerrainGrid:
 def load_portable_grid(path: str) -> TerrainGrid:
     """Read a portable grid file, resolving a geoid_grid companion reference
     (a second portable grid, beside it, whose heights are undulation values
-    at the tile's posts: its six header values must equal the tile's). A
+    at the tile's posts: its six header values must equal the tile's, and
+    its own geoid_n, which write_portable_grid writes as 0, must be 0). A
     tile gives geoid_n or geoid_grid, not both."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
@@ -132,6 +133,8 @@ def load_portable_grid(path: str) -> TerrainGrid:
         if getattr(n_grid, key) != getattr(grid, key):
             raise ParseError(f"undulation grid {ref} has {key} = {getattr(n_grid, key)!r}, "
                              f"the tile {getattr(grid, key)!r}")
+    if n_grid.N != 0.0:
+        raise ParseError(f"undulation grid {ref} has geoid_n = {n_grid.N!r}, not 0")
     return dataclasses.replace(grid, N=n_grid.H)
 
 

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +57,8 @@ def test_cone_json_matches_human_output(capsys):
     assert f"d = tan(semi-angle): {report['d']:.6f}" in human
     apex = report["apex_ecef_m"]
     assert f"apex ECEF [m]: {apex[0]:.3f} {apex[1]:.3f} {apex[2]:.3f}" in human
+    # the apex keeps the config longitude exactly
+    assert report["apex_geodetic"]["lon_deg"] == 138.833
 
 
 def test_cone_infeasible_exit_2(tmp_path, capsys):
@@ -162,13 +166,17 @@ def test_conflicting_velocity_sources_exit_4(tmp_path, capsys):
     ("cone", "atmosphere", {"kind": "two_layer", "layers": []}),
     ("cone", "atmosphere", {"kind": "constant_index", "index": 1.0003}),
 ])
-def test_config_layer_errors_exit_4(tmp_path, capsys, command, section, values):
+def test_config_layer_errors_exit_4(tmp_path, capsys, monkeypatch, command, section, values):
+    # each is caught before anything is written: --out names a dir that does
+    # not exist yet, and the run's directory holds only the config after it
+    monkeypatch.chdir(tmp_path)
     cfg = dict(STEEP, **{section: values})
     path = write_json(tmp_path / "bad.json", cfg)
     no_out = command == "cone" or section == "output" and "dir" in values
-    out = [] if no_out else ["--out", str(tmp_path)]
+    out = [] if no_out else ["--out", "out"]
     assert main([command, "--config", path] + out) == 4
     assert "config error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.json"]
 
 
 @pytest.mark.parametrize("raw", [720, 720.0])
@@ -265,17 +273,6 @@ def test_terrain_non_positive_header_value_exit_3(tmp_path, capsys, size, header
     assert message in capsys.readouterr().err
 
 
-def test_gen_tile_dted_non_finite_height_exit_4(tmp_path, capsys):
-    # rejected before the grid is built; the writer would also refuse it
-    # rather than round NaN to 0 m
-    tile = tmp_path / "nan.dt1"
-    assert main(["gen-tile", "--kind", "plateau", "--format", "dted",
-                 "--out-path", str(tile), "--lat0", "-35.0", "--lon0", "138.0",
-                 "--n-lat", "10", "--n-lon", "10", "--height", "nan"]) == 4
-    assert "--height must be finite" in capsys.readouterr().err
-    assert not tile.exists()
-
-
 @pytest.mark.parametrize("fmt", ["grid", "dted"])
 @pytest.mark.parametrize("option, value", [
     ("--lat0", "nan"), ("--lon0", "inf"), ("--spacing-arcsec", "nan"), ("--height", "-inf"),
@@ -309,33 +306,53 @@ def test_gen_tile_off_the_globe_exit_4(tmp_path, capsys, fmt, lat0, n_lat, last_
     assert not tile.exists()
 
 
-def test_gen_tile_dted_geoid_n_exit_4(tmp_path, capsys):
+TILE_ORIGIN = ["--lat0", "-35.0", "--lon0", "138.0", "--n-lat", "4", "--n-lon", "4"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # rejected before the grid is built; the writer would also refuse it
+    # rather than round NaN to 0 m
+    pytest.param(["--format", "dted", *TILE_ORIGIN, "--height", "nan"],
+                 "--height must be finite", id="dted-nan-height"),
     # a DTED tile carries no undulation: it used to read back with N = 0
-    tile = tmp_path / "tile.dt1"
-    assert main(["gen-tile", "--format", "dted", "--out-path", str(tile), "--lat0", "-35.0",
-                 "--lon0", "138.0", "--n-lat", "4", "--n-lon", "4", "--geoid-n", "25"]) == 4
-    assert "--geoid-n 25.0 does not apply to --format dted" in capsys.readouterr().err
-    assert not tile.exists()
-
-
-def test_gen_tile_dted_too_many_posts_exit_4(tmp_path, capsys):
+    pytest.param(["--format", "dted", *TILE_ORIGIN, "--geoid-n", "25"],
+                 "--geoid-n 25.0 does not apply to --format dted", id="dted-geoid-n"),
     # a five-digit post count does not fit its UHL field
-    tile = tmp_path / "long.dt1"
-    assert main(["gen-tile", "--format", "dted", "--out-path", str(tile), "--lat0", "-35.0",
-                 "--lon0", "138.0", "--n-lat", "10000", "--n-lon", "1"]) == 4
-    assert "n_lat '10000' does not fit" in capsys.readouterr().err
-    assert not tile.exists()
-
-
-def test_gen_tile_wrong_level_exit_4(tmp_path, capsys):
+    pytest.param(["--format", "dted", *TILE_ORIGIN, "--n-lat", "10000", "--n-lon", "1"],
+                 "n_lat '10000' does not fit", id="dted-too-many-posts"),
     # the level follows from the spacing; a --level that names another one
-    # is rejected before the tile is written
-    tile = tmp_path / "tile.dt2"
-    assert main(["gen-tile", "--format", "dted", "--level", "2", "--spacing-arcsec", "3",
-                 "--out-path", str(tile), "--lat0", "-35.0", "--lon0", "138.0",
-                 "--n-lat", "4", "--n-lon", "4"]) == 4
-    assert "--level 2 does not match --spacing-arcsec 3.0" in capsys.readouterr().err
+    # is rejected
+    pytest.param(["--format", "dted", "--level", "2", "--spacing-arcsec", "3", *TILE_ORIGIN],
+                 "--level 2 does not match --spacing-arcsec 3.0", id="dted-wrong-level"),
+    # a portable grid has no level: --level used to be ignored
+    pytest.param(["--format", "grid", "--level", "2", *TILE_ORIGIN],
+                 "--level 2 does not apply to --format grid", id="grid-level"),
+    # a DTED origin longitude lies in [-180, 180]: 400 used to be written
+    pytest.param(["--format", "dted", *TILE_ORIGIN, "--lon0", "400"],
+                 "origin longitude 400.0 lies outside [-180, 180]", id="dted-lon0-400"),
+])
+def test_gen_tile_rejected_exit_4(tmp_path, capsys, argv, message):
+    tile = tmp_path / "tile"
+    assert main(["gen-tile", "--out-path", str(tile), *argv]) == 4
+    assert message in capsys.readouterr().err
     assert not tile.exists()
+
+
+def test_console_script_entry_point(tmp_path):
+    # the installed dopplergeo command runs cli.main, as python -m does;
+    # one sample above the ceiling exits 4 through it
+    root = Path(CONFIG_DIR).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "dopplergeo.cli", "intersect", "--config",
+         config_path("uav_adelaide_forced_angle.json"), "--out", str(tmp_path / "out"),
+         "--samples", str(cli.MAX_SAMPLES + 1)], env=env, capture_output=True, text=True)
+    assert run.returncode == 4, run.stderr
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(root / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"dopplergeo": "dopplergeo.cli:main"}
 
 
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
@@ -488,6 +505,12 @@ def test_gen_tile_dted_format(tmp_path):
     grid = read_dted(tile.read_bytes())
     assert grid.H.shape == (10, 10)
     assert (grid.H == 500.0).all()
+    # a --level that matches the spacing (3 arcsec, level 1) writes the same tile
+    leveled = tmp_path / "leveled.dt1"
+    assert main(["gen-tile", "--kind", "plateau", "--format", "dted", "--level", "1",
+                 "--out-path", str(leveled), "--lat0", "-35.0", "--lon0", "138.0",
+                 "--n-lat", "10", "--n-lon", "10", "--height", "500"]) == 0
+    assert leveled.read_bytes() == tile.read_bytes()
 
 
 def test_terrain_missing_file_exit_3(tmp_path, capsys):

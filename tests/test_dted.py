@@ -123,12 +123,27 @@ def test_writer_rejects_non_finite_heights(value):
 
 
 @pytest.mark.parametrize("lat0, lon0, shape", [
-    (-35.0, 138.0, (10000, 1)), (-35.0, 138.0, (1, 10000)), (-35.0, 1000.0, (2, 2))])
+    (-35.0, 138.0, (10000, 1)), (-35.0, 138.0, (1, 10000))])
 def test_writer_rejects_values_wider_than_their_field(lat0, lon0, shape):
     # a five-digit post count used to widen the UHL past its 80 bytes
     grid = make_flat_grid(lat0, lon0, 1 / 3600, 1 / 3600, *shape)
     with pytest.raises(DtedError, match="does not fit"):
         write_dted(grid)
+
+
+@pytest.mark.parametrize("lon0", [400.0, 1000.0, -180.5])
+def test_writer_rejects_longitude_off_the_globe(lon0):
+    # 400 used to be written as 4000000E and read back as 400.0; 1000 is
+    # also too wide for its field
+    grid = make_flat_grid(-35.0, lon0, 1 / 3600, 1 / 3600, 2, 2)
+    with pytest.raises(DtedError, match=f"origin longitude {lon0} lies outside"):
+        write_dted(grid)
+
+
+@pytest.mark.parametrize("lon0", [-180.0, 180.0])
+def test_origin_on_the_antimeridian_round_trips(lon0):
+    grid = make_flat_grid(-35.0, lon0, 1 / 3600, 1 / 3600, 2, 2)
+    assert read_dted(write_dted(grid)).lon0 == lon0
 
 
 def test_level_for_spacing():
@@ -154,6 +169,13 @@ def test_header_off_the_globe_rejected():
     data = bytearray(write_dted(small_tile()))
     data[12:20] = b"0950000N"  # lat0 95 N
     with pytest.raises(InvalidGrid, match="from latitude 95.0"):
+        read_dted(bytes(data))
+
+
+def test_header_longitude_off_the_globe_rejected():
+    data = bytearray(write_dted(small_tile()))
+    data[4:12] = b"4000000E"  # lon0 400 E
+    with pytest.raises(InconsistentHeader, match="origin longitude 400.0 lies outside"):
         read_dted(bytes(data))
 
 

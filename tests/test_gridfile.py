@@ -161,6 +161,13 @@ def test_companion_geoid_file(tmp_path):
     assert np.array_equal(grid.H, [[100.0, 200.0]])
 
 
+def test_companion_with_its_own_undulation_rejected(tmp_path):
+    # only the companion's heights are read: its geoid_n 7 used to be dropped
+    path = write_tile_with_companion(tmp_path, grid_with(-5.0, (0, 0), (2, 2), geoid_n=7.0))
+    with pytest.raises(ParseError, match="undulation grid n.grid has geoid_n = 7.0, not 0"):
+        load_portable_grid(path)
+
+
 def write_tile_with_companion(tmp_path, companion: TerrainGrid, tile_text: str = ""):
     """A 2 x 2 tile at (-35, 138) referencing companion; returns its path."""
     (tmp_path / "n.grid").write_text(write_portable_grid(companion))
