@@ -78,13 +78,23 @@ def _check_longitude(lon_deg: float, error: type[DtedError]) -> None:
         raise error(f"origin longitude {lon_deg} lies outside [-180, 180]")
 
 
-def _decode_angle(text: bytes) -> float:
-    body, hemi = text[:-1].decode("ascii"), chr(text[-1])
-    s = int(body[-2:])
-    m = int(body[-4:-2])
-    d = int(body[:-4])
+def _decode_angle(data: bytes, name: str, hemispheres: str) -> float:
+    """Header field name, DDDMMSSH text, -> degrees. The digits must be
+    ASCII, the minutes and seconds below 60 and the letter one of
+    hemispheres (the positive one first), else InconsistentHeader."""
+    text = data[FIELDS[name]]
+    body, hemi = text[:-1], chr(text[-1])
+    if not body.isdigit():  # bytes.isdigit takes ASCII digits only
+        raise InconsistentHeader(f"{name} {text!r}: degrees, minutes and seconds "
+                                 "must be ASCII digits")
+    d, m, s = int(body[:-4]), int(body[-4:-2]), int(body[-2:])
+    if m >= 60 or s >= 60:
+        raise InconsistentHeader(f"{name} {text!r}: minutes and seconds must be below 60")
+    if hemi not in hemispheres:
+        raise InconsistentHeader(f"{name} {text!r}: hemisphere must be "
+                                 f"{hemispheres[0]} or {hemispheres[1]}")
     value = (d * 3600 + m * 60 + s) / 3600.0
-    return -value if hemi in ("S", "W") else value
+    return -value if hemi == hemispheres[1] else value
 
 
 def _interval_tenths(spacing_deg: float) -> int:
@@ -178,8 +188,8 @@ def read_dted(data: bytes, geoid_n: float = 0.0) -> TerrainGrid:
     if any(data[at:at + len(text)] != text for at, text in SENTINELS.items()):
         raise InconsistentHeader("DSI/ACC sentinels missing")
 
+    lon0, lat0 = _decode_angle(data, "lon0", "EW"), _decode_angle(data, "lat0", "NS")
     try:
-        lon0, lat0 = (_decode_angle(data[FIELDS[name]]) for name in ("lon0", "lat0"))
         lon_tenths, lat_tenths, n_lon, n_lat = (
             int(data[FIELDS[name]]) for name in ("lon_interval", "lat_interval", "n_lon", "n_lat"))
     except (ValueError, IndexError) as exc:

@@ -6,14 +6,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
+import warnings
 
 import numpy as np
 
+from .export import repr_rows
 from .terrain import TerrainGrid
 
 REQUIRED_KEYS = ("lat0", "lon0", "dlat", "dlon", "n_lat", "n_lon")
+HEADER_KEYS = REQUIRED_KEYS + ("geoid_n", "geoid_grid")
 
 
 class ParseError(ValueError):
@@ -37,34 +41,68 @@ def write_portable_grid(grid: TerrainGrid) -> str:
     else:
         raise ValueError("gridded undulation needs a companion file; "
                          "write it separately and reference it with geoid_grid")
-    for row in grid.H.tolist():
-        lines.append(" ".join(map(repr, row)))
+    lines += [row.replace(",", " ") for row in repr_rows(grid.H)]
     return "\n".join(lines) + "\n"
 
 
-def _parse_portable_grid(text: str) -> tuple[dict[str, str], dict]:
-    """Header keys and the grid fields of portable grid text (all but the
-    undulation), in one pass over its lines. The header ends at the first
-    line without "=", so a key after the heights is a bad height value.
-    Header values and heights must be finite, in an undulation companion
-    grid too, and dlat, dlon, n_lat and n_lon positive."""
+def _read_header(lines: list[str]) -> tuple[dict[str, str], int]:
+    """The header keys of portable grid lines and the index of the first
+    height line (len(lines) when there is none). The header ends at the
+    first line without "=", so a key after the heights is a bad height
+    value. Only HEADER_KEYS are accepted, each at most once."""
     header: dict[str, str] = {}
-    heights: list[np.ndarray] = []
-    data_started = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" in line and not data_started:
-            key, _, value = line.partition("=")
-            header[key.strip()] = value.strip()
+        if "=" not in line:
+            return header, lineno - 1
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in HEADER_KEYS:
+            raise ParseError(f"unknown header key '{key}'", lineno)
+        if key in header:
+            raise ParseError(f"repeated header key '{key}'", lineno)
+        header[key] = value.strip()
+    return header, len(lines)
+
+
+def _heights_by_line(lines: list[str], first: int) -> np.ndarray:
+    """The heights on lines[first:], one line at a time: blank lines and
+    comments are skipped, and any other text is a bad height value, named
+    with its line number. This is the parse _heights_in_one_call must
+    agree with."""
+    heights: list[np.ndarray] = []
+    for lineno, raw in enumerate(lines[first:], start=first + 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        data_started = True
         try:
             heights.append(np.array(line.split(), dtype=float))
         except ValueError as exc:
             raise ParseError(f"bad height value: {exc}", lineno) from exc
+    return np.concatenate(heights) if heights else np.zeros(0)
 
+
+def _heights_in_one_call(block: str) -> np.ndarray | None:
+    """Every height of block in one numpy call, or None unless numpy reads
+    it to its end. block must be empty or start on a height line that is
+    not blank: numpy reads a blank text as [-1.0]."""
+    with warnings.catch_warnings():
+        # older numpy releases only warn on a partial read and return what
+        # they read
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(block, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    return values
+
+
+def _grid_fields(header: dict[str, str], values: np.ndarray) -> dict:
+    """The grid fields (all but the undulation) from the header and the
+    heights. Header values and heights must be finite, in an undulation
+    companion grid too, and dlat, dlon, n_lat and n_lon positive."""
     for key in REQUIRED_KEYS:
         if key not in header:
             raise ParseError(f"missing header key '{key}'")
@@ -79,7 +117,6 @@ def _parse_portable_grid(text: str) -> tuple[dict[str, str], dict]:
         if key not in ("lat0", "lon0") and not value > 0:
             raise ParseError(f"header value {key} must be positive: {value}")
 
-    values = np.concatenate(heights) if heights else np.zeros(0)
     if len(values) != n_lat * n_lon:
         raise ParseError(f"expected {n_lat * n_lon} heights, found {len(values)}")
     # the terrain search takes NaN for a post without a height: an infinite
@@ -89,7 +126,22 @@ def _parse_portable_grid(text: str) -> tuple[dict[str, str], dict]:
         row, col = divmod(int(np.argmin(finite)), n_lon)
         raise ParseError(f"height at row {row}, column {col} is not finite")
     fields["H"] = values.reshape(n_lat, n_lon)
-    return header, fields
+    return fields
+
+
+def _parse_portable_grid(text: str) -> tuple[dict[str, str], dict]:
+    """Header keys and the grid fields of portable grid text. The heights
+    are read in one numpy call from the first height line on. When numpy
+    stops short of the end, or _grid_fields refuses what it read (a wrong
+    count or a non-finite value), the per-line parse reads them again, so
+    every text gives the heights or the ParseError of that parse alone."""
+    lines = text.splitlines(keepends=True)
+    header, first = _read_header(lines)
+    values = _heights_in_one_call(text[sum(map(len, lines[:first])):])
+    if values is not None:
+        with contextlib.suppress(ParseError):
+            return header, _grid_fields(header, values)
+    return header, _grid_fields(header, _heights_by_line(lines, first))
 
 
 def _scalar_grid(header: dict[str, str], fields: dict) -> TerrainGrid:

@@ -544,6 +544,18 @@ def test_terrain_geoid_reference_after_heights_exit_3(tmp_path, capsys):
     assert "line 11: bad height value" in capsys.readouterr().err
 
 
+def test_terrain_misspelt_header_key_exit_3(tmp_path, capsys):
+    # geoid_N used to be kept and never read: the tile was mapped with N = 0
+    tile = tmp_path / "tile.grid"
+    tile.write_text(write_portable_grid(make_flat_grid(-34.75, 138.75, 0.01, 0.01, 2, 2,
+                                                       geoid_n=30.0))
+                    .replace("geoid_n = 30.0", "geoid_N = 30.0"))
+    path = write_json(tmp_path / "t.json", dict(STEEP, terrain={"path": str(tile)}))
+    assert main(["terrain", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "line 8: unknown header key 'geoid_N'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("fmt", ["grid", "dted"])
 def test_terrain_tile_off_the_globe_exit_3(tmp_path, capsys, fmt):
     # lat0 95 N in a header: both readers used to take it

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dopplergeo.dted import (
+    FIELDS,
     LEVEL_LAT_INTERVAL,
     RECORD_SENTINEL,
     BadMagic,
@@ -177,6 +180,39 @@ def test_header_longitude_off_the_globe_rejected():
     data[4:12] = b"4000000E"  # lon0 400 E
     with pytest.raises(InconsistentHeader, match="origin longitude 400.0 lies outside"):
         read_dted(bytes(data))
+
+
+@pytest.mark.parametrize("field, text, message", [
+    # read_dted used to take all of these: 1389999E as 139.6775, 1384500X as
+    # 138.75 E, 0344500E as 34.75 N, ...
+    ("lon0", b"1389999E", "lon0 b'1389999E': minutes and seconds must be below 60"),
+    ("lon0", b"1386000E", "lon0 b'1386000E': minutes and seconds must be below 60"),
+    ("lat0", b"0344560S", "lat0 b'0344560S': minutes and seconds must be below 60"),
+    ("lon0", b"1384500X", "lon0 b'1384500X': hemisphere must be E or W"),
+    ("lon0", b"1384500N", "lon0 b'1384500N': hemisphere must be E or W"),
+    ("lat0", b"0344500E", "lat0 b'0344500E': hemisphere must be N or S"),
+    ("lat0", b"0344500s", "lat0 b'0344500s': hemisphere must be N or S"),
+    # ... and int() took signs, blanks and non-ASCII digits
+    ("lat0", b" 344500S", "lat0 b' 344500S': degrees, minutes and seconds must be ASCII digits"),
+    ("lon0", b"+384500E", "lon0 b'+384500E': degrees, minutes and seconds must be ASCII digits"),
+    ("lon0", "13845\u0661E".encode(),
+     r"lon0 b'13845\xd9\xa1E': degrees, minutes and seconds must be ASCII digits")])
+def test_header_origin_field_rejected(field, text, message):
+    data = bytearray(write_dted(small_tile()))
+    data[FIELDS[field]] = text
+    with pytest.raises(InconsistentHeader, match=f"^{re.escape(message)}$"):
+        read_dted(bytes(data))
+
+
+@pytest.mark.parametrize("lat0, lon0", [(-34.7625, -58.3825), (0.0, 0.0), (12.5, 179.0)])
+def test_gen_tile_origin_reads_back(tmp_path, lat0, lon0):
+    from dopplergeo.cli import main
+
+    tile = tmp_path / "tile.dt1"
+    assert main(["gen-tile", "--format", "dted", "--out-path", str(tile), "--lat0", repr(lat0),
+                 "--lon0", repr(lon0), "--n-lat", "4", "--n-lon", "4"]) == 0
+    back = read_dted(tile.read_bytes())
+    assert (back.lat0, back.lon0) == (lat0, lon0)
 
 
 def test_geoid_attached_at_read_time():

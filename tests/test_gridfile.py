@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dopplergeo import gridfile
 from dopplergeo.gridfile import (
+    REQUIRED_KEYS,
     ParseError,
     load_portable_grid,
     make_flat_grid,
@@ -135,6 +138,19 @@ def test_non_positive_size_rejected(values):
         read_portable_grid(text)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    # a misspelt key used to be kept and unread: the tile read with N = 0
+    ("geoid_n = 30.0", "geoid_N = 30.0", "line 8: unknown header key 'geoid_N'"),
+    # a second value used to replace the first
+    ("geoid_n = 30.0", "geoid_n = 30.0\nlat0 = 12.0", "line 9: repeated header key 'lat0'"),
+    ("geoid_n = 30.0", "geoid_n = 30.0\n# a comment\ngeoid_n = 1.0",
+     "line 10: repeated header key 'geoid_n'")])
+def test_unknown_or_repeated_header_key_rejected(old, new, message):
+    text = write_portable_grid(grid_with(0.0, (0, 0), (2, 2), geoid_n=30.0))
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        read_portable_grid(text.replace(old, new))
+
+
 def test_comments_ignored():
     grid = make_flat_grid(-35.0, 138.0, 0.001, 0.001, 2, 2, height=7.0)
     text = "# leading comment\n" + write_portable_grid(grid).replace(
@@ -223,3 +239,156 @@ def test_ridge_profile():
     assert grid.H[:, 4].max() == 900.0
     assert grid.H[:, 0].max() == 0.0
     assert (np.diff(grid.H[0, :5]) > 0).all()
+
+
+# --- the one-call height parse and its per-line oracle -----------------------
+
+def parse_by_line(text):
+    """_parse_portable_grid with the per-line loop alone: the oracle of the
+    one-call parse."""
+    lines = text.splitlines(keepends=True)
+    header, first = gridfile._read_header(lines)
+    return header, gridfile._grid_fields(header, gridfile._heights_by_line(lines, first))
+
+
+def outcome(parse, text):
+    """What a parse gives for text: the header and the fields with H as
+    bytes (so -0.0 and 0.0 differ), or the ParseError message."""
+    try:
+        header, fields = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return header, {**fields, "H": (fields["H"].tobytes(), fields["H"].shape)}
+
+
+# numpy's separator " " takes C whitespace (space, \t, \x0b, \x0c between
+# tokens); str.split and splitlines also take \x1c and \xa0
+SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\xa0"]
+# tokens that float and numpy read differently or not at all
+ODD_TOKENS = ["1_000", "\u0661\u0662\u0663", "inf", "-inf", "nan(1)", "nan", "1e400"]
+
+
+@st.composite
+def grid_texts(draw):
+    """Portable grid text of a random 1-6 x 1-6 grid in a random layout:
+    ragged rows, mixed separators, CR LF, trailing blanks, blank lines and
+    comments on height lines, odd tokens, an extra token after the last
+    height and a key after the heights."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    grid = TerrainGrid(lat0=-35.0, lon0=138.0, dlat=0.001, dlon=0.001,
+                       H=draw(arrays(float, shape, elements=HEIGHTS)))
+    tokens = [repr(v) for v in grid.H.ravel().tolist()]
+    damaged = draw(st.booleans())
+    if damaged:
+        for at, token in draw(st.lists(st.tuples(st.integers(0, len(tokens) - 1),
+                                                 st.sampled_from(ODD_TOKENS)), max_size=2)):
+            tokens[at] = token
+        if draw(st.booleans()):
+            tokens.append("0.0")
+    gaps = len(tokens) - 1
+    mixed = draw(st.booleans())
+    separators = draw(st.lists(st.sampled_from(SEPARATORS if mixed else [" "]),
+                               min_size=gaps, max_size=gaps))
+    breaks = draw(st.lists(st.booleans(), min_size=gaps, max_size=gaps))
+    rows, row = [], [tokens[0]]
+    for token, separator, new_row in zip(tokens[1:], separators, breaks):
+        if new_row:
+            rows.append(row)
+            row = [token]
+        else:
+            row += [separator, token]
+    rows.append(row)
+    tails = st.sampled_from(["", " ", "\t ", " # c", "#", "\n", "\n  \n# c"])
+    lines = write_portable_grid(grid).splitlines()[:8]
+    lines += ["".join(row) + draw(tails if mixed else st.just("")) for row in rows]
+    if damaged and draw(st.booleans()):
+        lines.append("geoid_n = 1.0")
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=grid_texts())
+def test_one_call_parse_matches_the_per_line_parse(text):
+    assert outcome(gridfile._parse_portable_grid, text) == outcome(parse_by_line, text)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("0.0 0.0\n", "0.0 0.0 # a comment\n"),
+    ("5.0 0.0", "1_000 0.0"),
+    ("5.0 0.0", "\u0665.0 0.0"),
+    ("5.0 0.0", "5.0\x1c0.0"),
+    ("5.0 0.0", "5.0\xa00.0"),
+    ("5.0 0.0", "nan(1) 0.0"),
+    ("0.0 0.0\n", "0.0 0.0\ngeoid_n = 1.0\n")])
+def test_inputs_numpy_stops_on_take_the_per_line_parse(monkeypatch, old, new):
+    calls = []
+
+    def by_line(lines, first):
+        calls.append(first)
+        return heights_by_line(lines, first)
+
+    heights_by_line = gridfile._heights_by_line
+    monkeypatch.setattr(gridfile, "_heights_by_line", by_line)
+    text = write_portable_grid(grid_with(5.0, (0, 0), (2, 2)))
+    assert gridfile._parse_portable_grid(text)[1]["H"].tolist() == [[5.0, 0.0], [0.0, 0.0]]
+    assert calls == []
+    text = text.replace(old, new, 1)
+    assert text != write_portable_grid(grid_with(5.0, (0, 0), (2, 2)))
+    assert outcome(gridfile._parse_portable_grid, text) == outcome(parse_by_line, text)
+    assert calls[0] == 8  # from the first height line on
+
+
+def test_partial_read_warning_is_a_refusal(monkeypatch):
+    # numpy releases before the ValueError only warn on a partial read and
+    # return the values read so far
+    def warn_and_stop(block, sep):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.zeros(4)
+
+    monkeypatch.setattr(np, "fromstring", warn_and_stop)
+    text = write_portable_grid(grid_with(5.0, (0, 0), (2, 2)))
+    assert read_portable_grid(text).H.tolist() == [[5.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="pins the quirk of numpy 2.4.6")
+def test_numpy_reads_a_blank_text_as_minus_one():
+    # why the one-call block starts on a height line that is not blank
+    assert np.fromstring(" ", sep=" ").tolist() == [-1.0]
+
+
+def test_blank_lines_after_the_header_hold_no_height():
+    text = "".join(write_portable_grid(grid_with(0.0, (0, 0), (2, 2))).splitlines(True)[:8])
+    with pytest.raises(ParseError, match="^expected 4 heights, found 0$"):
+        read_portable_grid(text + "   \n\t\n# no heights\n \n")
+
+
+# --- the writer's bytes ---------------------------------------------------------
+
+def write_by_repr(grid):
+    """write_portable_grid with one repr per height, as before repr_rows:
+    the oracle of its bytes."""
+    lines = ["# portable terrain grid"]
+    lines += [f"{key} = {getattr(grid, key)!r}" for key in REQUIRED_KEYS]
+    lines.append(f"geoid_n = {float(grid.N)!r}")
+    for row in grid.H.tolist():
+        lines.append(" ".join(map(repr, row)))
+    return "\n".join(lines) + "\n"
+
+
+WRITER_HEIGHTS = st.one_of(
+    st.sampled_from([VOID_ELEVATION, -0.0, 0.0]),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals and their neighbours
+    st.floats(min_value=1e15, max_value=1e300),
+    st.floats(min_value=-1e300, max_value=-1e15),
+    st.floats(min_value=-1e-2, max_value=1e-2, exclude_min=True, exclude_max=True),
+    st.floats(min_value=-1e4, max_value=1e4))
+# below and above repr_rows's 256 values, at which it turns to its kernel
+WRITER_SHAPES = st.one_of(st.sampled_from([(1, 1), (15, 17), (16, 16), (1, 257), (20, 30)]),
+                          st.tuples(st.integers(1, 30), st.integers(1, 30)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=WRITER_SHAPES.flatmap(lambda shape: arrays(float, shape, elements=WRITER_HEIGHTS)))
+def test_writer_bytes_match_repr(h):
+    grid = TerrainGrid(lat0=-35.0, lon0=138.0, dlat=0.001, dlon=0.002, H=h, N=-3.5)
+    assert write_portable_grid(grid) == write_by_repr(grid)
