@@ -46,6 +46,6 @@ print(f"  semi-angle change  = {math.degrees(abs(dpsi)):.3e} deg "
       f"(flat-earth ground shift ~{200e3 / math.sin(math.radians(45)) ** 2 * abs(dpsi) * 1e3:.2f} mm)")
 
 print("=== two-layer refraction of the ray path (satellite) ===")
-atmos = dg.AtmosphereModel(kind="two_layer", layers=((20e3, 1.0003), (50e3, 1.0)))
+atmos = dg.AtmosphereModel(layers=((20e3, 1.0003), (50e3, 1.0)))
 d = dg.snell_two_layer_displacement(math.radians(60.0), atmos, 200e3)
 print(f"  straight vs refracted ground point: {d:.1f} m")

@@ -26,10 +26,6 @@ POINT_BLOCK = 256
 SEGMENT_GROUP = 16
 
 
-# each atmosphere kind and the AtmosphereModel fields it reads
-ATMOSPHERE_FIELDS = {"vacuum": (), "constant_index": ("n",), "two_layer": ("layers",)}
-
-
 class Superluminal(ValueError):
     """Speed at or above the speed of light."""
 
@@ -40,44 +36,33 @@ class TotalInternalReflection(ValueError):
 
 @dataclass(frozen=True)
 class AtmosphereModel:
-    """Refractive-index model: vacuum, one constant index, or flat layers.
+    """Refractive-index model: flat layers under a constant index.
 
     layers lists (top altitude m, index) with finite tops in increasing
-    altitude; space above the last top is vacuum. Only kind "two_layer"
-    takes layers, and it needs at least one. Indices must be finite and
+    altitude; n is the index above the last top (at every altitude when
+    there are no layers), vacuum by default. Indices must be finite and
     >= 1.
     """
 
-    kind: str = "vacuum"
-    n: float = 1.0003
     layers: tuple = ()
+    n: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ATMOSPHERE_FIELDS:
-            raise ValueError(f"unknown atmosphere kind {self.kind!r}")
-        if not (math.isfinite(self.n) and self.n >= 1.0):
-            raise ValueError(f"refractive index must be finite and >= 1, got {self.n}")
         layers = tuple((float(top), float(n)) for top, n in self.layers)
         tops = [top for top, _ in layers]
-        if not all(math.isfinite(n) and n >= 1.0 for _, n in layers):
-            raise ValueError("layer indices must be finite and >= 1")
+        for index in [n for _, n in layers] + [self.n]:
+            if not (math.isfinite(index) and index >= 1.0):
+                raise ValueError(f"refractive index must be finite and >= 1, got {index}")
         if not all(map(math.isfinite, tops)) or any(b <= a for a, b in zip(tops, tops[1:])):
             raise ValueError("layer tops must be finite and strictly increasing")
-        if (self.kind == "two_layer") != bool(layers):
-            raise ValueError(f"atmosphere kind {self.kind!r} with {len(layers)} layers: "
-                             "two_layer needs layers, and no other kind takes them")
         object.__setattr__(self, "layers", layers)
 
     def index_at(self, altitude_m: float) -> float:
-        """Refractive index at an altitude; unity in vacuum and above every layer."""
-        if self.kind == "vacuum":
-            return 1.0
-        if self.kind == "constant_index":
-            return self.n
+        """Index of the first layer whose top lies above the altitude, else n."""
         for top, n in self.layers:
             if altitude_m < top:
                 return n
-        return 1.0
+        return self.n
 
 
 @dataclass(frozen=True)

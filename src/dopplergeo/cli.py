@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .analysis import ATMOSPHERE_FIELDS, AtmosphereModel, curve_shift
+from .analysis import AtmosphereModel, curve_shift
 from .cone import (
     DopplerCone,
     DopplerMeasurement,
@@ -58,6 +58,11 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
 EXIT_CONFIG = 4
+
+# each atmosphere kind of the config: the fields it reads besides "kind",
+# and its index n above the layers (at every altitude when it has none)
+ATMOSPHERE_KINDS = {"vacuum": ((), 1.0), "constant_index": (("n",), 1.0003),
+                    "two_layer": (("layers",), 1.0)}
 
 
 class ConfigError(ValueError):
@@ -121,18 +126,22 @@ def vehicle_from_config(cfg: dict) -> VehicleState:
 
 def atmosphere_from_config(cfg: dict) -> AtmosphereModel:
     a = config_section(cfg, "atmosphere")
+    kind = a.get("kind", "vacuum")
+    if not isinstance(kind, str) or kind not in ATMOSPHERE_KINDS:
+        raise ConfigError(f"unknown atmosphere kind {kind!r}")
+    fields, default_n = ATMOSPHERE_KINDS[kind]
+    unused = sorted(set(a) - {"kind", *fields})
+    if unused:
+        raise ConfigError(f"atmosphere kind {kind!r} takes no {', '.join(unused)}")
+    if kind == "two_layer" and not a.get("layers"):
+        raise ConfigError("atmosphere kind 'two_layer' needs at least one layer")
     try:
-        model = AtmosphereModel(kind=a.get("kind", "vacuum"),
-                                n=config_number(a.get("n", 1.0003), "atmosphere n"),
-                                layers=tuple((config_number(t, "atmosphere layer top"),
-                                              config_number(n, "atmosphere layer index"))
-                                             for t, n in a.get("layers", [])))
+        return AtmosphereModel(layers=tuple((config_number(top, "atmosphere layer top"),
+                                             config_number(index, "atmosphere layer index"))
+                                            for top, index in a.get("layers", [])),
+                               n=config_number(a.get("n", default_n), "atmosphere n"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad atmosphere config: {exc}") from exc
-    unused = sorted(set(a) - {"kind", *ATMOSPHERE_FIELDS[model.kind]})
-    if unused:
-        raise ConfigError(f"atmosphere kind {model.kind!r} takes no {', '.join(unused)}")
-    return model
 
 
 def cone_from_config(cfg: dict) -> tuple[DopplerCone, VehicleState]:

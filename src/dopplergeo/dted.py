@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .terrain import VOID_ELEVATION, TerrainGrid
+from .terrain import TerrainGrid
 
 UHL_SIZE = 80
 DSI_SIZE = 648

@@ -101,8 +101,9 @@ def _heights_in_one_call(block: str) -> np.ndarray | None:
 
 def _grid_fields(header: dict[str, str], values: np.ndarray) -> dict:
     """The grid fields (all but the undulation) from the header and the
-    heights. Header values and heights must be finite, in an undulation
-    companion grid too, and dlat, dlon, n_lat and n_lon positive."""
+    heights. n_lat and n_lon must be at least 1 and the heights, in an
+    undulation companion grid too, finite; TerrainGrid checks the other
+    header values."""
     for key in REQUIRED_KEYS:
         if key not in header:
             raise ParseError(f"missing header key '{key}'")
@@ -111,10 +112,8 @@ def _grid_fields(header: dict[str, str], values: np.ndarray) -> dict:
         n_lat, n_lon = int(header["n_lat"]), int(header["n_lon"])
     except ValueError as exc:
         raise ParseError(f"bad header value: {exc}") from exc
-    for key, value in {**fields, "n_lat": n_lat, "n_lon": n_lon}.items():
-        if not np.isfinite(value):
-            raise ParseError(f"header value {key} is not finite: {value}")
-        if key not in ("lat0", "lon0") and not value > 0:
+    for key, value in (("n_lat", n_lat), ("n_lon", n_lon)):
+        if value < 1:
             raise ParseError(f"header value {key} must be positive: {value}")
 
     if len(values) != n_lat * n_lon:
@@ -149,8 +148,6 @@ def _scalar_grid(header: dict[str, str], fields: dict) -> TerrainGrid:
         n_val = float(header.get("geoid_n", 0.0))
     except ValueError as exc:
         raise ParseError(f"bad geoid_n: {exc}") from exc
-    if not np.isfinite(n_val):
-        raise ParseError(f"geoid_n is not finite: {n_val}")
     return TerrainGrid(**fields, N=n_val)
 
 

@@ -58,9 +58,9 @@ class EmptyGrid(ValueError):
 
 
 class InvalidGrid(ValueError):
-    """A TerrainGrid that is not a tile on the globe: H not 2-d, a spacing
-    that is not positive, an N grid of another shape than H, or a first or
-    last post row outside [-90, 90] degrees of latitude."""
+    """A TerrainGrid that is not a tile on the globe: H not 2-d, a scalar
+    that is not finite (or a spacing not positive), an N grid of another
+    shape than H, or a post row outside [-90, 90] degrees of latitude."""
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,11 @@ class TerrainGrid:
     lat0/lon0 name the south-west corner post; H is indexed [lat, lon] with
     row 0 at lat0. N is the geoid undulation: a scalar or an array matching
     H. Void posts carry VOID_ELEVATION and are never treated as height 0.
-    Every post row lies in [-90, 90] degrees of latitude (InvalidGrid
-    otherwise); the longitudes may run past the antimeridian. Every height
-    and undulation must be finite (the readers reject others; it is not
-    checked here): the terrain search takes NaN for a post that holds no
-    height.
+    lat0, lon0, dlat > 0, dlon > 0 and a scalar N are finite, and every post
+    row lies in [-90, 90] degrees of latitude (InvalidGrid otherwise); the
+    longitudes may run past the antimeridian. Heights and an N grid must be
+    finite too, which the readers check: a pass over every post here would
+    cost each op. The terrain search takes NaN for a post without a height.
     """
 
     lat0: float
@@ -88,8 +88,13 @@ class TerrainGrid:
         h = np.asarray(self.H, dtype=float)
         if h.ndim != 2:
             raise InvalidGrid("H must be a 2-d array [lat, lon]")
-        if not (self.dlat > 0.0 and self.dlon > 0.0):
-            raise InvalidGrid("post spacing must be positive")
+        for name in ("lat0", "lon0", "dlat", "dlon"):
+            value, spacing = getattr(self, name), name in ("dlat", "dlon")
+            if not math.isfinite(value) or spacing and not value > 0.0:
+                rule = " and positive" if spacing else ""
+                raise InvalidGrid(f"{name} must be finite{rule}, got {value}")
+        if np.isscalar(self.N) and not math.isfinite(self.N):
+            raise InvalidGrid(f"N must be finite, got {self.N}")
         # the last row as lats() computes it
         lat_end = self.lat0 + self.dlat * max(h.shape[0] - 1, 0)
         if not -90.0 <= self.lat0 <= lat_end <= 90.0:
@@ -111,10 +116,6 @@ class TerrainGrid:
     def n_lon(self) -> int:
         return self.H.shape[1]
 
-    @property
-    def void_mask(self) -> np.ndarray:
-        return self.H == VOID_ELEVATION
-
     def lats(self) -> np.ndarray:
         return self.lat0 + self.dlat * np.arange(self.n_lat)
 
@@ -128,11 +129,8 @@ class TerrainGrid:
         """
         deg = math.pi / 180.0 * WGS84.a
         lat_hi = self.lat0 + self.dlat * (self.n_lat - 1)
-        if self.lat0 <= 0.0 <= lat_hi:
-            cos_max = 1.0
-        else:
-            cos_max = max(abs(math.cos(math.radians(self.lat0))),
-                          abs(math.cos(math.radians(lat_hi))))
+        # the grid latitude nearest the equator: 0 clipped to [lat0, lat_hi]
+        cos_max = math.cos(math.radians(min(max(0.0, self.lat0), lat_hi)))
         return max(self.dlat * deg, self.dlon * deg * cos_max)
 
 
@@ -215,7 +213,7 @@ def _posts_ecef(grid: TerrainGrid, rows, cols, h) -> np.ndarray:
 
 def _void_mask(grid: TerrainGrid) -> np.ndarray:
     """The grid's void-post mask; EmptyGrid when every post is void."""
-    void = grid.void_mask
+    void = grid.H == VOID_ELEVATION
     if void.all():
         raise EmptyGrid("terrain grid contains no valid posts")
     return void
@@ -232,6 +230,17 @@ def grid_to_ecef_posts(grid: TerrainGrid) -> EcefPostSet:
     return EcefPostSet(ecef=ecef[valid], index=np.flatnonzero(valid), shape=grid.H.shape)
 
 
+def _cone_frame(points, cone: DopplerCone):
+    """points (..., 3) in the cone frame (apex at the origin, axis +z), their
+    distance rho from the axis, off = rho cos(psi) - z sin(psi), the signed
+    distance to a generator line in the (rho, z) half-plane, and range."""
+    # one matrix product for all the points, not one per leading index
+    frame = ((points - cone.apex).reshape(-1, 3) @ cone.rotation).reshape(points.shape)
+    rho = np.hypot(frame[..., 0], frame[..., 1])
+    off = rho * math.cos(cone.semi_angle) - frame[..., 2] * math.sin(cone.semi_angle)
+    return frame, rho, off, np.hypot(rho, frame[..., 2])
+
+
 def _spheres_near_cone(lat_a, lat_b, lon_a, lon_b, lo, hi, cone: DopplerCone, reach: float,
                        far: float) -> np.ndarray:
     """Which blocks of posts can hold a candidate of the cone-frame
@@ -241,8 +250,7 @@ def _spheres_near_cone(lat_a, lat_b, lon_a, lon_b, lo, hi, cone: DopplerCone, re
     degrees of its first and last posts) and heights lo..hi (its min and max
     of H + N, NaN when every post is void or past the tile); the arguments
     broadcast. Its sphere has centre c at the middle of those ranges and
-    radius r. off = rho cos(psi) - z sin(psi) is the signed distance to a
-    generator line in the (rho, z) half-plane, so it is 1-Lipschitz in the
+    radius r. off (_cone_frame), a signed distance, is 1-Lipschitz in the
     post position, and so is the range |x - apex|: no post of the block
     passes when |off(c)| > reach + r, or when |c - apex| - r > far. A block
     without a height, whose lo and hi are NaN, fails both comparisons and is
@@ -275,11 +283,8 @@ def _spheres_near_cone(lat_a, lat_b, lon_a, lon_b, lo, hi, cone: DopplerCone, re
     # place of |c|, which it bounds: |c| <= N + |h_c|.
     r += 1e-12 * (bend + np.linalg.norm(cone.apex))
 
-    # one matrix product for all the centres, not one per leading index
-    frame = ((centre - cone.apex).reshape(-1, 3) @ cone.rotation).reshape(centre.shape)
-    rho = np.hypot(frame[..., 0], frame[..., 1])
-    off_cone = rho * math.cos(cone.semi_angle) - frame[..., 2] * math.sin(cone.semi_angle)
-    return (np.abs(off_cone) <= reach + r) & (np.hypot(rho, frame[..., 2]) - r <= far)
+    _, _, off, dist = _cone_frame(centre, cone)
+    return (np.abs(off) <= reach + r) & (dist - r <= far)
 
 
 def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float,
@@ -426,10 +431,8 @@ def _map_posts(curve: IntersectionCurve, posts: EcefPostSet, cfg: TerrainSearchC
     cone, etas = curve.cone, curve.etas_near
     dirs, ray_len, reach, far = rays
 
-    frame = (posts.ecef - cone.apex) @ cone.rotation
-    rho = np.hypot(frame[:, 0], frame[:, 1])
-    off_cone = rho * math.cos(cone.semi_angle) - frame[:, 2] * math.sin(cone.semi_angle)
-    cand = np.flatnonzero((np.abs(off_cone) <= reach) & (np.hypot(rho, frame[:, 2]) <= far))
+    frame, rho, off, dist = _cone_frame(posts.ecef, cone)
+    cand = np.flatnonzero((np.abs(off) <= reach) & (dist <= far))
     rho = rho[cand]
     phi = np.arctan2(frame[cand, 1], frame[cand, 0])
     # a window wider than pi reaches every ray (some twice, which is harmless)

@@ -273,10 +273,10 @@ def test_criterion_8_published_dpsi_exponent_as_printed():
 
 
 def test_criterion_9_snell_two_layer():
-    uniform = AtmosphereModel(kind="two_layer", layers=((20e3, 1.0), (50e3, 1.0)))
+    uniform = AtmosphereModel(layers=((20e3, 1.0), (50e3, 1.0)))
     zero_ok = snell_two_layer_displacement(math.radians(60.0), uniform, 200e3) == 0.0
 
-    atmos = AtmosphereModel(kind="two_layer", layers=((20e3, 1.0003), (50e3, 1.0)))
+    atmos = AtmosphereModel(layers=((20e3, 1.0003), (50e3, 1.0)))
     d = snell_two_layer_displacement(math.radians(60.0), atmos, 200e3)
     scenario_ok = 0.5 * 41.0 <= d <= 1.5 * 41.0
 

@@ -19,6 +19,7 @@ from dopplergeo.analysis import (
     relativistic_semi_angle_delta,
     snell_two_layer_displacement,
 )
+from dopplergeo.cli import atmosphere_from_config
 from dopplergeo.cone import DopplerMeasurement, VehicleState, cone_from_geometry
 from dopplergeo.geodesy import SPEED_OF_LIGHT, AttitudeEuler, GeodeticCoord
 from dopplergeo.intersect import intersect_cone_ellipsoid
@@ -283,19 +284,19 @@ def test_relativistic_delta_quadratic_in_speed():
 
 
 def test_snell_uniform_index_no_displacement():
-    atmos = AtmosphereModel(kind="two_layer", layers=((20e3, 1.0), (50e3, 1.0)))
+    atmos = AtmosphereModel(layers=((20e3, 1.0), (50e3, 1.0)))
     assert snell_two_layer_displacement(math.radians(60.0), atmos, 200e3) == 0.0
 
 
 def test_snell_reference_scenario():
-    atmos = AtmosphereModel(kind="two_layer", layers=((20e3, 1.0003), (50e3, 1.0)))
+    atmos = AtmosphereModel(layers=((20e3, 1.0003), (50e3, 1.0)))
     d = snell_two_layer_displacement(math.radians(60.0), atmos, 200e3)
     assert d == pytest.approx(41.0, rel=0.5)
 
 
 def test_snell_invariant_across_interfaces():
     layers = ((5e3, 1.0004), (20e3, 1.0003), (50e3, 1.0001))
-    atmos = AtmosphereModel(kind="two_layer", layers=layers)
+    atmos = AtmosphereModel(layers=layers)
     theta0 = math.radians(55.0)
     invariant = atmos.index_at(100e3) * math.sin(theta0)
     for top, n in layers:
@@ -305,20 +306,78 @@ def test_snell_invariant_across_interfaces():
 
 def test_snell_total_internal_reflection():
     # ray leaves a dense layer for a rarer one steeply enough to turn back
-    dense_above = AtmosphereModel(kind="two_layer", layers=((5e3, 1.0), (50e3, 1.2)))
+    dense_above = AtmosphereModel(layers=((5e3, 1.0), (50e3, 1.2)))
     with pytest.raises(TotalInternalReflection):
         snell_two_layer_displacement(math.radians(80.0), dense_above, 10e3)
-    uniform = AtmosphereModel(kind="two_layer", layers=((20e3, 1.0),))
+    uniform = AtmosphereModel(layers=((20e3, 1.0),))
     assert snell_two_layer_displacement(math.radians(80.0), uniform, 10e3) == 0.0
 
 
+class KindAtmosphere:
+    """The atmosphere model as it was when it held the config's kind, kept as
+    the oracle of cli.atmosphere_from_config: vacuum is 1 everywhere,
+    constant_index n (1.0003 unless given) everywhere, and two_layer the
+    index of the first layer whose top lies above, else 1."""
+
+    def __init__(self, kind="vacuum", n=1.0003, layers=()):
+        self.kind, self.n = kind, n
+        self.layers = tuple((float(top), float(index)) for top, index in layers)
+
+    def index_at(self, altitude_m):
+        if self.kind == "vacuum":
+            return 1.0
+        if self.kind == "constant_index":
+            return self.n
+        for top, n in self.layers:
+            if altitude_m < top:
+                return n
+        return 1.0
+
+
+INDICES = st.floats(1.0, 1.5)
+TWO_LAYER = (st.lists(st.floats(-1e3, 1e5), min_size=1, max_size=4, unique=True)
+             .map(sorted)
+             .flatmap(lambda tops: st.lists(INDICES, min_size=len(tops), max_size=len(tops))
+                      .map(lambda ns: {"kind": "two_layer",
+                                       "layers": [[t, n] for t, n in zip(tops, ns)]})))
+ATMOSPHERE_CONFIGS = (st.sampled_from([{}, {"kind": "vacuum"}, {"kind": "constant_index"}])
+                      | INDICES.map(lambda n: {"kind": "constant_index", "n": n})
+                      | TWO_LAYER)
+
+
+def snell_outcome(atmosphere, incidence, receiver_height):
+    try:
+        return snell_two_layer_displacement(incidence, atmosphere, receiver_height)
+    except TotalInternalReflection:
+        return "total internal reflection"
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=ATMOSPHERE_CONFIGS, altitudes=st.lists(st.floats(), max_size=4),
+       incidence=st.floats(0.0, 1.5), receiver_height=st.floats(1.0, 2e5))
+def test_atmosphere_matches_the_per_kind_model(cfg, altitudes, incidence, receiver_height):
+    model = atmosphere_from_config({"atmosphere": cfg})
+    oracle = KindAtmosphere(**cfg)
+    assert model.layers == oracle.layers
+    # each top and one ulp either side, where a layer ends
+    for top, _ in oracle.layers:
+        altitudes += [math.nextafter(top, -math.inf), top, math.nextafter(top, math.inf)]
+    for altitude in altitudes:
+        assert model.index_at(altitude) == oracle.index_at(altitude)
+    assert (snell_outcome(model, incidence, receiver_height)
+            == snell_outcome(oracle, incidence, receiver_height))
+
+
 def test_atmosphere_validation():
-    with pytest.raises(ValueError):
-        AtmosphereModel(kind="two_layer", layers=((20e3, 1.0), (10e3, 1.0)))
-    with pytest.raises(ValueError):
-        AtmosphereModel(kind="constant_index", n=0.5)
-    with pytest.raises(ValueError):
-        AtmosphereModel(kind="swamp")
+    # an unknown kind is a config error: test_config_layer_errors_exit_4
+    with pytest.raises(ValueError, match="strictly increasing"):
+        AtmosphereModel(layers=((20e3, 1.0), (10e3, 1.0)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        AtmosphereModel(layers=((math.inf, 1.0003),))
+    with pytest.raises(ValueError, match="got 0.5"):
+        AtmosphereModel(n=0.5)
+    with pytest.raises(ValueError, match="got nan"):
+        AtmosphereModel(layers=((20e3, math.nan),))
 
 
 def test_frequency_offset_equal_references_zero_shift():

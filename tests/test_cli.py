@@ -165,6 +165,11 @@ def test_conflicting_velocity_sources_exit_4(tmp_path, capsys):
     ("cone", "atmosphere", {"kind": "two_layer"}),
     ("cone", "atmosphere", {"kind": "two_layer", "layers": []}),
     ("cone", "atmosphere", {"kind": "constant_index", "index": 1.0003}),
+    # the config, not AtmosphereModel, owns the kinds: an unknown one, one
+    # that is not a string, and a layer top that is not finite
+    ("cone", "atmosphere", {"kind": "swamp"}),
+    ("cone", "atmosphere", {"kind": []}),
+    ("cone", "atmosphere", {"kind": "two_layer", "layers": [[math.inf, 1.0003]]}),
 ])
 def test_config_layer_errors_exit_4(tmp_path, capsys, monkeypatch, command, section, values):
     # each is caught before anything is written: --out names a dir that does
@@ -254,14 +259,15 @@ def test_terrain_non_finite_header_value_exit_3(tmp_path, capsys):
     cfg = dict(STEEP, terrain={"path": str(tile), "format": "grid"})
     path = write_json(tmp_path / "t.json", cfg)
     assert main(["terrain", "--config", path, "--out", str(tmp_path)]) == 3
-    assert "header value dlat is not finite" in capsys.readouterr().err
+    assert "dlat must be finite and positive, got nan" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("size, header, message", [
-    (40, {"dlat": "0.0"}, "header value dlat must be positive: 0.0"),
+    (40, {"dlat": "0.0"}, "dlat must be finite and positive, got 0.0"),
     (1, {"n_lat": "-1", "n_lon": "-1"}, "header value n_lat must be positive: -1")])
 def test_terrain_non_positive_header_value_exit_3(tmp_path, capsys, size, header, message):
-    # checked with the other header values, so both exit 3 and name the key;
+    # a spacing is checked by TerrainGrid, a count by the reader: both exit
+    # 3 and name the key;
     # n_lat = n_lon = -1 with one height passes the height count
     text = write_portable_grid(make_flat_grid(-34.70, 138.80, 3 / 3600, 3 / 3600, size, size))
     for key, value in header.items():

@@ -17,7 +17,7 @@ from dopplergeo.gridfile import (
     read_portable_grid,
     write_portable_grid,
 )
-from dopplergeo.terrain import VOID_ELEVATION, TerrainGrid
+from dopplergeo.terrain import VOID_ELEVATION, InvalidGrid, TerrainGrid
 
 
 def test_two_by_two_round_trip():
@@ -102,7 +102,7 @@ def test_non_finite_height_rejected(value):
 
 
 def test_non_finite_undulation_rejected(tmp_path):
-    with pytest.raises(ParseError, match="geoid_n is not finite"):
+    with pytest.raises(InvalidGrid, match="N must be finite, got inf"):
         read_portable_grid(write_portable_grid(grid_with(0.0, (0, 0), (1, 2), np.inf)))
     # a companion undulation grid is a portable grid: the same rule
     (tmp_path / "n.grid").write_text(write_portable_grid(grid_with(np.nan, (0, 1), (1, 2))))
@@ -120,7 +120,8 @@ def test_non_finite_header_value_rejected(key, value):
     lines = write_portable_grid(grid_with(0.0, (0, 0), (2, 3))).splitlines(keepends=True)
     text = "".join(f"{key} = {value}\n" if line.startswith(f"{key} =") else line
                    for line in lines)
-    with pytest.raises(ParseError, match=f"header value {key} is not finite"):
+    # checked by TerrainGrid, which names the field and value
+    with pytest.raises(InvalidGrid, match=f"{key} must be finite(?: and positive)?, got {value}"):
         read_portable_grid(text)
 
 
@@ -129,12 +130,16 @@ def test_non_finite_header_value_rejected(key, value):
     {"n_lat": "-1", "n_lon": "-1"}])
 def test_non_positive_size_rejected(values):
     # the first key edited is the one named; n_lat = n_lon = -1 with one
-    # height passes the height count
+    # height passes the height count. TerrainGrid checks a spacing, the
+    # reader a count.
     text = write_portable_grid(grid_with(0.0, (0, 0), (1, 1)))
     for key, value in values.items():
         text = re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", text)
     key, value = next(iter(values.items()))
-    with pytest.raises(ParseError, match=f"header value {key} must be positive: {value}"):
+    error, message = ((InvalidGrid, f"{key} must be finite and positive, got {value}")
+                      if key in ("dlat", "dlon") else
+                      (ParseError, f"header value {key} must be positive: {value}"))
+    with pytest.raises(error, match=message):
         read_portable_grid(text)
 
 

@@ -136,8 +136,22 @@ def test_all_void_grid_raises():
 @pytest.mark.parametrize("dlat, dlon", [(0.0, SPACING), (SPACING, -SPACING),
                                         (math.nan, SPACING), (SPACING, math.nan)])
 def test_grid_spacing_must_be_positive(dlat, dlon):
-    with pytest.raises(InvalidGrid, match="post spacing must be positive"):
+    name, value = ("dlat", dlat) if not dlat > 0.0 else ("dlon", dlon)
+    with pytest.raises(InvalidGrid, match=f"{name} must be finite and positive, got {value}"):
         TerrainGrid(lat0=0.0, lon0=0.0, dlat=dlat, dlon=dlon, H=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lat0", math.nan), ("lon0", math.nan), ("lon0", math.inf), ("lon0", -math.inf),
+    ("dlon", math.inf), ("N", math.nan), ("N", math.inf)])
+def test_grid_scalars_must_be_finite(field, value):
+    # such a grid used to be taken, and the quickstart curve mapped onto it
+    # gave no hit and one gap over the whole sweep
+    args = dict(lat0=0.0, lon0=0.0, dlat=SPACING, dlon=SPACING, H=np.zeros((2, 2)), N=0.0)
+    args[field] = value
+    rule = " and positive" if field == "dlon" else ""
+    with pytest.raises(InvalidGrid, match=f"^{field} must be finite{rule}, got {value}$"):
+        TerrainGrid(**args)
 
 
 @settings(max_examples=200, deadline=None)
@@ -171,7 +185,7 @@ def per_post_ecef(grid):
     lat = np.repeat(grid.lats(), grid.n_lon).reshape(grid.H.shape)
     lon = np.tile(grid.lons(), grid.n_lat).reshape(grid.H.shape)
     h = grid.H + grid.N
-    flat = np.flatnonzero(~grid.void_mask)
+    flat = np.flatnonzero(grid.H.ravel() != VOID_ELEVATION)
     lon_v = lon.ravel()[flat]
     wrap = (lon_v > 180.0) | (lon_v <= -180.0)
     lon_v[wrap] = 180.0 - (180.0 - lon_v[wrap]) % 360.0
