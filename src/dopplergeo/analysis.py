@@ -257,8 +257,8 @@ def snell_two_layer_displacement(incidence: float, atmosphere: AtmosphereModel,
     """
     if not 0.0 <= incidence < math.pi / 2.0:
         raise ValueError("incidence must lie in [0, pi/2)")
-    if receiver_height <= 0.0:
-        raise ValueError("receiver must be above the ground")
+    if not (math.isfinite(receiver_height) and receiver_height > 0.0):
+        raise ValueError(f"receiver_height must be finite and positive, got {receiver_height}")
 
     # interface altitudes crossed on the way down, top to bottom
     tops = [top for top, _ in atmosphere.layers if top < receiver_height]

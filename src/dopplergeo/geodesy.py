@@ -118,28 +118,42 @@ def _ecef_from_trig(sin_lat, cos_lat, sin_lon, cos_lon, h) -> np.ndarray:
 def ecef_to_geodetic_arrays(p):
     """Vectorized ECEF -> (lat_deg, lon_deg, h), lon in (-180, 180].
 
-    Closed-form evaluation plus one fixed-point correction of the parametric
-    latitude, which holds the round-trip error below 1e-8 m for |h| < 500 km
-    (the plain closed form tops out near 1.5e-6 m). A point on the polar
-    axis converts to latitude +-90 and longitude 0 (numpy warns of the
-    division by zero on the way).
+    Bowring's closed form (Survey Review 23(181), 1976) plus one
+    fixed-point correction of the parametric latitude mu, which holds the
+    round-trip error below 1e-8 m for |h| < 500 km (the plain closed form
+    tops out near 1.5e-6 m). The intermediate angles are carried as the
+    numerator and denominator of their tangent, their sine and cosine found
+    by one sqrt, so a point costs two arctan2 calls: its longitude and its
+    latitude. A point on the polar axis converts, without a warning, to
+    latitude +-90 and longitude 0.
     """
     p = np.asarray(p, dtype=float)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
     a, f, e2 = WGS84.a, WGS84.f, WGS84.e2
     lon = np.arctan2(y, x)
-    rho = np.hypot(x, y)
-    r = np.hypot(rho, z)
-    mu = np.arctan((z / rho) * (1.0 - f) + e2 * a * z / (r * rho))
-    lat = np.arctan2(z * (1.0 - f) + e2 * a * np.sin(mu) ** 3,
-                     (1.0 - f) * (rho - e2 * a * np.cos(mu) ** 3))
-    # one corrector pass on the parametric latitude
-    mu = np.arctan2((1.0 - f) * np.sin(lat), np.cos(lat))
-    lat = np.arctan2(z * (1.0 - f) + e2 * a * np.sin(mu) ** 3,
-                     (1.0 - f) * (rho - e2 * a * np.cos(mu) ** 3))
-    sin_lat = np.sin(lat)
-    h = rho * np.cos(lat) + z * sin_lat - a * np.sqrt(1.0 - e2 * sin_lat ** 2)
-    return np.degrees(lat), _antimeridian_east(np.degrees(lon)), h
+    rho = np.sqrt(x * x + y * y)
+    r = np.sqrt(rho * rho + z * z)
+    # tan mu = z ((1 - f) r + e2 a) / (r rho): rho = 0 gives mu = +-90 deg
+    lat_y, lat_x = _bowring_latitude(z, rho, *_sin_cos(z * ((1.0 - f) * r + e2 * a), r * rho))
+    # one corrector pass: tan mu = (1 - f) tan lat
+    lat_y, lat_x = _bowring_latitude(z, rho, *_sin_cos((1.0 - f) * lat_y, lat_x))
+    sin_lat, cos_lat = _sin_cos(lat_y, lat_x)
+    h = rho * cos_lat + z * sin_lat - a * np.sqrt(1.0 - e2 * sin_lat * sin_lat)
+    return np.degrees(np.arctan2(lat_y, lat_x)), _antimeridian_east(np.degrees(lon)), h
+
+
+def _sin_cos(num, den):
+    """sin and cos of arctan2(num, den), for (num, den) != (0, 0)."""
+    norm = np.sqrt(num * num + den * den)
+    return num / norm, den / norm
+
+
+def _bowring_latitude(z, rho, sin_mu, cos_mu):
+    """Numerator and denominator of tan lat, from Bowring's formula at the
+    parametric latitude mu."""
+    a, f, e2 = WGS84.a, WGS84.f, WGS84.e2
+    return (z * (1.0 - f) + e2 * a * (sin_mu * sin_mu * sin_mu),
+            (1.0 - f) * (rho - e2 * a * (cos_mu * cos_mu * cos_mu)))
 
 
 def enu_matrix(origin: GeodeticCoord) -> np.ndarray:

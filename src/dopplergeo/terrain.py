@@ -155,8 +155,8 @@ class TerrainSearchConfig:
     strategy: str = STRATEGY_GLOBAL
 
     def __post_init__(self):
-        if self.tr <= 0.0:
-            raise ValueError("threshold must be positive")
+        if not (math.isfinite(self.tr) and self.tr > 0.0):
+            raise ValueError(f"tr must be finite and positive, got {self.tr}")
         if self.strategy != STRATEGY_GLOBAL:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 

@@ -313,6 +313,15 @@ def test_snell_total_internal_reflection():
     assert snell_two_layer_displacement(math.radians(80.0), uniform, 10e3) == 0.0
 
 
+@pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_snell_receiver_height_must_be_finite_and_positive(height):
+    # nan used to give 0.0, a plausible "no displacement", and inf nan
+    atmos = AtmosphereModel(layers=((20e3, 1.0003), (50e3, 1.0)))
+    with pytest.raises(ValueError, match=f"^receiver_height must be finite and positive, "
+                                         f"got {height}$"):
+        snell_two_layer_displacement(math.radians(60.0), atmos, height)
+
+
 class KindAtmosphere:
     """The atmosphere model as it was when it held the config's kind, kept as
     the oracle of cli.atmosphere_from_config: vacuum is 1 everywhere,

@@ -2,7 +2,9 @@
 
 A demo writes into the output/ directory beside its own file, so a copy in
 a temporary directory leaves demos/output/ untouched. Like the golden
-hashes, the comparison holds for one numpy build and CPU dispatch level.
+hashes, the comparison holds for one numpy build and CPU dispatch level:
+numpy's AVX-512 arctan2 rounds some latitudes and longitudes differently
+from its baseline loop.
 """
 
 import os

@@ -10,10 +10,12 @@ a topology label. Regenerate only
 for a deliberate output change.
 
 The promise holds for one numpy build and CPU dispatch level: numpy's
-AVX-512 loops for arctan, arctan2 and ** round differently from its
-baseline loops. With that dispatch disabled (numpy 2.4:
-NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") every case here
-fails, and so does tests/test_demos.py.
+AVX-512 loop for arctan2, which gives every output point its latitude and
+longitude, rounds differently from its baseline loop (heights no longer
+differ). With that dispatch disabled (numpy 2.4:
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") every intersect
+and terrain case here fails, and so does tests/test_demos.py; the shift
+and gen-tile cases convert nothing to geodetic and pass.
 """
 
 import hashlib
@@ -30,48 +32,48 @@ CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file
 # config -> (intersect.kml, intersect.geojson, stdout) sha256
 GOLDEN = {
     "leos_offset_nominal.json": (
-        "742b2465c9de1fbc92694a20f89ed6387ccdbd5cd94fdbf881709d2aa314a89f",
-        "319da883398164f9c4f17876ccf9808e686513c0a15dbc6a9bf65bd8718e0992",
+        "2868a55dcd3dc5b291c822d510efeee20e6ae79423913af104b32aacdbfa5c7f",
+        "9500f16c95da19d9cc30b03a476ecb914e819fbf045e77f2eb1646646fc43ca8",
         "6891d4c42c229967c61885d6e1ac04a27d0645194fa4ede778d534ad662f4b00"),
     "leos_offset_true.json": (
-        "ecbc615dca14616f82c03ea00c789df76d437468adf5734e367d6d469b6c429d",
-        "113d5f5074db589765630df0f7e10299122d7bec646fe580287864dfdcb0fe36",
+        "6801a5b4221150a1c0a374469cada9eea485ae2fef80d246d449e6a353f2d2fe",
+        "57d7e4f2d67d2f3bec1b10012c53046400df7dcca9d0373b68587d927b7a1424",
         "6891d4c42c229967c61885d6e1ac04a27d0645194fa4ede778d534ad662f4b00"),
     "uav_adelaide_forced_angle.json": (
-        "731cdb4c58b4a35dc2608947f4754a4546bc43d3efafd4a8d4300d4c6c23f569",
-        "f8898bcf06aa27a9435dd91ee27804d43f95c134d4e94e3eef46c2361478e05c",
+        "4d011d52a4b59205773ff6166317ec8df2e210f0a374b97f85e15ed720405076",
+        "9d5a485d75f1d78fcd7d673fe3a4fb12646b1b0d86099cdf15a3137c9a7a2d67",
         "02c22c7a2ac3ae21d48a80cf1780fdd31d11ad0835ebf000867f38c7af2ac529"),
     "uav_offset_nominal.json": (
-        "a568ecfc33510e8c93b75d0a8d8ed9b83fc71ae23292e01c78eb36bcd14e058b",
-        "56a849327768563064b9478a31fa81ec2325ca33a4e15aa5c5a5ae3ed29c3ed3",
+        "2d953b675a82ead354968dd5a41745bdce45266d477db83573824838e9174764",
+        "b3ce6d7a03128a21f5ed7340606a65b92a3d95e0bbe72311163c56bc02baa6d3",
         "243d3974f62b33babf6b4bc83daa6523eab7b0060fe26b5f2f33c1d89f0ede23"),
     "uav_offset_true.json": (
-        "ffae1a726b9998412e91f351a932f8e8096d34df9315d332bd6dea7158a3685c",
-        "11bc8e298c649234ece515e136339fcca5ed7b06666ba6c0ded6ad00a238e93c",
+        "9d643bae8755d3df93123b7da48ac43849d4f44e2babe4df5e0e4264737a2157",
+        "c0d173eaac7179baf77a9e4731165cf8b9c4e9617f970e3198aa166fc9668828",
         "0080b56cd7a638da3c174f2b05dea35f3b805361a00f53329c1729d446836a92"),
     "uav_refraction_air.json": (
-        "e1b9d88d364917af873930b5c8a87581f0ddb19a87330e725f2e8ec945891a39",
-        "65d206a335d7981546f0b974322ed0a28c33464c03f12241d08bb6dab4f50a6c",
+        "7e895839711ecdf064bfeb5a0372bb793508095285f06dcb958253054ebebd6c",
+        "0af0d9d38ab7ffdcfeea38596e7bd74477e5878e80a16f6250352ec7468be2fc",
         "243d3974f62b33babf6b4bc83daa6523eab7b0060fe26b5f2f33c1d89f0ede23"),
     "uav_refraction_vacuum.json": (
-        "a671b69c02bb3ea6bb0a931cd20f5c00573cca1ac7f14eacef75556d8ffece74",
-        "8320e6d34d4316962c7a5415973d5434295d8e0ce305740682470033d897579c",
+        "f08bea42d1234f8f9d2da2d036784e55341ef3ac0c3be2007564193ce76b51a1",
+        "da248b4aa1cf091a539aa78e2577f55a42a0663fe71f033ef6b79d13895c248b",
         "ec5ced2b8a00cf45e004049912850ca74692923300cf0d5461b209712d62a800"),
     "uav_small_angle_air.json": (
-        "a5d8d8e4af27b4dd17e1fc78a740e988fc859cca37cc3c0f32d6b27a74b216a4",
-        "82674431221ecb74196e93b9e35be5543a1912f3020018eb1bee051d1f883eb5",
+        "c320f8efdc432ac46bbf59b0ee49b22281610e6cff737b629188346ec4ec7468",
+        "2d9c55bdb4db4501cd3944daf904a3db1d7c310e7e24b25f81b8584336b19601",
         "02c22c7a2ac3ae21d48a80cf1780fdd31d11ad0835ebf000867f38c7af2ac529"),
     "uav_small_angle_vacuum.json": (
-        "9689e56c37a8d57c93a00a14edfd6235fc3c3a40f8f8b704d09dc8f1726fcc8b",
-        "8430528fd6e1c0761fe3d22e81d079cc47167932726fdfbfa467cbb9d9fa1645",
+        "2aecad021b20740a9ab74a35c9bc545ca0ea215fe36fd4869ab7bfb38f58e3f3",
+        "e96e658ea0f6d3613a3d6a52f8b8ea6044b7902e7d2368a611bfb23099e8aab7",
         "02c22c7a2ac3ae21d48a80cf1780fdd31d11ad0835ebf000867f38c7af2ac529"),
     "uav_wide_angle_air.json": (
-        "76d848d7ff5d66fc98c4b2638a41cdd3b90b6dc21d13686435c41de7fe331b3f",
-        "656be33fa8e0dbec1db3b35beb8ec8b7f0eaa5534922d4ae2fe1d626e61b930a",
+        "f5099867d21703241005f730f3f17c0f6fcc76e7a93066ed34d521ede8f187e7",
+        "9e2d31f04535e81de58423e5fd0f2ea13e981e5c4e01719423f808172f49b52d",
         "65ad4ae54db7661ec655e18f937c8b7339d36d6f22f9f3df7f66fdd883b191fb"),
     "uav_wide_angle_vacuum.json": (
-        "4f2476425b62bfe36fc0d09e78f2bc42432d5d0201e777eca6645c7b24cdc36d",
-        "49387df04759055ab5d22a09681d69f54fb2abbbd67603e3605a4c046f1f68df",
+        "3dc48beeec3a28a93fe1c0749c8dea6d782d1fbcad5ac4b227103fca5405c582",
+        "49a7a8787b100cce67c1c228b33d981b0679e4fedec846cd76c581e41c45d38f",
         "65ad4ae54db7661ec655e18f937c8b7339d36d6f22f9f3df7f66fdd883b191fb"),
 }
 
@@ -110,8 +112,8 @@ TERRAIN_GOLDEN = {
         {"vehicle": STEEP_UAV, "measurement": {"semi_angle_deg": 15.0},
          "sweep": {"n_samples": 180}},
         (
-            "3a664f743e739f24fa9094aec5d46d94dbe13091e7e44e39f599a2758c2f2ed8",
-            "9ac325e31a411d3773451bf2056e5cbc8f78bb4feb14e409dfa3841dbbbe2755",
+            "0408a9a18712d4fb3664bbf1f96d721145fe593283fe6c93c658272f97974691",
+            "a8605c03b8781662528250e84a22e09cdd493b261af18f80d37c0e48d31f4845",
             "ef24c2810702583f6bbb66f0f4dc62184e9e51b42f0226c2eda1364a44d06403")),
     # covers the curve's northern part only, so the report carries gaps
     "ridge_dted": (
@@ -120,8 +122,8 @@ TERRAIN_GOLDEN = {
         {"vehicle": STEEP_UAV, "measurement": {"semi_angle_deg": 15.0},
          "sweep": {"n_samples": 360}},
         (
-            "8ed88ef43bf670ac34511b7be837f2fc8fe24610f4019f1d94758b8f9f69e530",
-            "510df4dfdcb0d58af6483489b7c281729c100742e1aeebc87d7ae95d414684f6",
+            "b6958ad230d41e1ccd681f28696bee36e7b5a97ab8097c428081b7cca1c05435",
+            "27543e4121bd47e62151c53408279ab75ac784bda7bf4dd37ac74e5c2d030386",
             "2c5f798018273dc735558809012edbd9afc24dfad50162a8f01041ebc037ba61")),
     # tile and rays running across the antimeridian
     "antimeridian": (
@@ -132,8 +134,8 @@ TERRAIN_GOLDEN = {
                      "speed_ms": 50.0},
          "measurement": {"semi_angle_deg": 80.0}, "sweep": {"n_samples": 720}},
         (
-            "94fd55115eef75b6545bc663317f12b4f498532588f7be5870b3d75a397b9b36",
-            "86d26b1b7ffad5a4a9e804775e3859147358047d89936d1a67cfdc92e52ddd47",
+            "1e9488eb2ca0a2172bdc34cab52e8901c1b1a5c2d00b311bf07770c7e6d1b7f0",
+            "14e320911b7e211dfd3edf7e69765d1f65fa317241d3ba5d9f04a2235c87fc7a",
             "e423f77278778b7f4b9c3484b445856daa4c34e934e79face82ff37e0980b6a0")),
 }
 

@@ -154,6 +154,13 @@ def test_grid_scalars_must_be_finite(field, value):
         TerrainGrid(**args)
 
 
+@pytest.mark.parametrize("tr", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_threshold_must_be_finite_and_positive(tr):
+    # tr = nan used to map no ray of a sweep, tr = inf every ray
+    with pytest.raises(ValueError, match=f"^tr must be finite and positive, got {tr}$"):
+        TerrainSearchConfig(tr=tr)
+
+
 @settings(max_examples=200, deadline=None)
 @given(lat0=st.floats(allow_nan=False, allow_infinity=False)
        | st.sampled_from([95.0, -90.5, 89.9, 90.0, -90.0]),
