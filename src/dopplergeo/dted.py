@@ -28,6 +28,12 @@ FIXED_TEXT = {28: b"NA  U  ", 55: b"0", UHL_SIZE + 3: b"U"}
 # nominal latitude interval per level, tenths of arcseconds
 LEVEL_LAT_INTERVAL = {0: 300, 1: 30, 2: 10}
 
+# records (longitude columns) per slab of the reader's word transpose. On a
+# 3 601 x 3 601 level-2 tile the whole-tile transpose takes 88 ms, and
+# slabs of 16 to 2 048 records take 31-36 ms; 256 lies well inside that
+# range (2-CPU Xeon VM, 2 MB L2, numpy 2.4.6).
+TRANSPOSE_SLAB = 256
+
 
 class DtedError(ValueError):
     pass
@@ -116,9 +122,15 @@ def _encode_elevations(heights: np.ndarray) -> np.ndarray:
     return words
 
 
-def _decode_elevations(raw: np.ndarray) -> np.ndarray:
-    """Sign-magnitude 16-bit words -> float heights."""
-    heights = (raw & 0x7FFF).astype(float)
+def _decode_elevations(words: np.ndarray) -> np.ndarray:
+    """Big-endian sign-magnitude words [lon, lat] -> float heights [lat, lon],
+    C-ordered. The words are transposed into native order TRANSPOSE_SLAB
+    records at a time and decoded straight into the heights, so the heights
+    are the one tile-sized float array."""
+    raw = np.empty(words.shape[::-1], dtype=np.uint16)
+    for j in range(0, len(words), TRANSPOSE_SLAB):
+        raw[:, j:j + TRANSPOSE_SLAB] = words[j:j + TRANSPOSE_SLAB].T
+    heights = np.bitwise_and(raw, 0x7FFF, out=np.empty(raw.shape))
     # 0x8000, a negative zero, stays +0.0
     np.negative(heights, out=heights, where=raw > 0x8000)
     return heights
@@ -223,8 +235,8 @@ def read_dted(data: bytes, geoid_n: float = 0.0) -> TerrainGrid:
         if bad_sentinel[j]:
             raise InconsistentHeader(f"record {j}: bad sentinel byte {records[j, 0]:#x}")
         raise ChecksumMismatch(j, int(expected[j]), int(actual[j]))
-    # each record is one longitude column: transpose the words to [lat, lon]
-    heights = _decode_elevations(np.ascontiguousarray(words.T, dtype=np.uint16))
+    # each record is one longitude column
+    heights = _decode_elevations(words)
 
     return TerrainGrid(lat0=lat0, lon0=lon0, dlat=lat_tenths / 36000.0,
                        dlon=lon_tenths / 36000.0, H=heights, N=geoid_n)

@@ -118,8 +118,8 @@ def _grid_fields(header: dict[str, str], values: np.ndarray) -> dict:
 
     if len(values) != n_lat * n_lon:
         raise ParseError(f"expected {n_lat * n_lon} heights, found {len(values)}")
-    # the terrain search takes NaN for a post without a height: an infinite
-    # height would drop its whole block
+    # the format holds heights: the terrain search would take NaN for a post
+    # without a height and refuse an infinite one as an InvalidGrid
     finite = np.isfinite(values)
     if not finite.all():
         row, col = divmod(int(np.argmin(finite)), n_lon)

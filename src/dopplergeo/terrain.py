@@ -34,12 +34,12 @@ TIE_EPS = 1e-6
 # covers the rounding of ray directions and rotated posts (~1e-9 m at 1e7 m)
 PREFILTER_SLACK = 1e-6
 # posts per side of the square blocks that cone_terrain_curve keeps or drops
-# as a whole, rounded up to a whole number of sub-blocks; voids and the
-# posts past the tile are NaN, so they hold no height. On the 600 x 600
-# 1-arcsec tiles of the terrain_wide benchmark, 16 keeps 5.4-7.8% of the
-# posts (1 444 blocks) and 8 keeps 2.7-3.9% (5 625 blocks), yet the two
-# search equally fast, within run-to-run noise: what 8 saves in posts it
-# spends on blocks. 4 and 32 are 1.2-1.6x slower.
+# as a whole, rounded up to a whole number of sub-blocks; their bounds are
+# reduced from H in place, and voids and the posts past the tile hold no
+# height. On the 600 x 600 1-arcsec tiles of the terrain_wide benchmark, 16
+# keeps 5.4-7.8% of the posts (1 444 blocks) and 8 keeps 2.7-3.9% (5 625
+# blocks), yet the two search equally fast, within run-to-run noise: what 8
+# saves in posts it spends on blocks. 4 and 32 are 1.2-1.6x slower.
 POST_BLOCK = 16
 # posts per side of the square sub-blocks that each kept block is cut into
 # (a block is a whole number of them) and kept or dropped by the same
@@ -51,6 +51,15 @@ POST_BLOCK = 16
 # terrain_dense (83 008 posts in kept blocks over 20 ops) the three sizes
 # are within run-to-run noise of each other.
 SUB_BLOCK = 4
+# posts, at most or one block row, in each strip of whole block rows that
+# cone_terrain_curve bounds again over H + N with voids as NaN: the block
+# rows holding a void, or every one under an N grid. On a 600 x 600 tile
+# with 1% scattered voids and a scalar N, strips of 2**15 and 2**16 posts
+# search in 2.05 ms, 2**12 in 2.6 ms (more calls) and 2**18 in 2.5 ms (a
+# strip that leaves the cache); on a 3 601 x 3 601 tile, whose block rows
+# hold 57 616 posts, one block row a strip takes 62-64 ms and 2**18 or
+# 2**20 posts 69-71 ms.
+STRIP_POSTS = 1 << 15
 
 
 class EmptyGrid(ValueError):
@@ -60,7 +69,8 @@ class EmptyGrid(ValueError):
 class InvalidGrid(ValueError):
     """A TerrainGrid that is not a tile on the globe: H not 2-d, a scalar
     that is not finite (or a spacing not positive), an N grid of another
-    shape than H, or a post row outside [-90, 90] degrees of latitude."""
+    shape than H, a post row outside [-90, 90] degrees of latitude, or (from
+    the terrain search) a post whose height H + N is infinite."""
 
 
 @dataclass(frozen=True)
@@ -72,9 +82,11 @@ class TerrainGrid:
     H. Void posts carry VOID_ELEVATION and are never treated as height 0.
     lat0, lon0, dlat > 0, dlon > 0 and a scalar N are finite, and every post
     row lies in [-90, 90] degrees of latitude (InvalidGrid otherwise); the
-    longitudes may run past the antimeridian. Heights and an N grid must be
-    finite too, which the readers check: a pass over every post here would
-    cost each op. The terrain search takes NaN for a post without a height.
+    longitudes may run past the antimeridian. An infinite height H + N
+    raises InvalidGrid from the terrain search, whose block bounds see every
+    post, so no pass over every post is made here; the readers reject
+    infinite and NaN heights. The terrain search takes NaN for a post
+    without a height.
     """
 
     lat0: float
@@ -211,21 +223,15 @@ def _posts_ecef(grid: TerrainGrid, rows, cols, h) -> np.ndarray:
                            np.sin(lon)[cols], np.cos(lon)[cols], h)
 
 
-def _void_mask(grid: TerrainGrid) -> np.ndarray:
-    """The grid's void-post mask; EmptyGrid when every post is void."""
-    void = grid.H == VOID_ELEVATION
-    if void.all():
-        raise EmptyGrid("terrain grid contains no valid posts")
-    return void
-
-
 def grid_to_ecef_posts(grid: TerrainGrid) -> EcefPostSet:
     """Convert every non-void post to ECEF at its ellipsoid height (H + N).
 
     A column of latitudes is broadcast against a row of longitudes, so no
     lat/lon grid is built; longitudes past +-180 are folded (_posts_ecef).
     """
-    valid = ~_void_mask(grid)
+    valid = grid.H != VOID_ELEVATION
+    if not valid.any():
+        raise EmptyGrid("terrain grid contains no valid posts")
     ecef = _posts_ecef(grid, np.arange(grid.n_lat)[:, np.newaxis], slice(None), grid.H + grid.N)
     return EcefPostSet(ecef=ecef[valid], index=np.flatnonzero(valid), shape=grid.H.shape)
 
@@ -287,57 +293,134 @@ def _spheres_near_cone(lat_a, lat_b, lon_a, lon_b, lo, hi, cone: DopplerCone, re
     return (np.abs(off) <= reach + r) & (dist - r <= far)
 
 
+def _block_bounds(ufunc, h: np.ndarray, b_lat: int, b_lon: int) -> np.ndarray:
+    """ufunc.reduce of h over each block of b_lat x b_lon posts, the last
+    block row and column short where the tile ends inside them. ufunc is
+    np.minimum or np.maximum, which give NaN for a block holding a NaN post
+    (so only a tile whose every post is void has VOID_ELEVATION for both
+    bounds of every block), or np.fmin or np.fmax, which skip NaN. The whole block rows are reduced through a
+    reshape of h's leading rows and the short last row on its own, so h is
+    read, never copied. The columns of that result, 1 / b_lat of the tile,
+    are reduced by reduceat, which beats a reshape there (the whole bound
+    takes 15 against 24 us at 120 x 120, 0.21 against 0.28 ms at 600 x 600)
+    but loses on the tile's rows (40 us and 1.0 ms)."""
+    n_lat, n_lon = h.shape
+    cut = n_lat - n_lat % b_lat
+    rows = ufunc.reduce(h[:cut].reshape(-1, b_lat, n_lon), axis=1)
+    if cut < n_lat:
+        rows = np.concatenate([rows, ufunc.reduce(h[cut:], axis=0, keepdims=True)])
+    return ufunc.reduceat(rows, np.arange(0, n_lon, b_lon), axis=1)
+
+
+def _strip_bounds(grid: TerrainGrid, rows: slice, b_lat: int, b_lon: int):
+    """The lower and upper bounds of H + N over the blocks of b_lat x b_lon
+    posts in the rows of the tile that rows selects, whole block rows or the
+    tile's last ones. Voids are NaN there, which fmin and fmax skip; a block
+    without a height has NaN bounds."""
+    h = grid.H[rows]
+    strip = h + (grid.N if np.isscalar(grid.N) else grid.N[rows])
+    np.copyto(strip, np.nan, where=h == VOID_ELEVATION)
+    return _block_bounds(np.fmin, strip, b_lat, b_lon), _block_bounds(np.fmax, strip, b_lat, b_lon)
+
+
+def _block_posts(grid: TerrainGrid, i: np.ndarray, j: np.ndarray, b_lat: int,
+                 b_lon: int) -> np.ndarray:
+    """The heights H + N of the posts of the b_lat x b_lon blocks (i, j) of
+    the tile, as (b_lat, b_lon, len(i)), with voids and the posts past the
+    tile NaN. The rows and columns are clipped to the tile, so a short block
+    is gathered whole."""
+    n_lat, n_lon = grid.H.shape
+    rows = b_lat * i + np.arange(b_lat)[:, np.newaxis, np.newaxis]
+    cols = b_lon * j + np.arange(b_lon)[:, np.newaxis]
+    # one flat index: take is faster than indexing by rows and columns
+    at = np.minimum(rows, n_lat - 1) * n_lon + np.minimum(cols, n_lon - 1)
+    posts = grid.H.take(at)
+    blank = (posts == VOID_ELEVATION) | (rows >= n_lat) | (cols >= n_lon)
+    np.add(posts, grid.N if np.isscalar(grid.N) else grid.N.take(at), out=posts)
+    np.copyto(posts, np.nan, where=blank)
+    return posts
+
+
 def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float,
                      far: float) -> EcefPostSet:
     """The non-void posts of the blocks that can hold a candidate of the
     cone-frame prefilter (|off| <= reach, range <= far).
 
-    Two levels, one loop: the tile is cut into blocks of POST_BLOCK posts a
-    side, rounded up to a whole number of SUB_BLOCK-square sub-blocks, and
-    each kept block into its sub-blocks; a block or sub-block is dropped
-    when its bounding sphere misses the prefilter (_spheres_near_cone), so
-    it holds no post the prefilter keeps. H + N sits in a buffer of whole
-    blocks in which voids and the posts past the tile are NaN, so a piece
-    without a valid post fails the sphere test. The non-NaN posts of the
-    kept sub-blocks go to _posts_ecef with their rows, columns and buffer
-    heights, the same bits as grid_to_ecef_posts.
+    Two levels: the tile is cut into blocks of POST_BLOCK posts a side,
+    rounded up to a whole number of SUB_BLOCK-square sub-blocks, and each
+    kept block into its sub-blocks; a block or sub-block is dropped when its
+    bounding sphere misses the prefilter (_spheres_near_cone), so it holds
+    no post the prefilter keeps.
+
+    The block bounds are taken straight from H (_block_bounds) and a scalar
+    N added to them afterwards: rounding is monotone, so min(H) + N is the
+    min of H + N bit for bit. The block rows holding a block whose lower
+    bound is not above VOID_ELEVATION (a void, a NaN height or a height at
+    or below it), and with an N grid every block row, are bounded again
+    over H + N with voids as NaN, in strips of at most STRIP_POSTS posts or
+    one block row (_strip_bounds); a block without a height keeps NaN bounds and fails
+    the sphere test. Only the kept blocks are gathered, as heights H + N
+    with voids and the posts past the tile NaN (_block_posts), so besides H
+    no array larger than a strip or the kept blocks is made, whatever the
+    voids and N. The non-NaN posts of the kept sub-blocks go to _posts_ecef
+    with their rows, columns and heights, the same bits as
+    grid_to_ecef_posts. Raises EmptyGrid when every post is void (or there
+    is none), and InvalidGrid naming the first post whose H + N is
+    infinite.
     """
-    void = _void_mask(grid)
+    if grid.H.size == 0:
+        raise EmptyGrid("terrain grid contains no valid posts")
     n_lat, n_lon = grid.H.shape
     # a block wider than the tile is cut to it, then rounded up to whole
     # sub-blocks
     s_lat, s_lon = min(SUB_BLOCK, POST_BLOCK, n_lat), min(SUB_BLOCK, POST_BLOCK, n_lon)
     b_lat = -(-min(POST_BLOCK, n_lat) // s_lat) * s_lat
     b_lon = -(-min(POST_BLOCK, n_lon) // s_lon) * s_lon
-    h = np.empty((-(-n_lat // b_lat) * b_lat, -(-n_lon // b_lon) * b_lon))
-    tile = h[:n_lat, :n_lon]
-    np.add(grid.H, grid.N, out=tile)
-    np.copyto(tile, np.nan, where=void)
-    h[n_lat:] = h[:, n_lon:] = np.nan
-    # the degrees of the buffer's rows and columns, those past the tile at
-    # its last post, so that a piece's span ends at the tile's edge
-    lats = grid.lats()[np.minimum(np.arange(h.shape[0]), n_lat - 1)]
-    lons = grid.lons()[np.minimum(np.arange(h.shape[1]), n_lon - 1)]
+    # the block bounds and the block rows to bound again over H + N
+    if np.isscalar(grid.N):
+        lo, hi = (_block_bounds(ufunc, grid.H, b_lat, b_lon) for ufunc in (np.minimum, np.maximum))
+        redo = ~(lo > VOID_ELEVATION).all(axis=1)
+        lo += grid.N
+        hi += grid.N
+    else:
+        shape = -(-n_lat // b_lat), -(-n_lon // b_lon)
+        lo, hi, redo = np.empty(shape), np.empty(shape), np.ones(shape[0], bool)
+    step = max(1, STRIP_POSTS // (b_lat * n_lon))
+    for r in range(0, len(redo), step):
+        if redo[r:r + step].any():
+            lo[r:r + step], hi[r:r + step] = _strip_bounds(
+                grid, slice(r * b_lat, (r + step) * b_lat), b_lat, b_lon)
+    if np.isnan(lo).all() and (grid.H == VOID_ELEVATION).all():
+        raise EmptyGrid("terrain grid contains no valid posts")
+    if np.isinf(lo).any() or np.isinf(hi).any():
+        row, col = np.argwhere(np.isinf(grid.H + grid.N) & (grid.H != VOID_ELEVATION))[0]
+        raise InvalidGrid(f"H + N at row {row}, column {col} is not finite")
 
-    # kept pieces indexed [row, column, piece] with their first rows and
-    # columns in the buffer: the whole buffer, the kept blocks, then the
-    # kept sub-blocks. fmin and fmax skip NaN, and give NaN for a piece
-    # that is NaN throughout.
-    pieces, row0, col0 = h[..., np.newaxis], np.zeros(1, int), np.zeros(1, int)
-    for p_lat, p_lon in (b_lat, b_lon), (s_lat, s_lon):
-        n_rows, n_cols, n = pieces.shape
-        cut = pieces.reshape(n_rows // p_lat, p_lat, n_cols // p_lon, p_lon, n)
-        rows = row0 + p_lat * np.arange(cut.shape[0])[:, np.newaxis, np.newaxis]
-        cols = col0 + p_lon * np.arange(cut.shape[2])[:, np.newaxis]
-        keep = _spheres_near_cone(
-            lats[rows], lats[rows + p_lat - 1], lons[cols], lons[cols + p_lon - 1],
-            np.fmin.reduce(np.fmin.reduce(cut, axis=1), axis=2),
-            np.fmax.reduce(np.fmax.reduce(cut, axis=1), axis=2), cone, reach, far)
-        i, j, k = np.nonzero(keep)
-        # the piece axis last and contiguous: the next level's min and max
-        # then reduce across whole arrays of pieces
-        pieces = np.ascontiguousarray(cut.transpose(1, 3, 0, 2, 4)[:, :, i, j, k])
-        row0, col0 = rows[i, 0, k], cols[j, k]
+    # the degrees of the rows and columns of whole blocks, those past the
+    # tile at its last post, so that a piece's span ends at the tile's edge
+    lats = grid.lats()[np.minimum(np.arange(lo.shape[0] * b_lat), n_lat - 1)]
+    lons = grid.lons()[np.minimum(np.arange(lo.shape[1] * b_lon), n_lon - 1)]
+    rows = b_lat * np.arange(lo.shape[0])[:, np.newaxis]
+    cols = b_lon * np.arange(lo.shape[1])
+    keep = _spheres_near_cone(lats[rows], lats[rows + b_lat - 1], lons[cols],
+                              lons[cols + b_lon - 1], lo, hi, cone, reach, far)
+    i, j = np.nonzero(keep)
+    pieces, row0, col0 = _block_posts(grid, i, j, b_lat, b_lon), b_lat * i, b_lon * j
+
+    # the kept blocks cut into sub-blocks, indexed [row, column, block]: the
+    # block axis last, so min and max reduce across whole arrays of blocks.
+    # fmin and fmax skip NaN, and give NaN for a sub-block that is NaN
+    # throughout.
+    cut = pieces.reshape(b_lat // s_lat, s_lat, b_lon // s_lon, s_lon, len(i))
+    rows = row0 + s_lat * np.arange(cut.shape[0])[:, np.newaxis, np.newaxis]
+    cols = col0 + s_lon * np.arange(cut.shape[2])[:, np.newaxis]
+    keep = _spheres_near_cone(
+        lats[rows], lats[rows + s_lat - 1], lons[cols], lons[cols + s_lon - 1],
+        np.fmin.reduce(np.fmin.reduce(cut, axis=1), axis=2),
+        np.fmax.reduce(np.fmax.reduce(cut, axis=1), axis=2), cone, reach, far)
+    i, j, k = np.nonzero(keep)
+    pieces = np.ascontiguousarray(cut.transpose(1, 3, 0, 2, 4)[:, :, i, j, k])
+    row0, col0 = rows[i, 0, k], cols[j, k]
 
     pieces = pieces.transpose(2, 0, 1)
     k, i, j = np.nonzero(~np.isnan(pieces))

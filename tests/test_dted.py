@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dopplergeo import dted
 from dopplergeo.dted import (
     FIELDS,
     LEVEL_LAT_INTERVAL,
@@ -326,9 +327,9 @@ def set_checksum(data: bytearray, j: int, rec_size: int):
        words=st.integers(0, 3), faults=st.lists(
            st.tuples(st.sampled_from(["sentinel", "byte"]), st.floats(0.0, 1.0),
                      st.floats(0.0, 1.0), st.integers(1, 255)), max_size=3),
-       seed=st.integers(0, 2 ** 16))
+       slab=st.sampled_from([1, 3, 7, dted.TRANSPOSE_SLAB]), seed=st.integers(0, 2 ** 16))
 def test_one_pass_reader_matches_record_loop(level, n_lat, n_lon, void_fraction, words,
-                                             faults, seed):
+                                             faults, slab, seed):
     rng = np.random.default_rng(seed)
     spacing = LEVEL_LAT_INTERVAL[level] / 36000.0
     h = rng.integers(-12000, 9000, size=(n_lat, n_lon)).astype(float)
@@ -337,11 +338,11 @@ def test_one_pass_reader_matches_record_loop(level, n_lat, n_lon, void_fraction,
                        dlat=spacing, dlon=spacing, H=h)
     data = bytearray(write_dted(grid))
     rec_size = 8 + 2 * n_lat + 4
-    # any 16-bit word, the sign-magnitude negative zero 0x8000 included,
-    # written with a valid checksum
+    # any 16-bit word, the sign-magnitude negative zero 0x8000 (+0.0) and
+    # the void 0xFFFF included, written with a valid checksum
     for _ in range(words):
         j, i = int(rng.integers(n_lon)), int(rng.integers(n_lat))
-        word = int(rng.choice([0x8000, int(rng.integers(0, 0x10000))]))
+        word = int(rng.choice([0x8000, 0xFFFF, int(rng.integers(0, 0x10000))]))
         start = HEADERS + j * rec_size + 8 + 2 * i
         data[start:start + 2] = word.to_bytes(2, "big")
         set_checksum(data, j, rec_size)
@@ -352,6 +353,15 @@ def test_one_pass_reader_matches_record_loop(level, n_lat, n_lon, void_fraction,
         offset = 0 if kind == "sentinel" else 1 + min(int(f_byte * (rec_size - 1)), rec_size - 2)
         data[start + offset] ^= flip
     expected = outcome(records_by_loop, bytes(data))
-    assert outcome(lambda d: read_dted(d).H, bytes(data)) == expected
+
+    def heights(d):
+        h = read_dted(d).H
+        assert h.dtype == np.float64 and h.flags.c_contiguous
+        return h
+
+    # slabs of 1, 3 and 7 records leave a short last slab on most tiles
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dted, "TRANSPOSE_SLAB", slab)
+        assert outcome(heights, bytes(data)) == expected
     if not faults and not words:
         assert expected == h.tobytes()

@@ -133,6 +133,83 @@ def test_all_void_grid_raises():
         grid_to_ecef_posts(grid)
 
 
+@pytest.mark.parametrize("geoid", ["scalar", "grid"])
+@pytest.mark.parametrize("shape", ["tile", "no rows", "no columns"])
+def test_all_void_tile_raises_in_the_search(geoid, shape):
+    # a tile of voids, and one without posts, which TerrainGrid accepts
+    curve = steep_scenario()
+    tile = covering_grid(curve)
+    n_lat, n_lon = tile.H.shape
+    h = np.full({"tile": (n_lat, n_lon), "no rows": (0, n_lon), "no columns": (n_lat, 0)}[shape],
+                VOID_ELEVATION)
+    grid = TerrainGrid(lat0=tile.lat0, lon0=tile.lon0, dlat=tile.dlat, dlon=tile.dlon, H=h,
+                       N=12.5 if geoid == "scalar" else np.full(h.shape, 12.5))
+    with pytest.raises(EmptyGrid):
+        grid_to_ecef_posts(grid)
+    with pytest.raises(EmptyGrid):
+        cone_terrain_curve(curve, grid, TerrainSearchConfig.for_grid(tile))
+
+
+def test_a_nan_post_is_no_void():
+    # EmptyGrid means every post is void; a post without a height (NaN)
+    # is not void, so the tile maps to no hit
+    curve = steep_scenario()
+    tile = covering_grid(curve)
+    h = np.full(tile.H.shape, VOID_ELEVATION)
+    h[5, 7] = np.nan
+    grid = TerrainGrid(lat0=tile.lat0, lon0=tile.lon0, dlat=tile.dlat, dlon=tile.dlon, H=h)
+    assert len(grid_to_ecef_posts(grid).index) == 1
+    assert len(cone_terrain_curve(curve, grid, TerrainSearchConfig.for_grid(grid)).etas) == 0
+
+
+@pytest.mark.parametrize("strip", [1, 5000, 10 ** 6])
+def test_a_nan_post_keeps_the_rest_of_its_block(strip):
+    # a post without a height in each row of blocks the search keeps: its
+    # block is bounded again without it, at any strip size, so the search
+    # converts every other post it converted before
+    curve = steep_scenario()
+    tile = covering_grid(curve, spacing=1.0 / 3600.0)
+    _, _, reach, far = _rays(curve, TerrainSearchConfig.for_grid(tile))
+    before = np.sort(_posts_near_cone(tile, curve.cone, reach, far).index)
+    block_row = before // tile.n_lon // terrain.POST_BLOCK
+    lone = [before[block_row == r][0] for r in np.unique(block_row)]
+    assert len(lone) > 1
+    h = tile.H.copy()
+    h.flat[lone] = np.nan
+    grid = TerrainGrid(lat0=tile.lat0, lon0=tile.lon0, dlat=tile.dlat, dlon=tile.dlon, H=h)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(terrain, "STRIP_POSTS", strip)
+        after = _posts_near_cone(grid, curve.cone, reach, far).index
+    assert np.array_equal(np.sort(after), np.setdiff1d(before, lone))
+
+
+def adelaide_flat_tile():
+    """The uav_adelaide_forced_angle sweep at 720 rays over a 600 x 600
+    flat tile at 100 m that holds every one of its hits."""
+    vs = VehicleState.from_attitude(GeodeticCoord(-34.6462, 138.833, 2000.0), 50.0,
+                                    AttitudeEuler(0.0, -30.0, 190.0))
+    cone = cone_from_geometry(vs.position_ecef(), vs.velocity_dir, math.radians(26.56))
+    curve = intersect_cone_ellipsoid(cone, n_samples=720)
+    grid = make_flat_grid(-35.0, 138.5, 1.0 / 1200.0, 1.0 / 1200.0, 600, 600, height=100.0)
+    return curve, grid
+
+
+@pytest.mark.parametrize("field, value", [("H", math.inf), ("H", -math.inf), ("N", math.inf),
+                                          ("N", -math.inf)])
+def test_infinite_height_raises(field, value):
+    # an infinite post gives its block an infinite bound, on which the
+    # sphere test would drop the block and the hits of the rays it serves
+    curve, grid = adelaide_flat_tile()
+    cfg = TerrainSearchConfig.for_grid(grid)
+    row, col = cone_terrain_curve(curve, grid, cfg).grid_index[100] + 1
+    h, n = grid.H.copy(), np.full(grid.H.shape, 7.5)
+    (h if field == "H" else n)[row, col] = value
+    grid = TerrainGrid(lat0=grid.lat0, lon0=grid.lon0, dlat=grid.dlat, dlon=grid.dlon, H=h,
+                       N=n if field == "N" else 7.5)
+    with pytest.raises(InvalidGrid, match=f"H \\+ N at row {row}, column {col} is not finite"):
+        cone_terrain_curve(curve, grid, cfg)
+
+
 @pytest.mark.parametrize("dlat, dlon", [(0.0, SPACING), (SPACING, -SPACING),
                                         (math.nan, SPACING), (SPACING, math.nan)])
 def test_grid_spacing_must_be_positive(dlat, dlon):
@@ -242,6 +319,33 @@ def test_posts_peak_memory_near_the_result():
     # the result itself counts; full lat/lon grids and per-post copies would
     # take the peak to about 6x the ECEF array
     assert peak < 3 * posts.ecef.nbytes
+
+
+@pytest.mark.parametrize("geoid", ["scalar", "grid"])
+@pytest.mark.parametrize("voids", ["none", "scattered", "edge"])
+def test_search_peak_memory_below_the_tile(geoid, voids):
+    # a 600 x 600 tile that the cone misses: the search reads H in place and
+    # bounds the blocks again over H + N with voids as NaN only in strips,
+    # so no tile-sized array is made, whatever the voids and N (a buffer of
+    # H + N would take the peak to 1.2 H.nbytes)
+    tile = make_flat_grid(-34.0, 139.5, 1.0 / 3600.0, 1.0 / 3600.0, 600, 600, height=250.0)
+    h = tile.H.copy()
+    if voids == "scattered":  # a void in every block
+        h[np.random.default_rng(5).random(h.shape) < 0.1] = VOID_ELEVATION
+    elif voids == "edge":  # a coverage edge: the tile's north-east half void
+        h[np.add.outer(np.arange(600), np.arange(600)) > 600] = VOID_ELEVATION
+    grid = TerrainGrid(lat0=tile.lat0, lon0=tile.lon0, dlat=tile.dlat, dlon=tile.dlon, H=h,
+                       N=12.5 if geoid == "scalar" else np.full(h.shape, 12.5))
+    curve = steep_scenario()
+    cfg = TerrainSearchConfig.for_grid(grid)
+    tracemalloc.start()
+    try:
+        tc = cone_terrain_curve(curve, grid, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tc.etas) == 0
+    assert peak < grid.H.nbytes / 4
 
 
 def test_flat_grid_mapping_stays_local():
@@ -399,6 +503,8 @@ BLOCK_SIZES = [1, 3, 16, 10 ** 6]  # 10**6: one block holds the whole tile
 # 3 and 5 divide neither 16 nor each other: they test the rounding of a
 # block up to a whole number of sub-blocks
 SUB_BLOCK_SIZES = [1, 2, 3, 4, 5, 10 ** 6]
+# 1: one block row per strip; 10**6: one strip holds the whole tile
+STRIP_SIZES = [1, 500, 10 ** 6]
 
 
 @settings(max_examples=100, deadline=None)
@@ -407,12 +513,14 @@ SUB_BLOCK_SIZES = [1, 2, 3, 4, 5, 10 ** 6]
        plane=st.booleans(), n_rays=st.integers(16, 160),
        spacing_arcsec=st.sampled_from([1.0, 3.0, 9.0]), relief=st.sampled_from([0.0, 300.0]),
        void_fraction=st.sampled_from([0.0, 0.1]), void_patch=st.booleans(),
+       below_void=st.booleans(), nan_fraction=st.sampled_from([0.0, 0.05]),
        n_lat=st.integers(1, 130), n_lon=st.integers(1, 130), array_n=st.booleans(),
        block=st.sampled_from(BLOCK_SIZES), sub_block=st.sampled_from(SUB_BLOCK_SIZES),
-       seed=st.integers(0, 2 ** 16))
+       strip=st.sampled_from(STRIP_SIZES), seed=st.integers(0, 2 ** 16))
 def test_batched_matches_scan_property(region, fractions, plane, n_rays, spacing_arcsec,
-                                       relief, void_fraction, void_patch, n_lat, n_lon,
-                                       array_n, block, sub_block, seed):
+                                       relief, void_fraction, void_patch, below_void,
+                                       nan_fraction, n_lat, n_lon, array_n, block, sub_block,
+                                       strip, seed):
     lat_lo, lat_hi, lon_lo, lon_hi = REGIONS[region]
     f_lat, f_lon, f_h, f_pitch, f_yaw, f_psi = fractions
     vs = VehicleState.from_attitude(
@@ -438,16 +546,33 @@ def test_batched_matches_scan_property(region, fractions, plane, n_rays, spacing
     if void_patch:  # void posts filling whole blocks of the smaller sizes
         i, j = rng.integers(n_lat), rng.integers(n_lon)
         h[i:i + 20, j:j + 20] = VOID_ELEVATION
+    void = h == VOID_ELEVATION
+    if below_void:  # a portable grid may hold them, beside voids and in void blocks
+        low = void & (rng.random((n_lat, n_lon)) < 0.3)
+        h[low] = VOID_ELEVATION - rng.uniform(0.0, 2000.0, low.sum())
+        h[rng.integers(n_lat), rng.integers(n_lon)] = VOID_ELEVATION - 1.0
+    # posts without a height, which the search takes as NaN
+    h[rng.random((n_lat, n_lon)) < nan_fraction] = np.nan
     h[rng.integers(n_lat), rng.integers(n_lon)] = 0.0  # never an all-void tile
     geoid = rng.uniform(-60.0, 60.0, (n_lat, n_lon)) if array_n else 0.0
     grid = TerrainGrid(lat0=lat0, lon0=lon0, dlat=spacing, dlon=spacing, H=h, N=geoid)
-    # the pruned search at any block and sub-block size, tiles that end
-    # inside a block or a sub-block and blocks rounded up to whole
-    # sub-blocks included, equals the scan over every post
+    # the pruned search at any block, sub-block and strip size, tiles that
+    # end inside a block or a sub-block and blocks rounded up to whole
+    # sub-blocks included, equals the scan over every post; the posts it
+    # converts are scan posts, with their bits
+    cfg = TerrainSearchConfig.for_grid(grid)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(terrain, "POST_BLOCK", block)
         patch.setattr(terrain, "SUB_BLOCK", sub_block)
-        assert_matches_scan(curve, grid, TerrainSearchConfig.for_grid(grid))
+        patch.setattr(terrain, "STRIP_POSTS", strip)
+        assert_matches_scan(curve, grid, cfg)
+        _, _, reach, far = _rays(curve, cfg)
+        posts = _posts_near_cone(grid, curve.cone, reach, far)
+    scan = grid_to_ecef_posts(grid)
+    at = np.searchsorted(scan.index, posts.index)
+    assert np.array_equal(scan.index[np.minimum(at, len(scan.index) - 1)], posts.index)
+    assert posts.ecef.tobytes() == scan.ecef[at].tobytes()
+    assert not np.isnan(posts.ecef).any()
 
 
 def block_at_the_bound(rng, extent):
@@ -522,19 +647,23 @@ def test_block_holding_a_post_at_the_bound_is_kept(extent):
     # tr is the nearest post's distance from the ray at eta = 0 to a
     # nanometre, so its block and sub-block are kept only by r - r' and the
     # prefilter's slack (tr 1e-6): a radius short by more than that drops
-    # the one post that ray hits
-    rng = np.random.default_rng(29)
+    # the one post that ray hits. A scalar or grid N carrying part of each
+    # height tests that the block bounds are those of H + N.
+    rng, rng_n = np.random.default_rng(29), np.random.default_rng(31)
     for _ in range(40):
-        cone, grid, nearest = block_at_the_bound(rng, extent)
+        cone, tile, nearest = block_at_the_bound(rng, extent)
         curve = intersect_cone_ellipsoid(cone, n_samples=360)
         assert 0.0 in curve.etas_near
         k = list(curve.etas_near).index(0.0)
-        hit = map_point_to_terrain(curve.points_near[k], cone.apex, grid_to_ecef_posts(grid),
-                                   TerrainSearchConfig(tr=1e3))
-        assert hit.grid_index == nearest
-        cfg = TerrainSearchConfig(tr=hit.ray_distance + 1e-9)
-        tc = assert_matches_scan(curve, grid, cfg)
-        assert 0.0 in tc.etas
+        for n in 0.0, rng_n.uniform(-60.0, 60.0), rng_n.uniform(-60.0, 60.0, tile.H.shape):
+            grid = TerrainGrid(lat0=tile.lat0, lon0=tile.lon0, dlat=tile.dlat, dlon=tile.dlon,
+                               H=tile.H - n, N=n)
+            hit = map_point_to_terrain(curve.points_near[k], cone.apex, grid_to_ecef_posts(grid),
+                                       TerrainSearchConfig(tr=1e3))
+            assert hit.grid_index == nearest
+            cfg = TerrainSearchConfig(tr=hit.ray_distance + 1e-9)
+            tc = assert_matches_scan(curve, grid, cfg)
+            assert 0.0 in tc.etas
 
 
 def test_sub_blocks_convert_a_third_of_the_block_posts():
