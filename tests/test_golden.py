@@ -18,13 +18,18 @@ and terrain case here fails, and so does tests/test_demos.py; the shift
 and gen-tile cases convert nothing to geodetic and pass.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from dopplergeo.cli import main
+from dopplergeo.dted import write_dted
+from dopplergeo.gridfile import make_ridge_grid, write_portable_grid
+from dopplergeo.terrain import VOID_ELEVATION, TerrainGrid
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "configs")
@@ -213,3 +218,83 @@ def test_shift_output_bytes(pair, capsys):
     assert main(["shift", os.path.join(CONFIG_DIR, pair[0]), os.path.join(CONFIG_DIR, pair[1]),
                  "--detail", "--samples", "1440"]) == 0
     assert sha256(capsys.readouterr().out.encode()) == SHIFT_GOLDEN[pair]
+
+
+# void-tile cases: a ridge tile with 2 % scattered voids and one 20 x 20 void
+# patch over the south-west of the curve, as a 3" portable grid or a 1"
+# DTED tile, under a scalar undulation or a companion undulation grid (DTED
+# has no companion: its undulation is the config's geoid_n_m, given or not).
+# Each case gives the tile format, posts a side and south-west corner, the
+# patch's first row and column and the undulation; then the sha256 of the
+# tile file (and companion), and of terrain.kml, terrain.geojson and stdout.
+VOID_GOLDEN = {
+    "grid_scalar": (
+        ("grid", 40, -34.665, 138.815, (0, 0), -3.5),
+        (("53a0ca3d8a73109269a71f797a25d16f4804906818687b2c21074f8f478d5023",),
+         ("85e77e0b846fe1cde34f9306e144b102d3c14d305e59bb108991fdcd89abab27",
+          "e704d5b13e8e62500e8ce618a2736bdecde68eefebaf3e86abcc9ce24a90fa09",
+          "a96ca9565e153c5c351fd87d4f1c0da99317521fa641dd71980863a03b8221f3"))),
+    "grid_companion": (
+        ("grid", 40, -34.665, 138.815, (0, 0), "grid"),
+        (("cc7c17b3af018a80a395aef2eec1ba76da8b1d0ac666d9726feb42dd09e826d6",
+          "130bb7e86bca6abfc96993099229aa525fe55d99ea482694745c24360a981a67"),
+         ("7a5eb00c7f2d21aa49cdfe035d32aec2bd38dc2edae1108bb0548c91efd13132",
+          "80b46f5231b4f4dbf4d4256ab247b6cc4f690d7bba7aa4015a27b897348b1640",
+          "ba9e5609caf20c5af5bb4e56f264bbd0371c9fa6319ebe57dd82ed08aea490f4"))),
+    "dted": (
+        ("dted", 100, -34.66, 138.82, (25, 25), None),
+        (("58b6642fa9f551e982f859532bd55626ab1e5577476f2c39a4a90b16eabc30c6",),
+         ("f44938ad24d91b9b35a9590ce371aebc2db5e1bc53ddf708762d8d5496c087fc",
+          "37e58a99e938e4f660aaf0539cb92077e379ad273f41fe5575fc6ef6792eae70",
+          "4bd98afcb2679e16d7e8ce72a8aa5ed51c6494627f48c2954a40a5ec8e94245e"))),
+    "dted_geoid_n": (
+        ("dted", 100, -34.66, 138.82, (25, 25), 12.5),
+        (("58b6642fa9f551e982f859532bd55626ab1e5577476f2c39a4a90b16eabc30c6",),
+         ("21050f95682185d29f9cd1f4b748db39d9d18cca9516694767930695fe666fc9",
+          "c8ec6560acdddd8771314f645583118b10b602d608b5f85eabdafd1fa42f3705",
+          "cb2d05d9c03d3224b3d5fc328e8a02fe0e1a719d859c73625a27afc669a9f673"))),
+}
+
+
+def void_tile(fmt: str, n: int, lat0: float, lon0: float, patch) -> TerrainGrid:
+    spacing = (1.0 if fmt == "dted" else 3.0) / 3600.0
+    grid = make_ridge_grid(lat0, lon0, spacing, spacing, n, n, 600.0)
+    grid.H[np.random.default_rng(28).random(grid.H.shape) < 0.02] = VOID_ELEVATION
+    grid.H[patch[0]:patch[0] + 20, patch[1]:patch[1] + 20] = VOID_ELEVATION
+    return grid
+
+
+def void_tile_hashes(case: str, tmp_path, capsys):
+    (fmt, n, lat0, lon0, patch, undulation), _ = VOID_GOLDEN[case]
+    grid = void_tile(fmt, n, lat0, lon0, patch)
+    terrain = {"format": fmt}
+    if fmt == "dted":
+        files = {"tile.dt2": write_dted(grid)}
+        if undulation is not None:
+            terrain["geoid_n_m"] = undulation
+    elif undulation == "grid":
+        # a smooth undulation of 20-25 m, written beside the tile
+        rows, cols = np.indices(grid.H.shape)
+        n_grid = dataclasses.replace(grid, H=20.0 + 0.125 * rows - 0.0625 * cols)
+        text = write_portable_grid(grid).replace("geoid_n = 0.0", "geoid_grid = n.grid")
+        files = {"tile.grid": text.encode(), "n.grid": write_portable_grid(n_grid).encode()}
+    else:
+        files = {"tile.grid": write_portable_grid(dataclasses.replace(grid, N=undulation)).encode()}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    terrain["path"] = str(tmp_path / next(iter(files)))
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"vehicle": STEEP_UAV, "measurement": {"semi_angle_deg": 15.0},
+                                  "sweep": {"n_samples": 360}, "terrain": terrain}))
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["terrain", "--config", str(config), "--out", str(out_dir)]) == 0
+    stdout = capsys.readouterr().out.replace(str(out_dir), "<out>")
+    return (tuple(sha256(data) for data in files.values()),
+            (sha256((out_dir / "terrain.kml").read_bytes()),
+             sha256((out_dir / "terrain.geojson").read_bytes()), sha256(stdout.encode())))
+
+
+@pytest.mark.parametrize("case", sorted(VOID_GOLDEN))
+def test_void_tile_terrain_bytes(case, tmp_path, capsys):
+    assert void_tile_hashes(case, tmp_path, capsys) == VOID_GOLDEN[case][1]
