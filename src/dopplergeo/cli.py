@@ -4,9 +4,9 @@
 # curves / terrain curves / curve-shift reports out.
 #
 # Exit codes: 0 success (an empty intersection is a success), 2 infeasible
-# measurement, 3 terrain/file I/O failure (an all-void tile included), 4
-# config validation failure. Any other error is a fault of the program, not
-# of its input: it propagates with its traceback.
+# measurement, 3 terrain/file I/O failure (a tile without a height
+# included), 4 config validation failure. Any other error is a fault of the
+# program, not of its input: it propagates with its traceback.
 
 from __future__ import annotations
 

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .export import repr_rows
-from .terrain import TerrainGrid
+from .terrain import VOID_ELEVATION, TerrainGrid
 
 REQUIRED_KEYS = ("lat0", "lon0", "dlat", "dlon", "n_lat", "n_lon")
 HEADER_KEYS = REQUIRED_KEYS + ("geoid_n", "geoid_grid")
@@ -29,7 +29,8 @@ class ParseError(ValueError):
 
 
 def write_portable_grid(grid: TerrainGrid) -> str:
-    """Serialize a grid losslessly (repr-exact floats, voids preserved).
+    """Serialize a grid losslessly (repr-exact floats; NaN, a post without
+    a height, is written as the void value VOID_ELEVATION).
 
     A scalar geoid undulation is written inline; an undulation grid must be
     saved separately and referenced via the geoid_grid key by the caller.
@@ -41,7 +42,8 @@ def write_portable_grid(grid: TerrainGrid) -> str:
     else:
         raise ValueError("gridded undulation needs a companion file; "
                          "write it separately and reference it with geoid_grid")
-    lines += [row.replace(",", " ") for row in repr_rows(grid.H)]
+    heights = np.where(np.isnan(grid.H), VOID_ELEVATION, grid.H)
+    lines += [row.replace(",", " ") for row in repr_rows(heights)]
     return "\n".join(lines) + "\n"
 
 
@@ -102,7 +104,8 @@ def _heights_in_one_call(block: str) -> np.ndarray | None:
 def _grid_fields(header: dict[str, str], values: np.ndarray) -> dict:
     """The grid fields (all but the undulation) from the header and the
     heights. n_lat and n_lon must be at least 1 and the heights, in an
-    undulation companion grid too, finite; TerrainGrid checks the other
+    undulation companion grid too, finite; the void value VOID_ELEVATION
+    becomes NaN, a post without a height. TerrainGrid checks the other
     header values."""
     for key in REQUIRED_KEYS:
         if key not in header:
@@ -118,12 +121,13 @@ def _grid_fields(header: dict[str, str], values: np.ndarray) -> dict:
 
     if len(values) != n_lat * n_lon:
         raise ParseError(f"expected {n_lat * n_lon} heights, found {len(values)}")
-    # the format holds heights: the terrain search would take NaN for a post
-    # without a height and refuse an infinite one as an InvalidGrid
+    # the format writes a void as VOID_ELEVATION, never as NaN, and the
+    # terrain search would refuse an infinite height as an InvalidGrid
     finite = np.isfinite(values)
     if not finite.all():
         row, col = divmod(int(np.argmin(finite)), n_lon)
         raise ParseError(f"height at row {row}, column {col} is not finite")
+    np.copyto(values, np.nan, where=values == VOID_ELEVATION)
     fields["H"] = values.reshape(n_lat, n_lon)
     return fields
 
@@ -163,9 +167,9 @@ def read_portable_grid(text: str) -> TerrainGrid:
 def load_portable_grid(path: str) -> TerrainGrid:
     """Read a portable grid file, resolving a geoid_grid companion reference
     (a second portable grid, beside it, whose heights are undulation values
-    at the tile's posts: its six header values must equal the tile's, and
-    its own geoid_n, which write_portable_grid writes as 0, must be 0). A
-    tile gives geoid_n or geoid_grid, not both."""
+    at the tile's posts: its six header values must equal the tile's, its
+    own geoid_n, which write_portable_grid writes as 0, must be 0, and it
+    holds no void). A tile gives geoid_n or geoid_grid, not both."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     header, fields = _parse_portable_grid(text)
@@ -184,6 +188,10 @@ def load_portable_grid(path: str) -> TerrainGrid:
                              f"the tile {getattr(grid, key)!r}")
     if n_grid.N != 0.0:
         raise ParseError(f"undulation grid {ref} has geoid_n = {n_grid.N!r}, not 0")
+    void = np.isnan(n_grid.H)
+    if void.any():
+        row, col = np.argwhere(void)[0]
+        raise ParseError(f"undulation grid {ref} has a void at row {row}, column {col}")
     return dataclasses.replace(grid, N=n_grid.H)
 
 

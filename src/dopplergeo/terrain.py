@@ -22,6 +22,9 @@ from .geodesy import (
 )
 from .intersect import IntersectionCurve
 
+# the height that the tile file formats hold for a post without one (DTED's
+# word 0xFFFF); their readers give NaN in its place and their writers write
+# NaN as it
 VOID_ELEVATION = -32767.0
 
 # the one value TerrainSearchConfig.strategy accepts
@@ -35,11 +38,11 @@ TIE_EPS = 1e-6
 PREFILTER_SLACK = 1e-6
 # posts per side of the square blocks that cone_terrain_curve keeps or drops
 # as a whole, rounded up to a whole number of sub-blocks; their bounds are
-# reduced from H in place, and voids and the posts past the tile hold no
-# height. On the 600 x 600 1-arcsec tiles of the terrain_wide benchmark, 16
-# keeps 5.4-7.8% of the posts (1 444 blocks) and 8 keeps 2.7-3.9% (5 625
-# blocks), yet the two search equally fast, within run-to-run noise: what 8
-# saves in posts it spends on blocks. 4 and 32 are 1.2-1.6x slower.
+# reduced from H (and an N grid) in place, skipping NaN posts. On the
+# 600 x 600 1-arcsec tiles of the terrain_wide benchmark, 16 keeps 5.4-7.8%
+# of the posts (1 444 blocks) and 8 keeps 2.7-3.9% (5 625 blocks), yet the
+# two search equally fast, within run-to-run noise: what 8 saves in posts
+# it spends on blocks. 4 and 32 are 1.2-1.6x slower.
 POST_BLOCK = 16
 # posts per side of the square sub-blocks that each kept block is cut into
 # (a block is a whole number of them) and kept or dropped by the same
@@ -51,19 +54,11 @@ POST_BLOCK = 16
 # terrain_dense (83 008 posts in kept blocks over 20 ops) the three sizes
 # are within run-to-run noise of each other.
 SUB_BLOCK = 4
-# posts, at most or one block row, in each strip of whole block rows that
-# cone_terrain_curve bounds again over H + N with voids as NaN: the block
-# rows holding a void, or every one under an N grid. On a 600 x 600 tile
-# with 1% scattered voids and a scalar N, strips of 2**15 and 2**16 posts
-# search in 2.05 ms, 2**12 in 2.6 ms (more calls) and 2**18 in 2.5 ms (a
-# strip that leaves the cache); on a 3 601 x 3 601 tile, whose block rows
-# hold 57 616 posts, one block row a strip takes 62-64 ms and 2**18 or
-# 2**20 posts 69-71 ms.
-STRIP_POSTS = 1 << 15
 
 
 class EmptyGrid(ValueError):
-    """Every post in the grid is void."""
+    """The grid holds no post with a height: every H + N is NaN, or there
+    is no post."""
 
 
 class InvalidGrid(ValueError):
@@ -79,14 +74,13 @@ class TerrainGrid:
 
     lat0/lon0 name the south-west corner post; H is indexed [lat, lon] with
     row 0 at lat0. N is the geoid undulation: a scalar or an array matching
-    H. Void posts carry VOID_ELEVATION and are never treated as height 0.
-    lat0, lon0, dlat > 0, dlon > 0 and a scalar N are finite, and every post
-    row lies in [-90, 90] degrees of latitude (InvalidGrid otherwise); the
-    longitudes may run past the antimeridian. An infinite height H + N
-    raises InvalidGrid from the terrain search, whose block bounds see every
-    post, so no pass over every post is made here; the readers reject
-    infinite and NaN heights. The terrain search takes NaN for a post
-    without a height.
+    H. A post without a height (a void of a tile file) holds NaN in H, never
+    0; the terrain search skips every post whose H + N is NaN. lat0, lon0,
+    dlat > 0, dlon > 0 and a scalar N are finite, and every post row lies in
+    [-90, 90] degrees of latitude (InvalidGrid otherwise); the longitudes may
+    run past the antimeridian. An infinite height H + N raises InvalidGrid
+    from the terrain search, whose block bounds see every post, so no pass
+    over every post is made here; the readers reject infinite heights.
     """
 
     lat0: float
@@ -148,7 +142,8 @@ class TerrainGrid:
 
 @dataclass(frozen=True)
 class EcefPostSet:
-    """Non-void grid posts in ECEF with their flat grid indices."""
+    """Grid posts with a height (H not NaN) in ECEF with their flat grid
+    indices."""
 
     ecef: np.ndarray
     index: np.ndarray
@@ -224,12 +219,13 @@ def _posts_ecef(grid: TerrainGrid, rows, cols, h) -> np.ndarray:
 
 
 def grid_to_ecef_posts(grid: TerrainGrid) -> EcefPostSet:
-    """Convert every non-void post to ECEF at its ellipsoid height (H + N).
+    """Convert every post with a height (H not NaN) to ECEF at its
+    ellipsoid height (H + N).
 
     A column of latitudes is broadcast against a row of longitudes, so no
     lat/lon grid is built; longitudes past +-180 are folded (_posts_ecef).
     """
-    valid = grid.H != VOID_ELEVATION
+    valid = ~np.isnan(grid.H)
     if not valid.any():
         raise EmptyGrid("terrain grid contains no valid posts")
     ecef = _posts_ecef(grid, np.arange(grid.n_lat)[:, np.newaxis], slice(None), grid.H + grid.N)
@@ -253,8 +249,8 @@ def _spheres_near_cone(lat_a, lat_b, lon_a, lon_b, lo, hi, cone: DopplerCone, re
     prefilter (|off| <= reach, range <= far), by their bounding spheres.
 
     A block spans latitudes lat_a..lat_b and longitudes lon_a..lon_b (the
-    degrees of its first and last posts) and heights lo..hi (its min and max
-    of H + N, NaN when every post is void or past the tile); the arguments
+    degrees of its first and last posts) and heights lo..hi (bounds of its
+    H + N, NaN when no post has a height); the arguments
     broadcast. Its sphere has centre c at the middle of those ranges and
     radius r. off (_cone_frame), a signed distance, is 1-Lipschitz in the
     post position, and so is the range |x - apex|: no post of the block
@@ -293,17 +289,19 @@ def _spheres_near_cone(lat_a, lat_b, lon_a, lon_b, lo, hi, cone: DopplerCone, re
     return (np.abs(off) <= reach + r) & (dist - r <= far)
 
 
-def _block_bounds(ufunc, h: np.ndarray, b_lat: int, b_lon: int) -> np.ndarray:
+def _block_bounds(ufunc, h, b_lat: int, b_lon: int):
     """ufunc.reduce of h over each block of b_lat x b_lon posts, the last
     block row and column short where the tile ends inside them. ufunc is
-    np.minimum or np.maximum, which give NaN for a block holding a NaN post
-    (so only a tile whose every post is void has VOID_ELEVATION for both
-    bounds of every block), or np.fmin or np.fmax, which skip NaN. The whole block rows are reduced through a
-    reshape of h's leading rows and the short last row on its own, so h is
-    read, never copied. The columns of that result, 1 / b_lat of the tile,
-    are reduced by reduceat, which beats a reshape there (the whole bound
-    takes 15 against 24 us at 120 x 120, 0.21 against 0.28 ms at 600 x 600)
-    but loses on the tile's rows (40 us and 1.0 ms)."""
+    np.fmin or np.fmax, which skip NaN posts: a block without a height has
+    NaN bounds. A scalar h (a scalar N) is its own bound. The whole block
+    rows are reduced through a reshape of h's leading rows and the short
+    last row on its own, so h is read, never copied. The columns of that
+    result, 1 / b_lat of the tile, are reduced by reduceat, which beats a
+    reshape there (the whole bound takes 15 against 24 us at 120 x 120, 0.21
+    against 0.28 ms at 600 x 600) but loses on the tile's rows (40 us and
+    1.0 ms)."""
+    if np.isscalar(h):
+        return h
     n_lat, n_lon = h.shape
     cut = n_lat - n_lat % b_lat
     rows = ufunc.reduce(h[:cut].reshape(-1, b_lat, n_lon), axis=1)
@@ -312,39 +310,27 @@ def _block_bounds(ufunc, h: np.ndarray, b_lat: int, b_lon: int) -> np.ndarray:
     return ufunc.reduceat(rows, np.arange(0, n_lon, b_lon), axis=1)
 
 
-def _strip_bounds(grid: TerrainGrid, rows: slice, b_lat: int, b_lon: int):
-    """The lower and upper bounds of H + N over the blocks of b_lat x b_lon
-    posts in the rows of the tile that rows selects, whole block rows or the
-    tile's last ones. Voids are NaN there, which fmin and fmax skip; a block
-    without a height has NaN bounds."""
-    h = grid.H[rows]
-    strip = h + (grid.N if np.isscalar(grid.N) else grid.N[rows])
-    np.copyto(strip, np.nan, where=h == VOID_ELEVATION)
-    return _block_bounds(np.fmin, strip, b_lat, b_lon), _block_bounds(np.fmax, strip, b_lat, b_lon)
-
-
 def _block_posts(grid: TerrainGrid, i: np.ndarray, j: np.ndarray, b_lat: int,
                  b_lon: int) -> np.ndarray:
     """The heights H + N of the posts of the b_lat x b_lon blocks (i, j) of
-    the tile, as (b_lat, b_lon, len(i)), with voids and the posts past the
-    tile NaN. The rows and columns are clipped to the tile, so a short block
-    is gathered whole."""
+    the tile, as (b_lat, b_lon, len(i)), with the posts past the tile NaN.
+    The rows and columns are clipped to the tile, so a short block is
+    gathered whole."""
     n_lat, n_lon = grid.H.shape
     rows = b_lat * i + np.arange(b_lat)[:, np.newaxis, np.newaxis]
     cols = b_lon * j + np.arange(b_lon)[:, np.newaxis]
     # one flat index: take is faster than indexing by rows and columns
     at = np.minimum(rows, n_lat - 1) * n_lon + np.minimum(cols, n_lon - 1)
     posts = grid.H.take(at)
-    blank = (posts == VOID_ELEVATION) | (rows >= n_lat) | (cols >= n_lon)
     np.add(posts, grid.N if np.isscalar(grid.N) else grid.N.take(at), out=posts)
-    np.copyto(posts, np.nan, where=blank)
+    np.copyto(posts, np.nan, where=(rows >= n_lat) | (cols >= n_lon))
     return posts
 
 
 def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float,
                      far: float) -> EcefPostSet:
-    """The non-void posts of the blocks that can hold a candidate of the
-    cone-frame prefilter (|off| <= reach, range <= far).
+    """The posts with a height of the blocks that can hold a candidate of
+    the cone-frame prefilter (|off| <= reach, range <= far).
 
     Two levels: the tile is cut into blocks of POST_BLOCK posts a side,
     rounded up to a whole number of SUB_BLOCK-square sub-blocks, and each
@@ -352,21 +338,17 @@ def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float,
     bounding sphere misses the prefilter (_spheres_near_cone), so it holds
     no post the prefilter keeps.
 
-    The block bounds are taken straight from H (_block_bounds) and a scalar
-    N added to them afterwards: rounding is monotone, so min(H) + N is the
-    min of H + N bit for bit. The block rows holding a block whose lower
-    bound is not above VOID_ELEVATION (a void, a NaN height or a height at
-    or below it), and with an N grid every block row, are bounded again
-    over H + N with voids as NaN, in strips of at most STRIP_POSTS posts or
-    one block row (_strip_bounds); a block without a height keeps NaN bounds and fails
-    the sphere test. Only the kept blocks are gathered, as heights H + N
-    with voids and the posts past the tile NaN (_block_posts), so besides H
-    no array larger than a strip or the kept blocks is made, whatever the
-    voids and N. The non-NaN posts of the kept sub-blocks go to _posts_ecef
-    with their rows, columns and heights, the same bits as
-    grid_to_ecef_posts. Raises EmptyGrid when every post is void (or there
-    is none), and InvalidGrid naming the first post whose H + N is
-    infinite.
+    A block's bounds are the fmin and fmax of H over it plus a scalar N, or
+    plus the fmin and fmax of an N grid over it (_block_bounds), NaN posts
+    skipped: rounding is monotone, so min H + min N is a lower bound of
+    every H + N of the block, and max H + max N an upper one. A block
+    without a height has NaN bounds and fails the sphere test. Only the
+    kept blocks are gathered, as heights H + N (_block_posts), so besides H
+    no array larger than the kept blocks is made, whatever the NaN posts
+    and N. The non-NaN posts of the kept sub-blocks go to _posts_ecef with
+    their rows, columns and heights, the same bits as grid_to_ecef_posts.
+    Raises EmptyGrid when every H + N is NaN (or there is no post), and
+    InvalidGrid naming the first post whose H or N is infinite.
     """
     if grid.H.size == 0:
         raise EmptyGrid("terrain grid contains no valid posts")
@@ -376,24 +358,12 @@ def _posts_near_cone(grid: TerrainGrid, cone: DopplerCone, reach: float,
     s_lat, s_lon = min(SUB_BLOCK, POST_BLOCK, n_lat), min(SUB_BLOCK, POST_BLOCK, n_lon)
     b_lat = -(-min(POST_BLOCK, n_lat) // s_lat) * s_lat
     b_lon = -(-min(POST_BLOCK, n_lon) // s_lon) * s_lon
-    # the block bounds and the block rows to bound again over H + N
-    if np.isscalar(grid.N):
-        lo, hi = (_block_bounds(ufunc, grid.H, b_lat, b_lon) for ufunc in (np.minimum, np.maximum))
-        redo = ~(lo > VOID_ELEVATION).all(axis=1)
-        lo += grid.N
-        hi += grid.N
-    else:
-        shape = -(-n_lat // b_lat), -(-n_lon // b_lon)
-        lo, hi, redo = np.empty(shape), np.empty(shape), np.ones(shape[0], bool)
-    step = max(1, STRIP_POSTS // (b_lat * n_lon))
-    for r in range(0, len(redo), step):
-        if redo[r:r + step].any():
-            lo[r:r + step], hi[r:r + step] = _strip_bounds(
-                grid, slice(r * b_lat, (r + step) * b_lat), b_lat, b_lon)
-    if np.isnan(lo).all() and (grid.H == VOID_ELEVATION).all():
+    lo, hi = (_block_bounds(ufunc, grid.H, b_lat, b_lon)
+              + _block_bounds(ufunc, grid.N, b_lat, b_lon) for ufunc in (np.fmin, np.fmax))
+    if np.isnan(lo).all():
         raise EmptyGrid("terrain grid contains no valid posts")
     if np.isinf(lo).any() or np.isinf(hi).any():
-        row, col = np.argwhere(np.isinf(grid.H + grid.N) & (grid.H != VOID_ELEVATION))[0]
+        row, col = np.argwhere(np.isinf(grid.H) | np.isinf(grid.N))[0]
         raise InvalidGrid(f"H + N at row {row}, column {col} is not finite")
 
     # the degrees of the rows and columns of whole blocks, those past the
@@ -489,7 +459,7 @@ def cone_terrain_curve(curve: IntersectionCurve, grid: TerrainGrid,
     blocks whose bounding spheres reach the cone-frame prefilter are
     converted (_posts_near_cone); a dropped block or sub-block holds no post
     the prefilter keeps, so the result equals the search over every post.
-    Raises EmptyGrid when every post is void.
+    Raises EmptyGrid when no post has a height.
     """
     rays = _rays(curve, cfg)
     _, _, reach, far = rays

@@ -9,7 +9,7 @@ import numpy as np
 from dopplergeo.dted import LEVEL_LAT_INTERVAL
 from dopplergeo.geodesy import ecef_to_geodetic_arrays
 from dopplergeo.gridfile import make_flat_grid
-from dopplergeo.terrain import VOID_ELEVATION, TerrainGrid
+from dopplergeo.terrain import TerrainGrid
 
 
 def covering_grid(curve, height=0.0, spacing=3.0 / 3600.0, margin=0.01):
@@ -56,5 +56,5 @@ def make_random_tile(rng: np.random.Generator, level: int,
     lon0 = float(rng.integers(-179 * 3600, 179 * 3600)) / 3600.0
     h = rng.integers(-500, 4000, size=(n_lat, n_lon)).astype(float)
     voids = rng.random((n_lat, n_lon)) < void_fraction
-    h[voids] = VOID_ELEVATION
+    h[voids] = np.nan
     return TerrainGrid(lat0=lat0, lon0=lon0, dlat=spacing, dlon=spacing, H=h)

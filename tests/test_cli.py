@@ -11,9 +11,10 @@ import pytest
 
 from dopplergeo import cli, export
 from dopplergeo.cli import build_parser, main
+from dopplergeo.dted import write_dted
 from dopplergeo.export import format_positions
 from dopplergeo.gridfile import make_flat_grid, write_portable_grid
-from dopplergeo.terrain import VOID_ELEVATION, TerrainGrid
+from dopplergeo.terrain import TerrainGrid
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "configs")
@@ -231,11 +232,23 @@ def test_terrain_all_void_tile_exit_3(tmp_path, capsys):
     tile = tmp_path / "void.grid"
     tile.write_text(write_portable_grid(TerrainGrid(
         lat0=-34.70, lon0=138.80, dlat=3 / 3600, dlon=3 / 3600,
-        H=np.full((4, 4), VOID_ELEVATION))))
+        H=np.full((4, 4), np.nan))))
     cfg = dict(STEEP, terrain={"path": str(tile), "format": "grid"})
     path = write_json(tmp_path / "t.json", cfg)
     assert main(["terrain", "--config", path, "--out", str(tmp_path)]) == 3
     assert "no valid posts" in capsys.readouterr().err
+
+
+def test_terrain_all_void_dted_tile_exit_3(tmp_path, capsys):
+    # a DTED tile of void words reads as a tile without a height
+    tile = tmp_path / "void.dt1"
+    tile.write_bytes(write_dted(TerrainGrid(lat0=-34.70, lon0=138.80, dlat=3 / 3600,
+                                            dlon=3 / 3600, H=np.full((4, 4), np.nan))))
+    cfg = dict(STEEP, terrain={"path": str(tile), "format": "dted"})
+    path = write_json(tmp_path / "t.json", cfg)
+    assert main(["terrain", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "no valid posts" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_terrain_non_finite_height_exit_3(tmp_path, capsys):
@@ -591,6 +604,19 @@ def test_terrain_companion_of_another_shape_exit_3(tmp_path, capsys):
     path = write_json(tmp_path / "t.json", dict(STEEP, terrain={"path": str(tile)}))
     assert main(["terrain", "--config", path, "--out", str(tmp_path / "out")]) == 3
     assert "undulation grid n.grid has n_lat = 1, the tile 2" in capsys.readouterr().err
+
+
+def test_terrain_void_in_companion_exit_3(tmp_path, capsys):
+    # a void in an undulation grid used to be read as an undulation of -32767 m
+    n_grid = make_flat_grid(-34.75, 138.75, 0.01, 0.01, 2, 2, height=-5.0)
+    n_grid.H[1, 0] = np.nan
+    (tmp_path / "n.grid").write_text(write_portable_grid(n_grid))
+    tile = tmp_path / "tile.grid"
+    tile.write_text(write_portable_grid(make_flat_grid(-34.75, 138.75, 0.01, 0.01, 2, 2))
+                    .replace("geoid_n = 0.0", "geoid_grid = n.grid"))
+    path = write_json(tmp_path / "t.json", dict(STEEP, terrain={"path": str(tile)}))
+    assert main(["terrain", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "undulation grid n.grid has a void at row 1, column 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, fmt", [("tile.grid", None), ("tile.dt1", "grid")])

@@ -49,16 +49,16 @@ def test_round_trip_random_tiles_all_levels():
         level = int(rng.integers(0, 3))
         grid = make_random_tile(rng, level)
         back = read_dted(write_dted(grid))
-        assert np.array_equal(back.H, grid.H)
+        assert np.array_equal(back.H, grid.H, equal_nan=True)
         assert (back.lat0, back.lon0, back.dlat, back.dlon) == \
                (grid.lat0, grid.lon0, grid.dlat, grid.dlon)
 
 
 def test_voids_survive_and_are_not_zero():
     grid = small_tile()
-    grid.H[2, 1] = VOID_ELEVATION
+    grid.H[2, 1] = np.nan
     back = read_dted(write_dted(grid))
-    assert back.H[2, 1] == VOID_ELEVATION
+    assert np.isnan(back.H[2, 1])
 
 
 def test_negative_elevations_sign_magnitude():
@@ -115,15 +115,26 @@ def test_writer_rejects_unencodable_spacing():
         write_dted(grid)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
 def test_writer_rejects_non_finite_heights(value):
-    # NaN rounds to the lowest int64, which passes the 16-bit range check
-    # and would be written as 0 m
     h = small_tile().H.copy()
     h[2, 1] = value
     grid = TerrainGrid(lat0=-35.0, lon0=138.0, dlat=30 / 36000.0, dlon=30 / 36000.0, H=h)
     with pytest.raises(DtedError, match="finite"):
         write_dted(grid)
+
+
+def test_writer_writes_nan_as_the_void_word():
+    # NaN is a post without a height: it is written as the void word 0xFFFF,
+    # the bytes of VOID_ELEVATION, never as 0 m, and read back as NaN
+    grid = small_tile()
+    grid.H[2, 1] = np.nan
+    data = write_dted(grid)
+    grid.H[2, 1] = VOID_ELEVATION
+    assert data == write_dted(grid)
+    rec_size = 8 + 2 * grid.n_lat + 4
+    assert data[HEADERS + rec_size + 8 + 4:HEADERS + rec_size + 8 + 6] == b"\xff\xff"
+    assert np.flatnonzero(np.isnan(read_dted(data).H)).tolist() == [2 * grid.n_lon + 1]
 
 
 @pytest.mark.parametrize("lat0, lon0, shape", [
@@ -245,6 +256,7 @@ def records_by_loop(data: bytes) -> np.ndarray:
             raise ChecksumMismatch(j, expected, actual)
         raw = np.frombuffer(rec[8:8 + 2 * n_lat], dtype=">u2").astype(np.int64)
         heights[:, j] = np.where(raw & 0x8000, -(raw & 0x7FFF), raw).astype(float)
+        heights[raw == 0xFFFF, j] = np.nan  # the void word
     return heights
 
 
@@ -275,7 +287,9 @@ def write_by_loop(grid: TerrainGrid, level: int) -> bytes:
     records = bytearray()
     for j in range(grid.n_lon):
         rec = bytearray([RECORD_SENTINEL]) + j.to_bytes(3, "big") + j.to_bytes(2, "big") + bytes(2)
-        vals = np.rint(grid.H[:, j]).astype(np.int64)
+        column = grid.H[:, j]
+        # NaN, a post without a height, is the void word, as -32767 m is
+        vals = np.rint(np.where(np.isnan(column), -32767.0, column)).astype(np.int64)
         rec += np.where(vals < 0, 0x8000 | -vals, vals).astype(">u2").tobytes()
         rec += (sum(rec) & 0xFFFFFFFF).to_bytes(4, "big")
         records += rec
@@ -291,12 +305,12 @@ def test_array_writer_matches_record_loop(level, n_lat, n_lon, lon_factor, void_
     rng = np.random.default_rng(seed)
     spacing = LEVEL_LAT_INTERVAL[level] / 36000.0
     # whole and half meters of either sign (halves round to even), the
-    # ends of the 16-bit range and voids
+    # ends of the 16-bit range and voids (NaN); -32767 m is the void word
     h = rng.integers(-32766, 32767, size=(n_lat, n_lon)) + rng.choice(
         [0.0, 0.25, 0.5, -0.5], size=(n_lat, n_lon))
     h[rng.random((n_lat, n_lon)) < 0.1] = 32767.0
     h[rng.random((n_lat, n_lon)) < 0.1] = -32767.0
-    h[rng.random((n_lat, n_lon)) < void_fraction] = VOID_ELEVATION
+    h[rng.random((n_lat, n_lon)) < void_fraction] = np.nan
     # the last row at most at the pole: each row is a whole number of arcseconds
     top = 90 * 3600 - LEVEL_LAT_INTERVAL[level] // 10 * (n_lat - 1)
     grid = TerrainGrid(lat0=float(rng.integers(-90 * 3600, top + 1)) / 3600.0,
@@ -304,7 +318,8 @@ def test_array_writer_matches_record_loop(level, n_lat, n_lon, lon_factor, void_
                        dlat=spacing, dlon=spacing * lon_factor, H=h)
     data = write_dted(grid)
     assert data == write_by_loop(grid, level)
-    assert np.array_equal(read_dted(data).H, np.rint(h))
+    void = np.isnan(h) | (np.rint(h) == -32767.0)
+    assert np.array_equal(read_dted(data).H, np.where(void, np.nan, np.rint(h)), equal_nan=True)
 
 
 def outcome(reader, data):
@@ -333,7 +348,7 @@ def test_one_pass_reader_matches_record_loop(level, n_lat, n_lon, void_fraction,
     rng = np.random.default_rng(seed)
     spacing = LEVEL_LAT_INTERVAL[level] / 36000.0
     h = rng.integers(-12000, 9000, size=(n_lat, n_lon)).astype(float)
-    h[rng.random((n_lat, n_lon)) < void_fraction] = VOID_ELEVATION
+    h[rng.random((n_lat, n_lon)) < void_fraction] = np.nan
     grid = TerrainGrid(lat0=float(rng.integers(-80, 80)), lon0=float(rng.integers(-179, 179)),
                        dlat=spacing, dlon=spacing, H=h)
     data = bytearray(write_dted(grid))

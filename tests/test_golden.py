@@ -1,6 +1,6 @@
 """Golden bytes: `dopplergeo intersect` on every committed config, the tiles
-`gen-tile` writes, `dopplergeo terrain` on such tiles, and `dopplergeo shift
---detail` on the committed config pairs.
+`gen-tile` writes, `dopplergeo terrain` on such tiles and on tiles holding
+voids, and `dopplergeo shift --detail` on the committed config pairs.
 
 The README promises byte-identical output for identical configs; these
 hashes pin the KML, the GeoJSON and the printed report (with the output
@@ -29,7 +29,7 @@ import pytest
 from dopplergeo.cli import main
 from dopplergeo.dted import write_dted
 from dopplergeo.gridfile import make_ridge_grid, write_portable_grid
-from dopplergeo.terrain import VOID_ELEVATION, TerrainGrid
+from dopplergeo.terrain import TerrainGrid
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "configs")
@@ -180,8 +180,14 @@ def terrain_hashes(case: str, tmp_path, capsys) -> tuple[str, str, str]:
     tile = tmp_path / ("tile.dt1" if "dted" in tile_args else "tile.grid")
     assert main(["gen-tile", "--out-path", str(tile)] + tile_args) == 0
     fmt = "dted" if "dted" in tile_args else "grid"
+    return run_terrain(dict(scenario, terrain={"path": str(tile), "format": fmt}), tmp_path, capsys)
+
+
+def run_terrain(scenario: dict, tmp_path, capsys) -> tuple[str, str, str]:
+    """`dopplergeo terrain` on the scenario: the sha256 of terrain.kml,
+    terrain.geojson and stdout."""
     config = tmp_path / "scenario.json"
-    config.write_text(json.dumps(dict(scenario, terrain={"path": str(tile), "format": fmt})))
+    config.write_text(json.dumps(scenario))
     out_dir = tmp_path / "out"
     capsys.readouterr()
     assert main(["terrain", "--config", str(config), "--out", str(out_dir)]) == 0
@@ -259,8 +265,8 @@ VOID_GOLDEN = {
 def void_tile(fmt: str, n: int, lat0: float, lon0: float, patch) -> TerrainGrid:
     spacing = (1.0 if fmt == "dted" else 3.0) / 3600.0
     grid = make_ridge_grid(lat0, lon0, spacing, spacing, n, n, 600.0)
-    grid.H[np.random.default_rng(28).random(grid.H.shape) < 0.02] = VOID_ELEVATION
-    grid.H[patch[0]:patch[0] + 20, patch[1]:patch[1] + 20] = VOID_ELEVATION
+    grid.H[np.random.default_rng(28).random(grid.H.shape) < 0.02] = np.nan
+    grid.H[patch[0]:patch[0] + 20, patch[1]:patch[1] + 20] = np.nan
     return grid
 
 
@@ -273,7 +279,7 @@ def void_tile_hashes(case: str, tmp_path, capsys):
         if undulation is not None:
             terrain["geoid_n_m"] = undulation
     elif undulation == "grid":
-        # a smooth undulation of 20-25 m, written beside the tile
+        # a smooth undulation of about 18-25 m, written beside the tile
         rows, cols = np.indices(grid.H.shape)
         n_grid = dataclasses.replace(grid, H=20.0 + 0.125 * rows - 0.0625 * cols)
         text = write_portable_grid(grid).replace("geoid_n = 0.0", "geoid_grid = n.grid")
@@ -283,16 +289,10 @@ def void_tile_hashes(case: str, tmp_path, capsys):
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     terrain["path"] = str(tmp_path / next(iter(files)))
-    config = tmp_path / "scenario.json"
-    config.write_text(json.dumps({"vehicle": STEEP_UAV, "measurement": {"semi_angle_deg": 15.0},
-                                  "sweep": {"n_samples": 360}, "terrain": terrain}))
-    out_dir = tmp_path / "out"
-    capsys.readouterr()
-    assert main(["terrain", "--config", str(config), "--out", str(out_dir)]) == 0
-    stdout = capsys.readouterr().out.replace(str(out_dir), "<out>")
+    scenario = {"vehicle": STEEP_UAV, "measurement": {"semi_angle_deg": 15.0},
+                "sweep": {"n_samples": 360}, "terrain": terrain}
     return (tuple(sha256(data) for data in files.values()),
-            (sha256((out_dir / "terrain.kml").read_bytes()),
-             sha256((out_dir / "terrain.geojson").read_bytes()), sha256(stdout.encode())))
+            run_terrain(scenario, tmp_path, capsys))
 
 
 @pytest.mark.parametrize("case", sorted(VOID_GOLDEN))

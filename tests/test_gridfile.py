@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -22,18 +23,20 @@ from dopplergeo.terrain import VOID_ELEVATION, InvalidGrid, TerrainGrid
 
 def test_two_by_two_round_trip():
     grid = TerrainGrid(lat0=-35.0, lon0=138.25, dlat=0.001, dlon=0.002,
-                       H=np.array([[1.5, -2.25], [300.0, VOID_ELEVATION]]), N=-3.5)
+                       H=np.array([[1.5, -2.25], [300.0, np.nan]]), N=-3.5)
     back = read_portable_grid(write_portable_grid(grid))
     assert back.lat0 == grid.lat0 and back.lon0 == grid.lon0
     assert back.dlat == grid.dlat and back.dlon == grid.dlon
-    assert np.array_equal(back.H, grid.H)
+    assert np.array_equal(back.H, grid.H, equal_nan=True)
     assert back.N == grid.N
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-# voids, both zeros and any height out to 1e+-300, subnormals included
-HEIGHTS = st.one_of(st.sampled_from([VOID_ELEVATION, -0.0, 0.0]),
-                    st.floats(min_value=-1e300, max_value=1e300))
+# voids (NaN), both zeros and any height out to 1e+-300, subnormals
+# included, but the void value, which reads back as NaN
+HEIGHTS = st.one_of(st.sampled_from([np.nan, -0.0, 0.0]),
+                    st.floats(min_value=-1e300, max_value=1e300)
+                    .filter(lambda h: h != VOID_ELEVATION))
 
 
 @st.composite
@@ -93,22 +96,47 @@ def grid_with(value, at, shape, geoid_n=0.0):
     return TerrainGrid(lat0=-35.0, lon0=138.0, dlat=0.001, dlon=0.001, H=h, N=geoid_n)
 
 
+def text_with(value, at, shape):
+    """Portable grid text whose height at `at` is the token repr(value)."""
+    return write_portable_grid(grid_with(1234.5, at, shape)).replace("1234.5", repr(value))
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_non_finite_height_rejected(value):
     # an infinite height makes its block's sphere test compare NaN, which
-    # would drop the block from the terrain search with the hits it holds
+    # would drop the block from the terrain search with the hits it holds;
+    # the format writes a void as VOID_ELEVATION, so a NaN token is refused
     with pytest.raises(ParseError, match="row 1, column 2 is not finite"):
-        read_portable_grid(write_portable_grid(grid_with(value, (1, 2), (2, 3))))
+        read_portable_grid(text_with(value, (1, 2), (2, 3)))
+
+
+def test_nan_height_is_written_as_the_void_value():
+    # NaN is a post without a height: the writer writes the format's void
+    # value, never "nan", and the reader gives NaN for it
+    text = write_portable_grid(grid_with(np.nan, (1, 2), (2, 3)))
+    assert text == write_portable_grid(grid_with(VOID_ELEVATION, (1, 2), (2, 3)))
+    assert text.endswith("\n0.0 0.0 -32767.0\n")
+    assert np.flatnonzero(np.isnan(read_portable_grid(text).H)).tolist() == [5]
 
 
 def test_non_finite_undulation_rejected(tmp_path):
     with pytest.raises(InvalidGrid, match="N must be finite, got inf"):
         read_portable_grid(write_portable_grid(grid_with(0.0, (0, 0), (1, 2), np.inf)))
     # a companion undulation grid is a portable grid: the same rule
-    (tmp_path / "n.grid").write_text(write_portable_grid(grid_with(np.nan, (0, 1), (1, 2))))
+    (tmp_path / "n.grid").write_text(text_with(np.nan, (0, 1), (1, 2)))
     (tmp_path / "tile.grid").write_text(write_portable_grid(grid_with(0.0, (0, 0), (1, 2)))
                                         .replace("geoid_n = 0.0", "geoid_grid = n.grid"))
     with pytest.raises(ParseError, match="row 0, column 1 is not finite"):
+        load_portable_grid(str(tmp_path / "tile.grid"))
+
+
+def test_void_in_undulation_companion_rejected(tmp_path):
+    # an undulation has no void: the void value used to be read as an
+    # undulation of -32767 m
+    (tmp_path / "n.grid").write_text(write_portable_grid(grid_with(np.nan, (1, 0), (2, 3))))
+    (tmp_path / "tile.grid").write_text(write_portable_grid(grid_with(5.0, (0, 0), (2, 3)))
+                                        .replace("geoid_n = 0.0", "geoid_grid = n.grid"))
+    with pytest.raises(ParseError, match="undulation grid n.grid has a void at row 1, column 0"):
         load_portable_grid(str(tmp_path / "tile.grid"))
 
 
@@ -376,12 +404,13 @@ def write_by_repr(grid):
     lines += [f"{key} = {getattr(grid, key)!r}" for key in REQUIRED_KEYS]
     lines.append(f"geoid_n = {float(grid.N)!r}")
     for row in grid.H.tolist():
-        lines.append(" ".join(map(repr, row)))
+        # NaN, a post without a height, is written as the void value
+        lines.append(" ".join(repr(VOID_ELEVATION if math.isnan(h) else h) for h in row))
     return "\n".join(lines) + "\n"
 
 
 WRITER_HEIGHTS = st.one_of(
-    st.sampled_from([VOID_ELEVATION, -0.0, 0.0]),
+    st.sampled_from([np.nan, VOID_ELEVATION, -0.0, 0.0]),
     st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals and their neighbours
     st.floats(min_value=1e15, max_value=1e300),
     st.floats(min_value=-1e300, max_value=-1e15),

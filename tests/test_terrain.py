@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -16,7 +17,12 @@ from dopplergeo.geodesy import (
     ecef_to_geodetic_arrays,
     geodetic_to_ecef_arrays,
 )
-from dopplergeo.gridfile import make_flat_grid, make_ridge_grid
+from dopplergeo.gridfile import (
+    make_flat_grid,
+    make_ridge_grid,
+    read_portable_grid,
+    write_portable_grid,
+)
 from dopplergeo.intersect import _ray_directions, intersect_cone_ellipsoid
 from dopplergeo.terrain import (
     VOID_ELEVATION,
@@ -119,7 +125,7 @@ def test_posts_round_trip_geodetic():
 
 def test_void_posts_skipped_not_zeroed():
     h = np.zeros((3, 3))
-    h[1, 1] = VOID_ELEVATION
+    h[1, 1] = np.nan
     grid = TerrainGrid(lat0=0.0, lon0=0.0, dlat=SPACING, dlon=SPACING, H=h)
     posts = grid_to_ecef_posts(grid)
     assert len(posts.ecef) == 8
@@ -127,7 +133,7 @@ def test_void_posts_skipped_not_zeroed():
 
 
 def test_all_void_grid_raises():
-    h = np.full((2, 2), VOID_ELEVATION)
+    h = np.full((2, 2), np.nan)
     grid = TerrainGrid(lat0=0.0, lon0=0.0, dlat=SPACING, dlon=SPACING, H=h)
     with pytest.raises(EmptyGrid):
         grid_to_ecef_posts(grid)
@@ -141,7 +147,7 @@ def test_all_void_tile_raises_in_the_search(geoid, shape):
     tile = covering_grid(curve)
     n_lat, n_lon = tile.H.shape
     h = np.full({"tile": (n_lat, n_lon), "no rows": (0, n_lon), "no columns": (n_lat, 0)}[shape],
-                VOID_ELEVATION)
+                np.nan)
     grid = TerrainGrid(lat0=tile.lat0, lon0=tile.lon0, dlat=tile.dlat, dlon=tile.dlon, H=h,
                        N=12.5 if geoid == "scalar" else np.full(h.shape, 12.5))
     with pytest.raises(EmptyGrid):
@@ -150,36 +156,38 @@ def test_all_void_tile_raises_in_the_search(geoid, shape):
         cone_terrain_curve(curve, grid, TerrainSearchConfig.for_grid(tile))
 
 
-def test_a_nan_post_is_no_void():
-    # EmptyGrid means every post is void; a post without a height (NaN)
-    # is not void, so the tile maps to no hit
+def test_a_tile_of_voids_and_nan_raises():
+    # voids read from a tile file and a post set to NaN are one marker, a
+    # post without a height: a tile of them raises EmptyGrid (it used to map
+    # to no hit and one gap over the whole sweep)
     curve = steep_scenario()
     tile = covering_grid(curve)
-    h = np.full(tile.H.shape, VOID_ELEVATION)
-    h[5, 7] = np.nan
-    grid = TerrainGrid(lat0=tile.lat0, lon0=tile.lon0, dlat=tile.dlat, dlon=tile.dlon, H=h)
-    assert len(grid_to_ecef_posts(grid).index) == 1
-    assert len(cone_terrain_curve(curve, grid, TerrainSearchConfig.for_grid(grid)).etas) == 0
+    voids = dataclasses.replace(tile, H=np.full(tile.H.shape, VOID_ELEVATION))
+    grid = read_portable_grid(write_portable_grid(voids))
+    grid.H[5, 7] = np.nan
+    with pytest.raises(EmptyGrid):
+        grid_to_ecef_posts(grid)
+    with pytest.raises(EmptyGrid):
+        cone_terrain_curve(curve, grid, TerrainSearchConfig.for_grid(grid))
 
 
-@pytest.mark.parametrize("strip", [1, 5000, 10 ** 6])
-def test_a_nan_post_keeps_the_rest_of_its_block(strip):
-    # a post without a height in each row of blocks the search keeps: its
-    # block is bounded again without it, at any strip size, so the search
+@pytest.mark.parametrize("field", ["H", "N"])
+def test_a_nan_post_keeps_the_rest_of_its_block(field):
+    # a NaN height, or a NaN in an N grid, in each row of blocks the search
+    # keeps: fmin and fmax bound its block without it, so the search
     # converts every other post it converted before
     curve = steep_scenario()
     tile = covering_grid(curve, spacing=1.0 / 3600.0)
+    rows, cols = np.indices(tile.H.shape)
+    tile = dataclasses.replace(tile, N=12.5 if field == "H" else 10.0 + 0.01 * (rows - cols))
     _, _, reach, far = _rays(curve, TerrainSearchConfig.for_grid(tile))
     before = np.sort(_posts_near_cone(tile, curve.cone, reach, far).index)
     block_row = before // tile.n_lon // terrain.POST_BLOCK
     lone = [before[block_row == r][0] for r in np.unique(block_row)]
     assert len(lone) > 1
-    h = tile.H.copy()
-    h.flat[lone] = np.nan
-    grid = TerrainGrid(lat0=tile.lat0, lon0=tile.lon0, dlat=tile.dlat, dlon=tile.dlon, H=h)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(terrain, "STRIP_POSTS", strip)
-        after = _posts_near_cone(grid, curve.cone, reach, far).index
+    grid = dataclasses.replace(tile, **{field: getattr(tile, field).copy()})
+    getattr(grid, field).flat[lone] = np.nan
+    after = _posts_near_cone(grid, curve.cone, reach, far).index
     assert np.array_equal(np.sort(after), np.setdiff1d(before, lone))
 
 
@@ -264,12 +272,12 @@ def test_grid_undulation_shape_must_match():
 
 def per_post_ecef(grid):
     """Post conversion the long way, the oracle of grid_to_ecef_posts: full
-    lat/lon grids, longitudes past +-180 folded into (-180, 180], then every valid post's own
-    (lat, lon, H + N) converted."""
+    lat/lon grids, longitudes past +-180 folded into (-180, 180], then the
+    own (lat, lon, H + N) of every post with a height (H not NaN) converted."""
     lat = np.repeat(grid.lats(), grid.n_lon).reshape(grid.H.shape)
     lon = np.tile(grid.lons(), grid.n_lat).reshape(grid.H.shape)
     h = grid.H + grid.N
-    flat = np.flatnonzero(grid.H.ravel() != VOID_ELEVATION)
+    flat = np.flatnonzero(~np.isnan(grid.H.ravel()))
     lon_v = lon.ravel()[flat]
     wrap = (lon_v > 180.0) | (lon_v <= -180.0)
     lon_v[wrap] = 180.0 - (180.0 - lon_v[wrap]) % 360.0
@@ -293,7 +301,7 @@ def test_posts_match_per_post_conversion(region, f_lat, f_lon, spacing_arcsec, n
     lat_lo, lat_hi, lon_lo, lon_hi = POST_REGIONS[region]
     rng = np.random.default_rng(seed)
     h = rng.uniform(-400.0, 4000.0, (n_lat, n_lon))
-    h[rng.random((n_lat, n_lon)) < void_fraction] = VOID_ELEVATION
+    h[rng.random((n_lat, n_lon)) < void_fraction] = np.nan
     h[0, 0] = 0.0  # never an all-void tile
     geoid = rng.uniform(-100.0, 80.0, (n_lat, n_lon)) if array_n else float(rng.uniform(-100, 80))
     grid = TerrainGrid(lat0=lat_lo + f_lat * (lat_hi - lat_lo),
@@ -324,16 +332,16 @@ def test_posts_peak_memory_near_the_result():
 @pytest.mark.parametrize("geoid", ["scalar", "grid"])
 @pytest.mark.parametrize("voids", ["none", "scattered", "edge"])
 def test_search_peak_memory_below_the_tile(geoid, voids):
-    # a 600 x 600 tile that the cone misses: the search reads H in place and
-    # bounds the blocks again over H + N with voids as NaN only in strips,
-    # so no tile-sized array is made, whatever the voids and N (a buffer of
-    # H + N would take the peak to 1.2 H.nbytes)
+    # a 600 x 600 tile that the cone misses: the search bounds the blocks
+    # from H and an N grid in place, so no tile-sized array is made,
+    # whatever the voids and N (a buffer of H + N would take the peak to
+    # 1.2 H.nbytes)
     tile = make_flat_grid(-34.0, 139.5, 1.0 / 3600.0, 1.0 / 3600.0, 600, 600, height=250.0)
     h = tile.H.copy()
     if voids == "scattered":  # a void in every block
-        h[np.random.default_rng(5).random(h.shape) < 0.1] = VOID_ELEVATION
+        h[np.random.default_rng(5).random(h.shape) < 0.1] = np.nan
     elif voids == "edge":  # a coverage edge: the tile's north-east half void
-        h[np.add.outer(np.arange(600), np.arange(600)) > 600] = VOID_ELEVATION
+        h[np.add.outer(np.arange(600), np.arange(600)) > 600] = np.nan
     grid = TerrainGrid(lat0=tile.lat0, lon0=tile.lon0, dlat=tile.dlat, dlon=tile.dlon, H=h,
                        N=12.5 if geoid == "scalar" else np.full(h.shape, 12.5))
     curve = steep_scenario()
@@ -503,8 +511,6 @@ BLOCK_SIZES = [1, 3, 16, 10 ** 6]  # 10**6: one block holds the whole tile
 # 3 and 5 divide neither 16 nor each other: they test the rounding of a
 # block up to a whole number of sub-blocks
 SUB_BLOCK_SIZES = [1, 2, 3, 4, 5, 10 ** 6]
-# 1: one block row per strip; 10**6: one strip holds the whole tile
-STRIP_SIZES = [1, 500, 10 ** 6]
 
 
 @settings(max_examples=100, deadline=None)
@@ -516,11 +522,11 @@ STRIP_SIZES = [1, 500, 10 ** 6]
        below_void=st.booleans(), nan_fraction=st.sampled_from([0.0, 0.05]),
        n_lat=st.integers(1, 130), n_lon=st.integers(1, 130), array_n=st.booleans(),
        block=st.sampled_from(BLOCK_SIZES), sub_block=st.sampled_from(SUB_BLOCK_SIZES),
-       strip=st.sampled_from(STRIP_SIZES), seed=st.integers(0, 2 ** 16))
+       seed=st.integers(0, 2 ** 16))
 def test_batched_matches_scan_property(region, fractions, plane, n_rays, spacing_arcsec,
                                        relief, void_fraction, void_patch, below_void,
                                        nan_fraction, n_lat, n_lon, array_n, block, sub_block,
-                                       strip, seed):
+                                       seed):
     lat_lo, lat_hi, lon_lo, lon_hi = REGIONS[region]
     f_lat, f_lon, f_h, f_pitch, f_yaw, f_psi = fractions
     vs = VehicleState.from_attitude(
@@ -542,21 +548,23 @@ def test_batched_matches_scan_property(region, fractions, plane, n_rays, spacing
                          -89.0, 89.0 - n_lat * spacing))
     lon0 = float(lon_c - rng.uniform(0.2, 0.8) * n_lon * spacing)
     h = rng.uniform(0.0, relief, (n_lat, n_lon))
-    h[rng.random((n_lat, n_lon)) < void_fraction] = VOID_ELEVATION
+    h[rng.random((n_lat, n_lon)) < void_fraction] = np.nan
     if void_patch:  # void posts filling whole blocks of the smaller sizes
         i, j = rng.integers(n_lat), rng.integers(n_lon)
-        h[i:i + 20, j:j + 20] = VOID_ELEVATION
-    void = h == VOID_ELEVATION
-    if below_void:  # a portable grid may hold them, beside voids and in void blocks
+        h[i:i + 20, j:j + 20] = np.nan
+    void = np.isnan(h)
+    # heights below the file formats' void value, which a portable grid may
+    # hold, beside voids and in void blocks
+    if below_void:
         low = void & (rng.random((n_lat, n_lon)) < 0.3)
         h[low] = VOID_ELEVATION - rng.uniform(0.0, 2000.0, low.sum())
         h[rng.integers(n_lat), rng.integers(n_lon)] = VOID_ELEVATION - 1.0
-    # posts without a height, which the search takes as NaN
+    # posts without a height set apart from the voids
     h[rng.random((n_lat, n_lon)) < nan_fraction] = np.nan
     h[rng.integers(n_lat), rng.integers(n_lon)] = 0.0  # never an all-void tile
     geoid = rng.uniform(-60.0, 60.0, (n_lat, n_lon)) if array_n else 0.0
     grid = TerrainGrid(lat0=lat0, lon0=lon0, dlat=spacing, dlon=spacing, H=h, N=geoid)
-    # the pruned search at any block, sub-block and strip size, tiles that
+    # the pruned search at any block and sub-block size, tiles that
     # end inside a block or a sub-block and blocks rounded up to whole
     # sub-blocks included, equals the scan over every post; the posts it
     # converts are scan posts, with their bits
@@ -564,7 +572,6 @@ def test_batched_matches_scan_property(region, fractions, plane, n_rays, spacing
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(terrain, "POST_BLOCK", block)
         patch.setattr(terrain, "SUB_BLOCK", sub_block)
-        patch.setattr(terrain, "STRIP_POSTS", strip)
         assert_matches_scan(curve, grid, cfg)
         _, _, reach, far = _rays(curve, cfg)
         posts = _posts_near_cone(grid, curve.cone, reach, far)
