@@ -171,23 +171,33 @@ def test_a_tile_of_voids_and_nan_raises():
         cone_terrain_curve(curve, grid, TerrainSearchConfig.for_grid(grid))
 
 
-@pytest.mark.parametrize("field", ["H", "N"])
-def test_a_nan_post_keeps_the_rest_of_its_block(field):
-    # a NaN height, or a NaN in an N grid, in each row of blocks the search
-    # keeps: fmin and fmax bound its block without it, so the search
-    # converts every other post it converted before
+@pytest.mark.parametrize("field, block", [
+    pytest.param("H", None, id="H"),
+    pytest.param("N", None, id="N"),
+    pytest.param("H", 5000, id="5000"),
+    pytest.param("N", 10 ** 6, id="1000000"),
+])
+def test_a_nan_post_keeps_the_rest_of_its_block(field, block):
+    # a NaN height, or a NaN in an N grid, in each row of sub-blocks the
+    # search keeps, at the default block size or with one block over the
+    # whole tile (POST_BLOCK past the tile's sides): fmin and fmax bound its
+    # block and sub-block without it, so the search converts every other
+    # post it converted before
     curve = steep_scenario()
     tile = covering_grid(curve, spacing=1.0 / 3600.0)
     rows, cols = np.indices(tile.H.shape)
     tile = dataclasses.replace(tile, N=12.5 if field == "H" else 10.0 + 0.01 * (rows - cols))
     _, _, reach, far = _rays(curve, TerrainSearchConfig.for_grid(tile))
-    before = np.sort(_posts_near_cone(tile, curve.cone, reach, far).index)
-    block_row = before // tile.n_lon // terrain.POST_BLOCK
-    lone = [before[block_row == r][0] for r in np.unique(block_row)]
-    assert len(lone) > 1
-    grid = dataclasses.replace(tile, **{field: getattr(tile, field).copy()})
-    getattr(grid, field).flat[lone] = np.nan
-    after = _posts_near_cone(grid, curve.cone, reach, far).index
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(terrain, "POST_BLOCK", block)
+        before = np.sort(_posts_near_cone(tile, curve.cone, reach, far).index)
+        sub_row = before // tile.n_lon // terrain.SUB_BLOCK
+        lone = [before[sub_row == r][0] for r in np.unique(sub_row)]
+        assert len(lone) > 1
+        grid = dataclasses.replace(tile, **{field: getattr(tile, field).copy()})
+        getattr(grid, field).flat[lone] = np.nan
+        after = _posts_near_cone(grid, curve.cone, reach, far).index
     assert np.array_equal(np.sort(after), np.setdiff1d(before, lone))
 
 
