@@ -3,19 +3,23 @@
 # Curve output as KML 2.2 and GeoJSON (RFC 7946) for external map viewers.
 # Coordinates are written repr-exact so identical inputs produce identical
 # bytes and a parse-back recovers the values. Each row set is formatted once
-# into "lon,lat,h" strings (format_positions) and both documents are built
-# from those strings, so a caller writing both formats, or one row set as
-# both a line and its marks, formats every coordinate once. repr_rows writes
-# the text of repr for a whole row set at once: most values get their
-# shortest round-trip digits from a numpy kernel, the rest from repr, once
-# per distinct bit pattern (heights repeat: a point on the ellipsoid has a
-# height that is a few-ulp residual, a terrain hit its post's height).
-# A row holding NaN or an infinity raises NonFiniteCoordinate: neither
-# format can carry it.
+# into one bytes text of "lon,lat,h" rows joined by "\n" (format_positions),
+# and both documents are built from that text, so a caller writing both
+# formats, or one row set as both a line and its marks, formats every
+# coordinate once. A writer turns a row set into its coordinate block by one
+# replace of the row separator and joins the document once, as bytes: no
+# per-row string is made on the way to the file. _repr_text writes the text
+# of repr for a whole row set at once: most values get their shortest
+# round-trip digits from a numpy kernel, whose bytes are kept as they are,
+# the rest from repr, once per distinct bit pattern (heights repeat: a point
+# on the ellipsoid has a height that is a few-ulp residual, a terrain hit its
+# post's height). A row holding NaN or an infinity raises
+# NonFiniteCoordinate: neither format can carry it.
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -24,16 +28,26 @@ STYLE_TERRAIN = "terrainMarks"  # yellow: hits on the terrain posts
 STYLE_ELLIPSOID = "ellipsoidMarks"  # red: hits on the bare ellipsoid
 
 _KML_COLORS = {STYLE_TERRAIN: "ff00ffff", STYLE_ELLIPSOID: "ff0000ff"}
-_KML_POINT_OPEN = "<Point><altitudeMode>absolute</altitudeMode><coordinates>"
-_KML_POINT_CLOSE = "</coordinates></Point>"
+_KML_POINT_OPEN = b"<Point><altitudeMode>absolute</altitudeMode><coordinates>"
+_KML_POINT_CLOSE = b"</coordinates></Point>"
+_KML_POINT_BETWEEN = _KML_POINT_CLOSE + b"\n" + _KML_POINT_OPEN  # one line per point
 
 
 class NonFiniteCoordinate(ValueError):
     """A coordinate row holds NaN or an infinity."""
 
 
-class Positions(list):
-    """Rows already formatted as "lon,lat,h" strings, in row order."""
+@dataclass(frozen=True)
+class Positions:
+    """Rows already formatted: text holds each row as "lon,lat,h" repr
+    text, in row order, joined by b"\n" (b"" for no row), and len() is the
+    number of rows."""
+
+    text: bytes = b""
+    count: int = 0
+
+    def __len__(self) -> int:
+        return self.count
 
 
 # --- the text of repr, in numpy -------------------------------------------
@@ -57,7 +71,7 @@ class Positions(list):
 # a separator word (",", or "\n" before each row, with the sign), four words
 # of integer digits, a word holding the point and three fraction digits,
 # and four more words of fraction digits. Leading and trailing zeros come
-# out as NUL bytes, which are dropped before the text is split into rows.
+# out as NUL bytes, which are dropped: what is left is the rows' text.
 
 _POW10 = np.array([float(10 ** k) for k in range(19)])  # exact up to 10**22
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)  # Veltkamp split
@@ -184,13 +198,20 @@ def repr_rows(values) -> list:
     """(n, c) float64 values -> n strings, each row's c values as repr
     writes them, joined by ","; byte for byte the text of repr for any
     float64, NaN and infinities included."""
+    text = _repr_text(values)
+    return text.decode("ascii").split("\n") if text else []
+
+
+def _repr_text(values) -> bytes:
+    """(n, c) float64 values -> the rows of repr_rows joined by b"\n", as
+    bytes (b"" for no row)."""
     values = np.asarray(values, dtype=np.float64)
     n, cols = values.shape
     x = values.ravel()
     if x.size < _KERNEL_MIN:  # repr for every value, joined in Python
         texts, inverse = _repr_distinct(x)
         column = map(texts.__getitem__, inverse.tolist())
-        return list(map(",".join, zip(*[column] * cols)))
+        return "\n".join(map(",".join, zip(*[column] * cols))).encode("ascii")
     a = np.abs(x)
     in_range = (a >= 1e-2) & (a < 1e15)
     kernel = np.flatnonzero(in_range)
@@ -216,11 +237,11 @@ def repr_rows(values) -> list:
         text[left, 1:7] = np.array(texts, dtype="S24").view("<u4").reshape(-1, 6)[inverse]
         text[left, 7:] = 0
     flat = text.view(np.uint8).ravel()
-    return flat[flat != 0].tobytes().decode("ascii").split("\n")[1:]
+    return flat[flat != 0][1:].tobytes()  # from after the first row's "\n"
 
 
 def format_positions(coords) -> Positions:
-    """lat/lon/h rows -> Positions of "lon,lat,h" repr strings.
+    """lat/lon/h rows -> Positions of "lon,lat,h" repr text.
 
     coords is an (n, 3) array-like or a single (3,) row; Positions pass
     through unchanged. Raises NonFiniteCoordinate on a NaN or infinite value
@@ -238,7 +259,20 @@ def format_positions(coords) -> Positions:
         raise NonFiniteCoordinate(f"coordinate row {bad} is not finite: {rows[bad].tolist()}")
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError(f"coordinate rows must be lat/lon/h triples, got shape {rows.shape}")
-    return Positions(repr_rows(rows[:, [1, 0, 2]]))
+    return Positions(_repr_text(rows[:, [1, 0, 2]]), len(rows))
+
+
+_KML_HEAD = (b'<?xml version="1.0" encoding="UTF-8"?>\n'
+             b'<kml xmlns="http://www.opengis.net/kml/2.2">\n<Document>\n')
+_KML_STYLES = "".join(
+    f'<Style id="{style_id}">'
+    f"<IconStyle><color>{color}</color></IconStyle>"
+    f"<LineStyle><color>{color}</color><width>2</width></LineStyle>"
+    f"</Style>\n" for style_id, color in _KML_COLORS.items()).encode("ascii")
+
+
+def _kml_placemark(label: str, style: str) -> bytes:
+    return f"<Placemark>\n<name>{escape(label)}</name>\n<styleUrl>#{style}</styleUrl>\n".encode()
 
 
 def write_kml(polylines=(), placemark_sets=(), name: str = "dopplergeo") -> bytes:
@@ -248,41 +282,25 @@ def write_kml(polylines=(), placemark_sets=(), name: str = "dopplergeo") -> byte
     where coords are (lat_deg, lon_deg, h_m) rows or their format_positions
     result, and style is one of STYLE_TERRAIN / STYLE_ELLIPSOID. Each
     polyline becomes a LineString, each placemark set one Placemark holding
-    a point per row; altitudes are absolute. Empty input yields a valid
-    document with only the styles.
+    a point per row, one line each; altitudes are absolute. Empty input
+    yields a valid document with only the styles.
     """
-    out = ['<?xml version="1.0" encoding="UTF-8"?>']
-    out.append('<kml xmlns="http://www.opengis.net/kml/2.2">')
-    out.append("<Document>")
-    out.append(f"<name>{escape(name)}</name>")
-    for style_id, color in _KML_COLORS.items():
-        out.append(
-            f'<Style id="{style_id}">'
-            f"<IconStyle><color>{color}</color></IconStyle>"
-            f"<LineStyle><color>{color}</color><width>2</width></LineStyle>"
-            f"</Style>")
+    out = [_KML_HEAD, f"<name>{escape(name)}</name>\n".encode(), _KML_STYLES]
     for label, coords, style in polylines:
-        out.append("<Placemark>")
-        out.append(f"<name>{escape(label)}</name>")
-        out.append(f"<styleUrl>#{style}</styleUrl>")
-        out.append("<LineString><altitudeMode>absolute</altitudeMode>")
-        out.append(f"<coordinates>{' '.join(format_positions(coords))}</coordinates>")
-        out.append("</LineString>")
-        out.append("</Placemark>")
+        text = format_positions(coords).text
+        out += [_kml_placemark(label, style),
+                b"<LineString><altitudeMode>absolute</altitudeMode>\n<coordinates>",
+                text.replace(b"\n", b" "), b"</coordinates>\n</LineString>\n</Placemark>\n"]
     for label, coords, style in placemark_sets:
-        out.append("<Placemark>")
-        out.append(f"<name>{escape(label)}</name>")
-        out.append(f"<styleUrl>#{style}</styleUrl>")
-        out.append("<MultiGeometry>")
         positions = format_positions(coords)
-        if positions:  # one line per point
-            between = f"{_KML_POINT_CLOSE}\n{_KML_POINT_OPEN}"
-            out.append(_KML_POINT_OPEN + between.join(positions) + _KML_POINT_CLOSE)
-        out.append("</MultiGeometry>")
-        out.append("</Placemark>")
-    out.append("</Document>")
-    out.append("</kml>")
-    return "\n".join(out).encode("utf-8")
+        out += [_kml_placemark(label, style), b"<MultiGeometry>\n"]
+        if positions:
+            out += [_KML_POINT_OPEN,
+                    positions.text.replace(b"\n", _KML_POINT_BETWEEN),
+                    _KML_POINT_CLOSE + b"\n"]
+        out.append(b"</MultiGeometry>\n</Placemark>\n")
+    out.append(b"</Document>\n</kml>")
+    return b"".join(out)
 
 
 def write_geojson(polylines=(), placemark_sets=()) -> bytes:
@@ -293,14 +311,17 @@ def write_geojson(polylines=(), placemark_sets=()) -> bytes:
     separators=(",", ":")) on the equivalent document, so bytes are
     deterministic.
     """
-    features = []
+    out = [b'{"features":[']
+    comma = b""
     for geometry, sets in (("LineString", polylines), ("MultiPoint", placemark_sets)):
         for label, coords, style in sets:
             positions = format_positions(coords)
-            coordinates = f"[[{'],['.join(positions)}]]" if positions else "[]"
             properties = json.dumps({"name": label, "style": style},
                                     sort_keys=True, separators=(",", ":"))
-            features.append(
-                f'{{"geometry":{{"coordinates":{coordinates},"type":"{geometry}"}},'
-                f'"properties":{properties},"type":"Feature"}}')
-    return f'{{"features":[{",".join(features)}],"type":"FeatureCollection"}}'.encode("utf-8")
+            coordinates = ([b"[[", positions.text.replace(b"\n", b"],["), b"]]"] if positions
+                           else [b"[]"])
+            out += [comma, b'{"geometry":{"coordinates":', *coordinates,
+                    f',"type":"{geometry}"}},"properties":{properties},"type":"Feature"}}'.encode()]
+            comma = b","
+    out.append(b'],"type":"FeatureCollection"}')
+    return b"".join(out)

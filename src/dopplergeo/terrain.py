@@ -295,18 +295,20 @@ def _block_bounds(ufunc, h, b_lat: int, b_lon: int):
     np.fmin or np.fmax, which skip NaN posts: a block without a height has
     NaN bounds. A scalar h (a scalar N) is its own bound. The whole block
     rows are reduced through a reshape of h's leading rows and the short
-    last row on its own, so h is read, never copied. The columns of that
-    result, 1 / b_lat of the tile, are reduced by reduceat, which beats a
-    reshape there (the whole bound takes 15 against 24 us at 120 x 120, 0.21
+    last row on its own, both into one row result, so h is read, never
+    copied, and the row result is made once. The columns of that result,
+    1 / b_lat of the tile, are reduced by reduceat, which beats a reshape
+    there (the whole bound takes 15 against 24 us at 120 x 120, 0.21
     against 0.28 ms at 600 x 600) but loses on the tile's rows (40 us and
     1.0 ms)."""
     if np.isscalar(h):
         return h
     n_lat, n_lon = h.shape
-    cut = n_lat - n_lat % b_lat
-    rows = ufunc.reduce(h[:cut].reshape(-1, b_lat, n_lon), axis=1)
-    if cut < n_lat:
-        rows = np.concatenate([rows, ufunc.reduce(h[cut:], axis=0, keepdims=True)])
+    whole = n_lat // b_lat
+    rows = np.empty((-(-n_lat // b_lat), n_lon), h.dtype)
+    ufunc.reduce(h[:whole * b_lat].reshape(whole, b_lat, n_lon), axis=1, out=rows[:whole])
+    if whole < len(rows):
+        ufunc.reduce(h[whole * b_lat:], axis=0, out=rows[whole])
     return ufunc.reduceat(rows, np.arange(0, n_lon, b_lon), axis=1)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -180,32 +181,43 @@ REPEATED_HEIGHTS = [-0.0, 0.0, 5e-324, 2 ** -30, -2 ** -30, 1e16]
 ROWS = st.one_of(st.lists(st.tuples(COORD, COORD, COORD), max_size=12),
                  st.lists(st.tuples(COORD, COORD, st.sampled_from(REPEATED_HEIGHTS)),
                           max_size=12))
-LABEL = st.text(alphabet=st.one_of(st.sampled_from("<&>\"'"), st.characters()), max_size=12)
+LABEL = st.text(alphabet=st.one_of(st.sampled_from("<&>\"'ü✈東"), st.characters()), max_size=12)
 STYLE = st.sampled_from([STYLE_ELLIPSOID, STYLE_TERRAIN])
+# rows repeated to 255, 258 and 261 values: either side of the repr kernel's
+# threshold, where the text is joined in Python below it and taken from the
+# kernel's buffer from it on
+KERNEL_EDGE_ROWS = [85, 86, 87]
 
 
 @st.composite
 def row_sets(draw):
-    """An array of rows: (n, 3), a single (3,) row, or an empty set."""
+    """An array of rows: (n, 3), a single (3,) row, an empty set, or the
+    rows repeated to KERNEL_EDGE_ROWS rows."""
     rows = draw(ROWS)
-    shape = draw(st.sampled_from(["array", "row", "list"]))
+    shape = draw(st.sampled_from(["array", "row", "list", "empty", "kernel edge"]))
     if shape == "row" and rows:
         return np.array(rows[0])
     if shape == "list":
         return [list(r) for r in rows]
+    if shape == "empty":
+        return np.zeros((0, 3))
+    if shape == "kernel edge" and rows:
+        return np.resize(np.array(rows, dtype=float), (draw(st.sampled_from(KERNEL_EDGE_ROWS)), 3))
     return np.array(rows, dtype=float).reshape(-1, 3)
 
 
 @st.composite
 def layouts(draw):
     """(polylines, placemark_sets), where marks may reuse a polyline's array
-    as the terrain command does."""
+    as the terrain command does, and a layout may hold marks only."""
     polylines = draw(st.lists(st.tuples(LABEL, row_sets(), STYLE), max_size=3))
     marks = []
     for label, rows, style in polylines:
         if draw(st.booleans()):
             marks.append((draw(LABEL), rows, style))
     marks += draw(st.lists(st.tuples(LABEL, row_sets(), STYLE), max_size=2))
+    if draw(st.integers(0, 3)) == 0:
+        polylines = []
     return polylines, marks
 
 
@@ -234,7 +246,11 @@ def kml_or_error(writer, polylines, marks, name):
                  [("Zürich ✈ 東京", np.zeros((0, 3)), STYLE_TERRAIN)]), name="<&>\"'")
 @example(layout=([("long", LONG_ROWS, STYLE_ELLIPSOID)], [("marks", LONG_ROWS, STYLE_ELLIPSOID)]),
          name="few heights")
+@example(layout=([], [("Zürich", LONG_ROWS[:86], STYLE_TERRAIN),
+                      ("東京", LONG_ROWS[:0], STYLE_TERRAIN),
+                      ("✈", LONG_ROWS[:85], STYLE_ELLIPSOID)]), name="marks only ✈")
 def test_writers_match_oracle(layout, name):
+    assert 85 * 3 < export._KERNEL_MIN <= 86 * 3
     polylines, marks = layout
     kml = kml_or_error(oracle_write_kml, polylines, marks, name)
     geojson = oracle_write_geojson(polylines, marks)
@@ -250,9 +266,14 @@ def test_format_positions_passes_formatted_through():
     positions = format_positions(CURVE)
     assert isinstance(positions, Positions)
     assert format_positions(positions) is positions
-    assert positions[0] == "138.83301234567892,-34.64620123456789,123.456789"
-    assert format_positions(CURVE[0]) == positions[:1]
-    assert format_positions([]) == []
+    assert len(positions) == 3
+    assert positions.text == (b"138.83301234567892,-34.64620123456789,123.456789\n"
+                              b"138.8400987654321,-34.65000987654321,0.0\n"
+                              b"138.85,-34.66,-12.5")
+    row = format_positions(CURVE[0])
+    assert (row.text, len(row)) == (positions.text.split(b"\n")[0], 1)
+    empty = format_positions([])
+    assert (empty.text, len(empty)) == (b"", 0)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 4), (6,), (2, 2, 3)])
@@ -289,6 +310,37 @@ def test_non_finite_rows_leave_no_output_file(bad, tmp_path):
         cli.write_outputs({}, str(out_dir), "terrain", [("curve", CURVE, STYLE_ELLIPSOID)],
                           [("marks", rows, STYLE_TERRAIN)])
     assert not out_dir.exists()
+
+
+# a steep cone whose sweep at 7 200 rays gives 7 200 visible and 7 200
+# far-side rows, the size of the sweep benchmark's largest ops
+STEEP = {"vehicle": {"lat_deg": -34.6462, "lon_deg": 138.833, "h_m": 1500.0, "roll_deg": 0.0,
+                     "pitch_deg": -70.0, "yaw_deg": 190.0, "speed_ms": 50.0},
+         "measurement": {"semi_angle_deg": 15.0}}
+
+
+@pytest.mark.parametrize("layout", ["visible and far side", "line and marks"])
+def test_write_outputs_peak_memory(layout, tmp_path):
+    # the coordinate text stays bytes from the repr kernel to the file: with
+    # per-row strings, their joins and one encode of each document the peak
+    # was 4.5 MB (visible and far side) and 4.8 MB (line and marks)
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(STEEP))
+    [(cfg, curve)] = cli.sweep_configs([str(path)], 7200)
+    near, far = cli.geodetic_rows(curve.points_near), cli.geodetic_rows(curve.points_far)
+    assert len(near) == len(far) == 7200
+    if layout == "visible and far side":
+        polylines, marks = [("visible", near, STYLE_ELLIPSOID), ("far", far, STYLE_ELLIPSOID)], []
+    else:
+        polylines, marks = [("line", near, STYLE_ELLIPSOID)], [("marks", near, STYLE_ELLIPSOID)]
+    cli.write_outputs(cfg, str(tmp_path), "curve", polylines, marks)
+    tracemalloc.start()
+    try:
+        cli.write_outputs(cfg, str(tmp_path), "curve", polylines, marks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.9e6
 
 
 # --- repr_rows against repr itself ---------------------------------------------

@@ -31,6 +31,7 @@ from dopplergeo.terrain import (
     InvalidGrid,
     TerrainGrid,
     TerrainSearchConfig,
+    _block_bounds,
     _map_posts,
     _posts_near_cone,
     _rays,
@@ -364,6 +365,53 @@ def test_search_peak_memory_below_the_tile(geoid, voids):
         tracemalloc.stop()
     assert len(tc.etas) == 0
     assert peak < grid.H.nbytes / 4
+
+
+def concatenated_block_bounds(ufunc, h, b_lat, b_lon):
+    """_block_bounds as it was: the short last block row reduced apart and
+    joined to the whole rows' result by np.concatenate."""
+    if np.isscalar(h):
+        return h
+    n_lat, n_lon = h.shape
+    cut = n_lat - n_lat % b_lat
+    rows = ufunc.reduce(h[:cut].reshape(-1, b_lat, n_lon), axis=1)
+    if cut < n_lat:
+        rows = np.concatenate([rows, ufunc.reduce(h[cut:], axis=0, keepdims=True)])
+    return ufunc.reduceat(rows, np.arange(0, n_lon, b_lon), axis=1)
+
+
+@pytest.mark.parametrize("geoid", ["scalar", "grid"])
+@pytest.mark.parametrize("short_rows", [0, 1, 15])
+def test_block_bounds_match_the_concatenated_rows(geoid, short_rows):
+    # n_lat % b_lat in {0, 1, b_lat - 1}, with NaN posts, whole NaN blocks
+    # and signed zeros, whose fmin and fmax depend on the order of reduction
+    b_lat, b_lon = 16, 12
+    n_lat, n_lon = 3 * b_lat + short_rows, 5 * b_lon + 7
+    rng = np.random.default_rng(short_rows)
+    h = rng.choice([-0.0, 0.0, 1.5, -2.25, np.nan], (n_lat, n_lon))
+    h[:b_lat, :b_lon] = np.nan
+    h[-1, :] = np.nan
+    geoid_n = 12.5 if geoid == "scalar" else rng.choice([-0.0, 0.0, 3.0, np.nan], (n_lat, n_lon))
+    for values in (h, geoid_n):
+        for ufunc in (np.fmin, np.fmax):
+            got = _block_bounds(ufunc, values, b_lat, b_lon)
+            want = concatenated_block_bounds(ufunc, values, b_lat, b_lon)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_block_bounds_peak_is_one_row_result():
+    # 601 = 37 x 16 + 9 rows: the row result is made once, where joining the
+    # short last row by np.concatenate made it twice
+    h = np.random.default_rng(3).uniform(0.0, 900.0, (601, 600))
+    rows_nbytes = -(-601 // 16) * 600 * h.itemsize
+    tracemalloc.start()
+    try:
+        _block_bounds(np.fmin, h, 16, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * rows_nbytes
 
 
 def test_flat_grid_mapping_stays_local():
