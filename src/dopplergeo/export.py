@@ -73,7 +73,7 @@ class Positions:
 # and four more words of fraction digits. Leading and trailing zeros come
 # out as NUL bytes, which are dropped: what is left is the rows' text.
 
-_POW10 = np.array([float(10 ** k) for k in range(19)])  # exact up to 10**22
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact up to 10**22
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)  # Veltkamp split
 _POW10_LO = _POW10 - _POW10_HI
 _POW10_INT = np.array([10 ** k for k in range(19)], dtype=np.int64)

@@ -2,7 +2,10 @@
 # -------------------------------------------------------------
 # Portable text format for terrain grids ("key = value" header, then
 # whitespace-separated heights) so test fixtures are human-readable, plus
-# synthetic tile generators (flat, ridge).
+# synthetic tile generators (flat, ridge). The reader splits only a prefix
+# of the text to find the header's end, reads the heights as integer
+# mantissas over powers of ten (_heights_by_mantissa) or else in one numpy
+# float call, and keeps the per-line parse as the one error path.
 
 from __future__ import annotations
 
@@ -13,11 +16,12 @@ import warnings
 
 import numpy as np
 
-from .export import repr_rows
+from .export import _POW10, _POW10_HI, _POW10_LO, repr_rows
 from .terrain import VOID_ELEVATION, TerrainGrid
 
 REQUIRED_KEYS = ("lat0", "lon0", "dlat", "dlon", "n_lat", "n_lon")
 HEADER_KEYS = REQUIRED_KEYS + ("geoid_n", "geoid_grid")
+_HEADER_PREFIX = 4096  # characters split first when looking for the header's end
 
 
 class ParseError(ValueError):
@@ -69,13 +73,30 @@ def _read_header(lines: list[str]) -> tuple[dict[str, str], int]:
     return header, len(lines)
 
 
-def _heights_by_line(lines: list[str], first: int) -> np.ndarray:
-    """The heights on lines[first:], one line at a time: blank lines and
-    comments are skipped, and any other text is a bad height value, named
-    with its line number. This is the parse _heights_in_one_call must
-    agree with."""
+def _header_of(text: str) -> tuple[dict[str, str], int, int]:
+    """_read_header of text's lines, and the offset in text of the first
+    height line, splitting only a prefix of text that holds the header: the
+    prefix's last line, which may be cut, is not read, and the prefix grows
+    until the header ends before that line or the prefix is the whole text."""
+    size = _HEADER_PREFIX
+    while True:
+        lines = text[:size].splitlines(keepends=True)
+        whole = size >= len(text)
+        if not whole:
+            lines.pop()
+        header, first = _read_header(lines)
+        if first < len(lines) or whole:
+            return header, first, sum(map(len, lines[:first]))
+        size *= 4
+
+
+def _heights_by_line(block: str, first: int) -> np.ndarray:
+    """The heights of block, the text from line index first on, one line at
+    a time: blank lines and comments are skipped, and any other text is a
+    bad height value, named with its line number. This is the parse
+    _heights_in_one_call must agree with."""
     heights: list[np.ndarray] = []
-    for lineno, raw in enumerate(lines[first:], start=first + 1):
+    for lineno, raw in enumerate(block.splitlines(), start=first + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -86,19 +107,145 @@ def _heights_by_line(lines: list[str], first: int) -> np.ndarray:
     return np.concatenate(heights) if heights else np.zeros(0)
 
 
-def _heights_in_one_call(block: str) -> np.ndarray | None:
-    """Every height of block in one numpy call, or None unless numpy reads
-    it to its end. block must be empty or start on a height line that is
-    not blank: numpy reads a blank text as [-1.0]."""
+def _read_numbers(text, dtype) -> np.ndarray | None:
+    """np.fromstring(text, dtype=dtype, sep=" "), or None unless numpy
+    reads text to its end."""
     with warnings.catch_warnings():
         # older numpy releases only warn on a partial read and return what
         # they read
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            values = np.fromstring(block, sep=" ")
+            return np.fromstring(text, dtype=dtype, sep=" ")
         except (ValueError, DeprecationWarning):
             return None
-    return values
+
+
+def _heights_in_one_call(text: str, start: int) -> np.ndarray | None:
+    """Every height of text[start:], read by _heights_by_mantissa or else
+    in one numpy float call, or None unless numpy reads it to its end.
+    text[start:] must be empty or start on a height line that is not
+    blank: numpy reads a blank text as [-1.0], or as [0] as integers."""
+    values = _heights_by_mantissa(text, start)
+    return _read_numbers(text[start:], float) if values is None else values
+
+
+# --- heights as integer mantissas ----------------------------------------------
+# A height written -?D+.D* is w / 10**f, w the integer of its digits with the
+# point dropped and f the number of digits after the point. numpy's integer
+# reader reads every w fast, where its float reader, like float, takes a
+# slow path on 17 digits. w / 10**f is the height correctly rounded in one
+# division when |w| < 2**53, w and 10**f (f <= 22) being exact (Clinger,
+# "How to Read Floating Point Numbers Accurately", 1990). Above, the
+# quotient q of float(w) / 10**f lies within two ulps of w / 10**f. The
+# residual w - q * 10**f, from w's two exact parts less Dekker's
+# two-product of q and 10**f, gives that distance in ulps of q, and q moves
+# by its nearest integer. A height whose distance lies within _MARGIN of a
+# tie, or whose q lies within four ulps of a power of two, where the ulp
+# changes, is left to float. Only correctly rounded +, -, *, /, rint,
+# frexp/ldexp and int64 arithmetic are used, so the heights do not depend
+# on numpy's SIMD dispatch.
+
+_SPACE, _MINUS, _POINT = 1, 2, 3
+_KIND = np.zeros(ord("0"), np.uint8)  # the bytes below "0"; 0 for one no height holds
+_KIND[list(b" \t\n\r\x0b\x0c")] = _SPACE  # numpy's separator " " takes C whitespace
+_KIND[ord("-")] = _MINUS
+_KIND[ord(".")] = _POINT
+_MAX_MANTISSA = 10 ** 18  # 18 digits: numpy's reader saturates at 2**63 - 1
+_MAX_FRACTION = len(_POW10) - 1  # 10**22, the largest power of ten a float holds
+_EXACT = 2 ** 53
+_MARGIN = 1e-6  # in ulps of q; the residual is good to about 1e-13 of one
+_BLOCK = 2048  # quotients rounded at a time: small temporaries are reused, not paged in
+
+
+def _heights_by_mantissa(text: str, start: int) -> np.ndarray | None:
+    """Every height of text[start:] when each is written -?D+.D*, with at
+    most 18 digits after its leading zeros and 22 after the point, between
+    C whitespace; None for any other text."""
+    try:
+        raw = text[start:].encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    mantissas = _read_numbers(raw.translate(None, b"."), np.int64)
+    if (mantissas is None or not mantissas.size or mantissas.min() <= -_MAX_MANTISSA
+            or mantissas.max() >= _MAX_MANTISSA):
+        return None
+    b = np.frombuffer(raw, np.uint8)
+    if b.max() > ord("9"):
+        return None
+    # the positions and kinds of the bytes that are not digits, with a space
+    # before and after the text
+    special = np.ones(b.size + 2, bool)
+    np.less(b, ord("0"), out=special[1:-1])
+    at = np.flatnonzero(special)
+    del special
+    at -= 1
+    kind = np.concatenate(([_SPACE], _KIND.take(b.take(at[1:-1])), [_SPACE]))
+    del b, raw
+    point = np.flatnonzero(kind == _POINT)
+    if point.size != mantissas.size or not kind.all():
+        return None
+    # one point in each height with digits before it, a sign only in front:
+    # after each point a space, before it a space or a sign
+    signed = kind.take(point - 1) == _MINUS
+    dot = at.take(point)
+    if (not (kind.take(point + 1) == _SPACE).all()
+            or not (dot - at.take(point - 1) > 1).all()):
+        return None
+    fraction = np.subtract(at.take(point + 1), dot, out=dot)
+    fraction -= 1
+    if fraction.max() > _MAX_FRACTION:
+        return None
+    minus = point[signed] - 1
+    if (minus.size != np.count_nonzero(kind == _MINUS)
+            or not (kind.take(minus - 1) == _SPACE).all()
+            or not (at.take(minus) - at.take(minus - 1) == 1).all()):
+        return None
+    heights = np.divide(mantissas, _POW10.take(fraction))
+    big = np.flatnonzero((mantissas >= _EXACT) | (mantissas <= -_EXACT))
+    for i in range(0, big.size, _BLOCK):
+        block = big[i:i + _BLOCK]
+        quotients = heights.take(block)
+        left = _round_quotients(quotients, mantissas.take(block), fraction.take(block))
+        heights[block] = quotients
+        for j in block[left].tolist():
+            first = start + at[point[j] - 1] + (not signed[j])
+            heights[j] = float(text[first:start + at[point[j] + 1]])
+    heights[signed & (mantissas == 0)] = -0.0
+    return heights
+
+
+def _round_quotients(q: np.ndarray, w: np.ndarray, fraction: np.ndarray) -> np.ndarray:
+    """Move each quotient q of float(w) / 10**fraction, |w| >= 2**53, to
+    w / 10**fraction correctly rounded, in place. Returns the mask of the
+    values left to float."""
+    scale = _POW10.take(fraction)
+    p = q * scale
+    hi = q * 134217729.0  # Veltkamp split of q
+    lo = hi - q
+    hi -= lo
+    np.subtract(q, hi, out=lo)
+    s_hi, s_lo = _POW10_HI.take(fraction), _POW10_LO.take(fraction)
+    err = hi * s_hi
+    err -= p
+    err += np.multiply(hi, s_lo, out=hi)
+    err += np.multiply(lo, s_hi, out=s_hi)
+    err += np.multiply(lo, s_lo, out=s_lo)  # q * 10**f = p + err
+    residual = w.astype(np.float64)
+    w_lo = residual.astype(np.int64)
+    np.subtract(w, w_lo, out=w_lo)  # w = float(w) + w_lo
+    residual -= p  # exact: p lies within a factor of 2 of float(w)
+    residual += np.subtract(w_lo, err, out=err)  # w - q * 10**f
+    mantissa, exponent = np.frexp(q)
+    exponent -= 53
+    residual /= np.ldexp(scale, exponent, out=scale)  # in ulps of q
+    steps = np.rint(residual)
+    residual -= steps
+    left = np.abs(residual, out=residual) > 0.5 - _MARGIN
+    np.abs(mantissa, out=mantissa)
+    left |= mantissa < 0.5 + 2.0 ** -51  # four ulps from a power of two
+    left |= mantissa > 1.0 - 2.0 ** -51
+    q += np.ldexp(steps, exponent, out=steps)
+    return left
 
 
 def _grid_fields(header: dict[str, str], values: np.ndarray) -> dict:
@@ -134,17 +281,17 @@ def _grid_fields(header: dict[str, str], values: np.ndarray) -> dict:
 
 def _parse_portable_grid(text: str) -> tuple[dict[str, str], dict]:
     """Header keys and the grid fields of portable grid text. The heights
-    are read in one numpy call from the first height line on. When numpy
-    stops short of the end, or _grid_fields refuses what it read (a wrong
-    count or a non-finite value), the per-line parse reads them again, so
-    every text gives the heights or the ParseError of that parse alone."""
-    lines = text.splitlines(keepends=True)
-    header, first = _read_header(lines)
-    values = _heights_in_one_call(text[sum(map(len, lines[:first])):])
+    are read from the first height line on by _heights_in_one_call. When
+    it stops short of the end, or _grid_fields refuses what it read (a
+    wrong count or a non-finite value), the per-line parse reads them
+    again, so every text gives the heights or the ParseError of that parse
+    alone."""
+    header, first, start = _header_of(text)
+    values = _heights_in_one_call(text, start)
     if values is not None:
         with contextlib.suppress(ParseError):
             return header, _grid_fields(header, values)
-    return header, _grid_fields(header, _heights_by_line(lines, first))
+    return header, _grid_fields(header, _heights_by_line(text[start:], first))
 
 
 def _scalar_grid(header: dict[str, str], fields: dict) -> TerrainGrid:

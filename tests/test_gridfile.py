@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -281,7 +285,8 @@ def parse_by_line(text):
     one-call parse."""
     lines = text.splitlines(keepends=True)
     header, first = gridfile._read_header(lines)
-    return header, gridfile._grid_fields(header, gridfile._heights_by_line(lines, first))
+    block = "".join(lines[first:])
+    return header, gridfile._grid_fields(header, gridfile._heights_by_line(block, first))
 
 
 def outcome(parse, text):
@@ -299,6 +304,14 @@ def outcome(parse, text):
 SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\xa0"]
 # tokens that float and numpy read differently or not at all
 ODD_TOKENS = ["1_000", "\u0661\u0662\u0663", "inf", "-inf", "nan(1)", "nan", "1e400"]
+# tokens at the edges of the integer-mantissa kernel's rules: numpy's
+# integer reader takes "- 5" and "+5" as numbers
+KERNEL_EDGE_TOKENS = ["-", "+1.5", "5.", "-0.", ".5", "-.5", "1.5.5", "1.5-2.5", "1e5", "7",
+                      "123456789012345678.9", "0.00000000000000000000001", "-0.0"]
+# heights repr writes in fixed notation, each token -?D+.D+, which the
+# kernel reads; HEIGHTS mostly holds exponents, which it leaves to numpy
+FIXED_HEIGHTS = st.one_of(st.sampled_from([-0.0, 0.0, VOID_ELEVATION]),
+                          st.floats(min_value=-1e4, max_value=1e4))
 
 
 @st.composite
@@ -306,15 +319,18 @@ def grid_texts(draw):
     """Portable grid text of a random 1-6 x 1-6 grid in a random layout:
     ragged rows, mixed separators, CR LF, trailing blanks, blank lines and
     comments on height lines, odd tokens, an extra token after the last
-    height and a key after the heights."""
+    height and a key after the heights. The heights are any floats or
+    fixed-notation ones."""
     shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    elements = draw(st.sampled_from([HEIGHTS, FIXED_HEIGHTS]))
     grid = TerrainGrid(lat0=-35.0, lon0=138.0, dlat=0.001, dlon=0.001,
-                       H=draw(arrays(float, shape, elements=HEIGHTS)))
+                       H=draw(arrays(float, shape, elements=elements)))
     tokens = [repr(v) for v in grid.H.ravel().tolist()]
     damaged = draw(st.booleans())
     if damaged:
-        for at, token in draw(st.lists(st.tuples(st.integers(0, len(tokens) - 1),
-                                                 st.sampled_from(ODD_TOKENS)), max_size=2)):
+        odd = st.sampled_from(ODD_TOKENS + KERNEL_EDGE_TOKENS)
+        for at, token in draw(st.lists(st.tuples(st.integers(0, len(tokens) - 1), odd),
+                                       max_size=2)):
             tokens[at] = token
         if draw(st.booleans()):
             tokens.append("0.0")
@@ -356,9 +372,9 @@ def test_one_call_parse_matches_the_per_line_parse(text):
 def test_inputs_numpy_stops_on_take_the_per_line_parse(monkeypatch, old, new):
     calls = []
 
-    def by_line(lines, first):
+    def by_line(block, first):
         calls.append(first)
-        return heights_by_line(lines, first)
+        return heights_by_line(block, first)
 
     heights_by_line = gridfile._heights_by_line
     monkeypatch.setattr(gridfile, "_heights_by_line", by_line)
@@ -373,14 +389,22 @@ def test_inputs_numpy_stops_on_take_the_per_line_parse(monkeypatch, old, new):
 
 def test_partial_read_warning_is_a_refusal(monkeypatch):
     # numpy releases before the ValueError only warn on a partial read and
-    # return the values read so far
-    def warn_and_stop(block, sep):
-        warnings.warn("string or file could not be read to its end", DeprecationWarning)
-        return np.zeros(4)
+    # return the values read so far: a partial integer read leaves the text
+    # to the float read, a partial float read to the per-line parse
+    def warn_and_stop(text, dtype=float, sep=""):
+        calls.append(dtype)
+        if dtype in partial:
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return np.zeros(4, dtype)
+        return fromstring(text, dtype=dtype, sep=sep)
 
+    fromstring = np.fromstring
     monkeypatch.setattr(np, "fromstring", warn_and_stop)
     text = write_portable_grid(grid_with(5.0, (0, 0), (2, 2)))
-    assert read_portable_grid(text).H.tolist() == [[5.0, 0.0], [0.0, 0.0]]
+    for partial in ({np.int64}, {np.int64, float}):
+        calls = []
+        assert read_portable_grid(text).H.tolist() == [[5.0, 0.0], [0.0, 0.0]]
+        assert calls == [np.int64, float]
 
 
 @pytest.mark.skipif(np.__version__ != "2.4.6", reason="pins the quirk of numpy 2.4.6")
@@ -389,10 +413,206 @@ def test_numpy_reads_a_blank_text_as_minus_one():
     assert np.fromstring(" ", sep=" ").tolist() == [-1.0]
 
 
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="pins the reader of numpy 2.4.6")
+def test_numpy_integer_reader_as_the_kernel_reads_it():
+    # a mantissa past 18 digits can saturate, so the kernel refuses any
+    # |w| >= 10**18; "-0" loses its sign, which the kernel takes from the
+    # token; a point stops the reader, so every point is dropped first
+    def read(text):
+        return np.fromstring(text, dtype=np.int64, sep=" ").tolist()
+
+    assert read("12345678901234567890 -12345678901234567890") == [2 ** 63 - 1] * 2
+    assert read("-0 -00") == [0, 0]
+    with pytest.raises(ValueError):
+        read("1.0")
+
+
 def test_blank_lines_after_the_header_hold_no_height():
     text = "".join(write_portable_grid(grid_with(0.0, (0, 0), (2, 2))).splitlines(True)[:8])
     with pytest.raises(ParseError, match="^expected 4 heights, found 0$"):
         read_portable_grid(text + "   \n\t\n# no heights\n \n")
+
+
+@pytest.mark.parametrize("cut", [0, 3, 9, 13, 14, 15])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_header_longer_than_the_prefix_read(cut, newline):
+    # 200 comment lines put the header's end past the first prefix split,
+    # and a later prefix ends cut characters into its last line,
+    # "geoid_n = 0.0", or into the line break after it
+    grid = grid_with(5.0, (0, 0), (2, 2))
+    lines = write_portable_grid(grid).splitlines()
+    comments = [f"# comment {i}" for i in range(200)]
+    header = newline.join(comments + lines[:7]) + newline
+    comments[-1] += "x" * (4 * gridfile._HEADER_PREFIX - cut - len(header))
+    text = newline.join(comments + lines) + newline
+    assert text.index("geoid_n") == 4 * gridfile._HEADER_PREFIX - cut
+    assert outcome(gridfile._parse_portable_grid, text) == outcome(parse_by_line, text)
+    assert read_portable_grid(text).H.tolist() == grid.H.tolist()
+    for old, new, line in [("n_lon = 2", "n_lon = 2\nn_lon = 2", 208),
+                           ("5.0 0.0", "5.0 oops", 209)]:
+        bad = text.replace(old, new.replace("\n", newline), 1)
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            read_portable_grid(bad)
+        assert outcome(gridfile._parse_portable_grid, bad) == outcome(parse_by_line, bad)
+
+
+# --- the integer-mantissa kernel against float --------------------------------
+
+def kernel_reads(tokens):
+    """_heights_by_mantissa of tokens written 100 to a line, or None."""
+    text = "\n".join(" ".join(tokens[i:i + 100]) for i in range(0, len(tokens), 100)) + "\n"
+    return gridfile._heights_by_mantissa(text, 0)
+
+
+def as_float(tokens):
+    return np.array([float(token) for token in tokens])
+
+
+def decimal_token(w, f, negative):
+    """The token of w / 10**f with f digits after the point."""
+    digits = str(w).rjust(f + 1, "0")
+    return "-" * negative + digits[:len(digits) - f] + "." + digits[len(digits) - f:]
+
+
+def random_tokens(rng, n):
+    """Tokens of 1-18 digit mantissas with 0-22 digits after the point,
+    either sign."""
+    digits = rng.integers(1, 19, n).tolist()
+    return [decimal_token(int(rng.integers(10 ** (d - 1), 10 ** d)), f, negative)
+            for d, f, negative in zip(digits, rng.integers(0, 23, n).tolist(),
+                                      rng.integers(0, 2, n).tolist())]
+
+
+def edge_tokens():
+    """Binary midpoints written out in full (ties to even), the digits of
+    2**53 + 1 moved into [1e-2, 1e4], powers of two and their neighbours,
+    and both zeros."""
+    tokens = ["9007199254740993.0", "9007199254740995.0", "4503599627370496.5",
+              "18014398509481986.0", "18014398509481990.0", "144115188075855888.",
+              "0.0", "-0.0", "-0.", "0.000", "-0000.00"]
+    digits = "9007199254740993"
+    tokens += [digits[:k] + "." + digits[k:] for k in range(1, 5)] + ["0.09007199254740993"]
+    for e in range(-6, 57):
+        x = 2.0 ** e
+        for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)):
+            if 1e-4 <= y < 1e16:  # repr's fixed notation
+                tokens += [repr(float(y)), repr(-float(y))]
+        if e >= 0:  # the integer itself, and one either side
+            tokens += [f"{2 ** e + k}.0" for k in (-1, 0, 1) if 2 ** e + k < 10 ** 17]
+    return tokens
+
+
+def test_kernel_matches_float_on_random_tokens():
+    tokens = random_tokens(np.random.default_rng(1990), 100_000)
+    assert kernel_reads(tokens).tobytes() == as_float(tokens).tobytes()
+
+
+def test_kernel_matches_float_on_ties_and_powers_of_two():
+    tokens = edge_tokens()
+    assert kernel_reads(tokens).tobytes() == as_float(tokens).tobytes()
+    assert np.signbit(kernel_reads(["-0.0", "0.0", "-0."])).tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("inside, outside", [
+    ("12345678901234567.8", "123456789012345678.9"),  # 18 and 19 digits
+    ("-99999999999999999.9", "-999999999999999999.9"),
+    ("0.0000000000000000000001", "0.00000000000000000000001"),  # 22 and 23 after the point
+    ("000000000000000000000012345678901234567.8", "0000123456789012345678.9")])
+def test_kernel_limits(inside, outside):
+    # a text holding a token past the limits is read by numpy as floats
+    assert kernel_reads([inside, "1.5"]).tolist() == [float(inside), 1.5]
+    assert kernel_reads([inside, outside]) is None
+    text = write_portable_grid(grid_with(7.25, (0, 1), (1, 2))).replace("0.0 7.25", f"{inside} {outside}")
+    assert read_portable_grid(text).H.tolist() == [[float(inside), float(outside)]]
+
+
+@pytest.mark.parametrize("token", ["- 5.0", "-", "+5.0", ".5", "-.5", "5", "5.5.5", "5.0-1.0",
+                                   "--5.0", "5.0#", "1e5", "5.0\x1c", "5,0", "5/0", "\xa05.0"])
+def test_kernel_refuses_tokens_outside_its_rules(token):
+    # numpy's integer reader takes "- 5" and "+5"; the kernel's own rules
+    # refuse them, and the text is read as before
+    assert kernel_reads(["1.5", token]) is None
+    text = write_portable_grid(grid_with(7.25, (0, 1), (1, 2))).replace("0.0 7.25", f"1.5 {token}")
+    assert outcome(gridfile._parse_portable_grid, text) == outcome(parse_by_line, text)
+
+
+def test_kernel_leaves_few_values_to_float(monkeypatch):
+    """Seeded bulk sets: repr of heights over the globe's range and
+    arbitrary 17-18 digit decimals. A repr'd height goes to float only
+    within 1e-6 ulp of a tie or four ulps of a power of two; an arbitrary
+    decimal with few digits after the point is often an exact tie (here
+    0.16 %). A kernel that left every value to float would fail here."""
+    rng = np.random.default_rng(53)
+    n = 200_000
+    heights = [repr(h) for h in rng.uniform(-500.0, 9000.0, n).tolist()]
+    decimals = [decimal_token(int(w), int(f), int(negative)) for w, f, negative in zip(
+        rng.integers(10 ** 16, 10 ** 18, n), rng.integers(0, 23, n), rng.integers(0, 2, n))]
+    seen = []
+
+    def counting_float(token):
+        seen.append(token)
+        return float(token)
+
+    monkeypatch.setattr(gridfile, "float", counting_float, raising=False)
+    for tokens, share in ((heights, 1e-4), (decimals, 5e-3)):
+        seen.clear()
+        assert kernel_reads(tokens).tobytes() == as_float(tokens).tobytes()
+        assert len(seen) / n < share, (len(seen), n)
+
+
+DISPATCH_CHECK = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import test_gridfile as t
+sys.stdout.write(t.dispatch_bytes().hex())
+"""
+
+
+def dispatch_bytes():
+    """The kernel's bytes on the exactness sets, for the dispatch test."""
+    tokens = random_tokens(np.random.default_rng(7), 20_000) + edge_tokens()
+    values = kernel_reads(tokens)
+    assert values.tobytes() == as_float(tokens).tobytes()
+    return values.tobytes()
+
+
+def test_kernel_bytes_do_not_depend_on_simd_dispatch():
+    # numpy's AVX-512 arctan2 rounds unlike its other loops; the kernel's
+    # operations are all correctly rounded, so its bytes must not move
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    features = [name for name in getattr(umath, "__cpu_dispatch__", [])
+                if umath.__cpu_features__.get(name)
+                and (name.startswith("AVX512") or name == "X86_V4")]
+    if not features:
+        pytest.skip("this machine reports no AVX-512 feature")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features),
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   os.path.join(os.path.dirname(tests), "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", DISPATCH_CHECK, tests], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert bytes.fromhex(run.stdout) == dispatch_bytes()
+
+
+def test_load_peak_memory(tmp_path):
+    # a 120 x 120 tile of 17-digit heights, the terrain_dense tile: the
+    # kernel's byte masks and temporaries stay under 2 MB (0.92 MB for the
+    # float read with its per-line split)
+    draws = np.random.default_rng(17).uniform(100.0, 1000.0, 80_000).tolist()
+    h = np.array([v for v in draws if len(repr(v)) == 18][:14_400]).reshape(120, 120)
+    grid = TerrainGrid(lat0=-35.0, lon0=138.0, dlat=0.001, dlon=0.001, H=h)
+    path = tmp_path / "tile.grid"
+    path.write_text(write_portable_grid(grid))
+    assert load_portable_grid(str(path)).H.tobytes() == h.tobytes()
+    tracemalloc.start()
+    try:
+        load_portable_grid(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 # --- the writer's bytes ---------------------------------------------------------
