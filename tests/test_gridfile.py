@@ -562,7 +562,6 @@ def test_kernel_leaves_few_values_to_float(monkeypatch):
 
 DISPATCH_CHECK = """
 import sys
-import numpy as np
 sys.path.insert(0, sys.argv[1])
 import test_gridfile as t
 sys.stdout.write(t.dispatch_bytes().hex())
@@ -598,7 +597,7 @@ def test_kernel_bytes_do_not_depend_on_simd_dispatch():
 
 def test_load_peak_memory(tmp_path):
     # a 120 x 120 tile of 17-digit heights, the terrain_dense tile: the
-    # kernel's byte masks and temporaries stay under 2 MB (0.92 MB for the
+    # kernel's byte masks and temporaries stay under 2 MB (0.96 MB for the
     # float read with its per-line split)
     draws = np.random.default_rng(17).uniform(100.0, 1000.0, 80_000).tolist()
     h = np.array([v for v in draws if len(repr(v)) == 18][:14_400]).reshape(120, 120)
