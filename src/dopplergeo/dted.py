@@ -164,9 +164,11 @@ def write_dted(grid: TerrainGrid) -> bytes:
     caller's business). Heights are rounded to whole meters, half to even
     (-123.5 to -124, 812.25 to 812), and must not be infinite; NaN, a post
     without a height, is written as a void. The geoid undulation is not
-    carried by the format. At most 9999 posts a side, and the origin
-    longitude lies in [-180, 180].
+    carried by the format. At least 1 and at most 9999 posts a side, and
+    the origin longitude lies in [-180, 180].
     """
+    if not grid.H.size:
+        raise DtedError(f"a DTED tile holds at least one post, got H of shape {grid.H.shape}")
     _check_longitude(grid.lon0, DtedError)
     level = level_for_spacing(grid.dlat)
     header = bytearray(b" " * HEADER_SIZE)

@@ -73,13 +73,30 @@ class Positions:
 # and four more words of fraction digits. Leading and trailing zeros come
 # out as NUL bytes, which are dropped: what is left is the rows' text.
 
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of x into hi + lo, each with at most 26 significant
+    bits, so that a product of two parts is exact."""
+    split = x * 134217729.0  # 2**27 + 1
+    hi = split - (split - x)
+    return hi, x - hi
+
+
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # exact up to 10**22
-_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)  # Veltkamp split
-_POW10_LO = _POW10 - _POW10_HI
+_POW10_HI, _POW10_LO = _split(_POW10)
 _POW10_INT = np.array([10 ** k for k in range(19)], dtype=np.int64)
 _MARGIN = 1e-6
 _KERNEL_MIN = 256
 _BLOCK = 4096
+
+
+def _times_pow10(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's two-product of x and 10**k, k in 0..22: p = x * 10**k
+    rounded and its error err, with x * 10**k = p + err exactly unless a
+    part under- or overflows."""
+    p = x * _POW10[k]
+    hi, lo = _split(x)
+    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
+    return p, ((hi * s_hi - p) + hi * s_lo + lo * s_hi) + lo * s_lo
 
 
 _DIGITS, _LEADING, _UNITS, _TRAILING, _POINT, _POINT_TRAILING, _SEPARATOR = (
@@ -122,16 +139,10 @@ def _shortest_digits(x: np.ndarray, words: np.ndarray) -> np.ndarray:
     v = a * _POW10[k]
     k += v < 1e16
     k -= v >= 1e17
-    scale = _POW10[k]
-    v = a * scale
+    v, err = _times_pow10(a, k)  # V = v + err
     left = (v < 1e16) | (v >= 1e17)
-    split = a * 134217729.0
-    a_hi = split - (split - a)
-    a_lo = a - a_hi
-    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
-    err = ((a_hi * s_hi - v) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo  # V = v + err
     mantissa, exponent = np.frexp(a)
-    up = np.ldexp(scale, exponent - 54)
+    up = np.ldexp(_POW10[k], exponent - 54)
     down = up * (1.0 - 0.5 * (mantissa == 0.5))
     base = v.astype(np.int64)
     hundreds = base - base // 100 * 100

@@ -3,20 +3,19 @@
 # Portable text format for terrain grids ("key = value" header, then
 # whitespace-separated heights) so test fixtures are human-readable, plus
 # synthetic tile generators (flat, ridge). The reader splits only a prefix
-# of the text to find the header's end, reads the heights as integer
-# mantissas over powers of ten (_heights_by_mantissa) or else in one numpy
-# float call, and keeps the per-line parse as the one error path.
+# of the text to find the header's end and reads the heights once: as
+# integer mantissas over powers of ten (_heights_by_mantissa), or, for any
+# text that kernel refuses, by the per-line parse, the one error path.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import os
 import warnings
 
 import numpy as np
 
-from .export import _POW10, _POW10_HI, _POW10_LO, repr_rows
+from .export import _POW10, _times_pow10, repr_rows
 from .terrain import VOID_ELEVATION, TerrainGrid
 
 REQUIRED_KEYS = ("lat0", "lon0", "dlat", "dlon", "n_lat", "n_lon")
@@ -38,7 +37,11 @@ def write_portable_grid(grid: TerrainGrid) -> str:
 
     A scalar geoid undulation is written inline; an undulation grid must be
     saved separately and referenced via the geoid_grid key by the caller.
+    A grid without posts is refused: the reader takes n_lat and n_lon of at
+    least 1.
     """
+    if not grid.H.size:
+        raise ValueError(f"a portable grid holds at least one post, got H of shape {grid.H.shape}")
     lines = ["# portable terrain grid"]
     lines += [f"{key} = {getattr(grid, key)!r}" for key in REQUIRED_KEYS]
     if np.isscalar(grid.N):
@@ -93,8 +96,9 @@ def _header_of(text: str) -> tuple[dict[str, str], int, int]:
 def _heights_by_line(block: str, first: int) -> np.ndarray:
     """The heights of block, the text from line index first on, one line at
     a time: blank lines and comments are skipped, and any other text is a
-    bad height value, named with its line number. This is the parse
-    _heights_in_one_call must agree with."""
+    bad height value, named with its line number. This reads every text
+    _heights_by_mantissa refuses, and is the oracle that kernel must agree
+    with."""
     heights: list[np.ndarray] = []
     for lineno, raw in enumerate(block.splitlines(), start=first + 1):
         line = raw.split("#", 1)[0].strip()
@@ -105,28 +109,6 @@ def _heights_by_line(block: str, first: int) -> np.ndarray:
         except ValueError as exc:
             raise ParseError(f"bad height value: {exc}", lineno) from exc
     return np.concatenate(heights) if heights else np.zeros(0)
-
-
-def _read_numbers(text, dtype) -> np.ndarray | None:
-    """np.fromstring(text, dtype=dtype, sep=" "), or None unless numpy
-    reads text to its end."""
-    with warnings.catch_warnings():
-        # older numpy releases only warn on a partial read and return what
-        # they read
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            return np.fromstring(text, dtype=dtype, sep=" ")
-        except (ValueError, DeprecationWarning):
-            return None
-
-
-def _heights_in_one_call(text: str, start: int) -> np.ndarray | None:
-    """Every height of text[start:], read by _heights_by_mantissa or else
-    in one numpy float call, or None unless numpy reads it to its end.
-    text[start:] must be empty or start on a height line that is not
-    blank: numpy reads a blank text as [-1.0], or as [0] as integers."""
-    values = _heights_by_mantissa(text, start)
-    return _read_numbers(text[start:], float) if values is None else values
 
 
 # --- heights as integer mantissas ----------------------------------------------
@@ -165,8 +147,15 @@ def _heights_by_mantissa(text: str, start: int) -> np.ndarray | None:
         raw = text[start:].encode("ascii")
     except UnicodeEncodeError:
         return None
-    mantissas = _read_numbers(raw.translate(None, b"."), np.int64)
-    if (mantissas is None or not mantissas.size or mantissas.min() <= -_MAX_MANTISSA
+    with warnings.catch_warnings():
+        # older numpy releases only warn on a partial read and return what
+        # they read
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            mantissas = np.fromstring(raw.translate(None, b"."), dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    if (not mantissas.size or mantissas.min() <= -_MAX_MANTISSA
             or mantissas.max() >= _MAX_MANTISSA):
         return None
     b = np.frombuffer(raw, np.uint8)
@@ -218,18 +207,7 @@ def _round_quotients(q: np.ndarray, w: np.ndarray, fraction: np.ndarray) -> np.n
     """Move each quotient q of float(w) / 10**fraction, |w| >= 2**53, to
     w / 10**fraction correctly rounded, in place. Returns the mask of the
     values left to float."""
-    scale = _POW10.take(fraction)
-    p = q * scale
-    hi = q * 134217729.0  # Veltkamp split of q
-    lo = hi - q
-    hi -= lo
-    np.subtract(q, hi, out=lo)
-    s_hi, s_lo = _POW10_HI.take(fraction), _POW10_LO.take(fraction)
-    err = hi * s_hi
-    err -= p
-    err += np.multiply(hi, s_lo, out=hi)
-    err += np.multiply(lo, s_hi, out=s_hi)
-    err += np.multiply(lo, s_lo, out=s_lo)  # q * 10**f = p + err
+    p, err = _times_pow10(q, fraction)  # q * 10**f = p + err
     residual = w.astype(np.float64)
     w_lo = residual.astype(np.int64)
     np.subtract(w, w_lo, out=w_lo)  # w = float(w) + w_lo
@@ -237,7 +215,7 @@ def _round_quotients(q: np.ndarray, w: np.ndarray, fraction: np.ndarray) -> np.n
     residual += np.subtract(w_lo, err, out=err)  # w - q * 10**f
     mantissa, exponent = np.frexp(q)
     exponent -= 53
-    residual /= np.ldexp(scale, exponent, out=scale)  # in ulps of q
+    residual /= np.ldexp(_POW10.take(fraction), exponent)  # in ulps of q
     steps = np.rint(residual)
     residual -= steps
     left = np.abs(residual, out=residual) > 0.5 - _MARGIN
@@ -280,18 +258,15 @@ def _grid_fields(header: dict[str, str], values: np.ndarray) -> dict:
 
 
 def _parse_portable_grid(text: str) -> tuple[dict[str, str], dict]:
-    """Header keys and the grid fields of portable grid text. The heights
-    are read from the first height line on by _heights_in_one_call. When
-    it stops short of the end, or _grid_fields refuses what it read (a
-    wrong count or a non-finite value), the per-line parse reads them
-    again, so every text gives the heights or the ParseError of that parse
-    alone."""
+    """Header keys and the grid fields of portable grid text. The heights,
+    from the first height line on, are read once: by _heights_by_mantissa,
+    or by the per-line parse for any text that kernel refuses, so every
+    text gives the heights or the ParseError of that parse."""
     header, first, start = _header_of(text)
-    values = _heights_in_one_call(text, start)
-    if values is not None:
-        with contextlib.suppress(ParseError):
-            return header, _grid_fields(header, values)
-    return header, _grid_fields(header, _heights_by_line(text[start:], first))
+    values = _heights_by_mantissa(text, start)
+    if values is None:
+        values = _heights_by_line(text[start:], first)
+    return header, _grid_fields(header, values)
 
 
 def _scalar_grid(header: dict[str, str], fields: dict) -> TerrainGrid:

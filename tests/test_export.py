@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -403,3 +404,15 @@ def test_repr_rows_bulk_is_repr_and_uses_the_kernel(monkeypatch):
         a = np.abs(seen)
         left = np.count_nonzero((a >= 1e-2) & (a < 1e15))
         assert in_range > 5_000 and left / in_range < share, (name, left, in_range)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(1e-250, 1e250).flatmap(lambda a: st.sampled_from([a, -a])),
+       k=st.integers(0, 22))
+@example(x=1e250, k=22)
+@example(x=-1e-250, k=0)
+@example(x=math.nextafter(1.0, 2.0), k=22)
+def test_two_product_by_a_power_of_ten_is_exact(x, k):
+    # the repr kernel and the height reader both take x * 10**k as p + err
+    p, err = export._times_pow10(np.array([x]), np.array([k]))
+    assert Fraction(p[0]) + Fraction(err[0]) == Fraction(x) * 10 ** k

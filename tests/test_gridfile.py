@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dopplergeo import gridfile
+from dopplergeo.dted import DtedError, write_dted
 from dopplergeo.gridfile import (
     REQUIRED_KEYS,
     ParseError,
@@ -37,10 +38,10 @@ def test_two_by_two_round_trip():
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # voids (NaN), both zeros and any height out to 1e+-300, subnormals
-# included, but the void value, which reads back as NaN
+# included; the void value reads back as NaN, which tiles() draws it as (a
+# filter here made drawing the tiles ten times slower)
 HEIGHTS = st.one_of(st.sampled_from([np.nan, -0.0, 0.0]),
-                    st.floats(min_value=-1e300, max_value=1e300)
-                    .filter(lambda h: h != VOID_ELEVATION))
+                    st.floats(min_value=-1e300, max_value=1e300))
 
 
 @st.composite
@@ -55,8 +56,9 @@ def tiles(draw):
                 .filter(lambda dlat: dlat * rows <= 180.0))
     span = dlat * rows
     lat0 = draw(st.floats(-90.0, max(90.0 - span, -90.0)).filter(lambda lat0: lat0 + span <= 90.0))
-    return TerrainGrid(lat0=lat0, lon0=draw(FINITE), dlat=dlat,
-                       dlon=draw(spacing), H=draw(arrays(float, shape, elements=HEIGHTS)),
+    h = draw(arrays(float, shape, elements=HEIGHTS))
+    h[h == VOID_ELEVATION] = np.nan
+    return TerrainGrid(lat0=lat0, lon0=draw(FINITE), dlat=dlat, dlon=draw(spacing), H=h,
                        N=draw(FINITE))
 
 
@@ -278,11 +280,11 @@ def test_ridge_profile():
     assert (np.diff(grid.H[0, :5]) > 0).all()
 
 
-# --- the one-call height parse and its per-line oracle -----------------------
+# --- the reader's height parse and its per-line oracle ------------------------
 
 def parse_by_line(text):
     """_parse_portable_grid with the per-line loop alone: the oracle of the
-    one-call parse."""
+    kernel's reads."""
     lines = text.splitlines(keepends=True)
     header, first = gridfile._read_header(lines)
     block = "".join(lines[first:])
@@ -309,7 +311,8 @@ ODD_TOKENS = ["1_000", "\u0661\u0662\u0663", "inf", "-inf", "nan(1)", "nan", "1e
 KERNEL_EDGE_TOKENS = ["-", "+1.5", "5.", "-0.", ".5", "-.5", "1.5.5", "1.5-2.5", "1e5", "7",
                       "123456789012345678.9", "0.00000000000000000000001", "-0.0"]
 # heights repr writes in fixed notation, each token -?D+.D+, which the
-# kernel reads; HEIGHTS mostly holds exponents, which it leaves to numpy
+# kernel reads; HEIGHTS mostly holds exponents, which it leaves to the
+# per-line parse
 FIXED_HEIGHTS = st.one_of(st.sampled_from([-0.0, 0.0, VOID_ELEVATION]),
                           st.floats(min_value=-1e4, max_value=1e4))
 
@@ -368,6 +371,8 @@ def test_one_call_parse_matches_the_per_line_parse(text):
     ("5.0 0.0", "5.0\x1c0.0"),
     ("5.0 0.0", "5.0\xa00.0"),
     ("5.0 0.0", "nan(1) 0.0"),
+    ("5.0 0.0", "5e0 0.0"),
+    ("5.0 0.0", "1e-05 0.0"),
     ("0.0 0.0\n", "0.0 0.0\ngeoid_n = 1.0\n")])
 def test_inputs_numpy_stops_on_take_the_per_line_parse(monkeypatch, old, new):
     calls = []
@@ -383,46 +388,40 @@ def test_inputs_numpy_stops_on_take_the_per_line_parse(monkeypatch, old, new):
     assert calls == []
     text = text.replace(old, new, 1)
     assert text != write_portable_grid(grid_with(5.0, (0, 0), (2, 2)))
-    assert outcome(gridfile._parse_portable_grid, text) == outcome(parse_by_line, text)
-    assert calls[0] == 8  # from the first height line on
+    read = outcome(gridfile._parse_portable_grid, text)
+    assert calls == [8]  # once, from the first height line on, before the oracle's call
+    assert read == outcome(parse_by_line, text)
 
 
 def test_partial_read_warning_is_a_refusal(monkeypatch):
     # numpy releases before the ValueError only warn on a partial read and
     # return the values read so far: a partial integer read leaves the text
-    # to the float read, a partial float read to the per-line parse
+    # to the per-line parse
     def warn_and_stop(text, dtype=float, sep=""):
         calls.append(dtype)
-        if dtype in partial:
-            warnings.warn("string or file could not be read to its end", DeprecationWarning)
-            return np.zeros(4, dtype)
-        return fromstring(text, dtype=dtype, sep=sep)
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.zeros(4, dtype)
 
-    fromstring = np.fromstring
     monkeypatch.setattr(np, "fromstring", warn_and_stop)
     text = write_portable_grid(grid_with(5.0, (0, 0), (2, 2)))
-    for partial in ({np.int64}, {np.int64, float}):
-        calls = []
-        assert read_portable_grid(text).H.tolist() == [[5.0, 0.0], [0.0, 0.0]]
-        assert calls == [np.int64, float]
-
-
-@pytest.mark.skipif(np.__version__ != "2.4.6", reason="pins the quirk of numpy 2.4.6")
-def test_numpy_reads_a_blank_text_as_minus_one():
-    # why the one-call block starts on a height line that is not blank
-    assert np.fromstring(" ", sep=" ").tolist() == [-1.0]
+    calls = []
+    assert read_portable_grid(text).H.tolist() == [[5.0, 0.0], [0.0, 0.0]]
+    assert calls == [np.int64]
 
 
 @pytest.mark.skipif(np.__version__ != "2.4.6", reason="pins the reader of numpy 2.4.6")
 def test_numpy_integer_reader_as_the_kernel_reads_it():
     # a mantissa past 18 digits can saturate, so the kernel refuses any
     # |w| >= 10**18; "-0" loses its sign, which the kernel takes from the
-    # token; a point stops the reader, so every point is dropped first
+    # token; a point stops the reader, so every point is dropped first; a
+    # blank text reads as one 0, which the kernel's count of points refuses
     def read(text):
         return np.fromstring(text, dtype=np.int64, sep=" ").tolist()
 
     assert read("12345678901234567890 -12345678901234567890") == [2 ** 63 - 1] * 2
     assert read("-0 -00") == [0, 0]
+    assert read(" ") == [0]
+    assert gridfile._heights_by_mantissa(" ", 0) is None
     with pytest.raises(ValueError):
         read("1.0")
 
@@ -519,7 +518,7 @@ def test_kernel_matches_float_on_ties_and_powers_of_two():
     ("0.0000000000000000000001", "0.00000000000000000000001"),  # 22 and 23 after the point
     ("000000000000000000000012345678901234567.8", "0000123456789012345678.9")])
 def test_kernel_limits(inside, outside):
-    # a text holding a token past the limits is read by numpy as floats
+    # a text holding a token past the limits is read by the per-line parse
     assert kernel_reads([inside, "1.5"]).tolist() == [float(inside), 1.5]
     assert kernel_reads([inside, outside]) is None
     text = write_portable_grid(grid_with(7.25, (0, 1), (1, 2))).replace("0.0 7.25", f"{inside} {outside}")
@@ -530,7 +529,7 @@ def test_kernel_limits(inside, outside):
                                    "--5.0", "5.0#", "1e5", "5.0\x1c", "5,0", "5/0", "\xa05.0"])
 def test_kernel_refuses_tokens_outside_its_rules(token):
     # numpy's integer reader takes "- 5" and "+5"; the kernel's own rules
-    # refuse them, and the text is read as before
+    # refuse them, and the per-line parse reads the text
     assert kernel_reads(["1.5", token]) is None
     text = write_portable_grid(grid_with(7.25, (0, 1), (1, 2))).replace("0.0 7.25", f"1.5 {token}")
     assert outcome(gridfile._parse_portable_grid, text) == outcome(parse_by_line, text)
@@ -597,8 +596,7 @@ def test_kernel_bytes_do_not_depend_on_simd_dispatch():
 
 def test_load_peak_memory(tmp_path):
     # a 120 x 120 tile of 17-digit heights, the terrain_dense tile: the
-    # kernel's byte masks and temporaries stay under 2 MB (0.96 MB for the
-    # float read with its per-line split)
+    # kernel's byte masks and temporaries stay under 2 MB
     draws = np.random.default_rng(17).uniform(100.0, 1000.0, 80_000).tolist()
     h = np.array([v for v in draws if len(repr(v)) == 18][:14_400]).reshape(120, 120)
     grid = TerrainGrid(lat0=-35.0, lon0=138.0, dlat=0.001, dlon=0.001, H=h)
@@ -645,3 +643,14 @@ WRITER_SHAPES = st.one_of(st.sampled_from([(1, 1), (15, 17), (16, 16), (1, 257),
 def test_writer_bytes_match_repr(h):
     grid = TerrainGrid(lat0=-35.0, lon0=138.0, dlat=0.001, dlon=0.002, H=h, N=-3.5)
     assert write_portable_grid(grid) == write_by_repr(grid)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+@pytest.mark.parametrize("write, error", [(write_portable_grid, ValueError),
+                                          (write_dted, DtedError)])
+def test_writers_refuse_a_grid_without_posts(write, error, shape):
+    # TerrainGrid takes an H without posts; both writers used to write a
+    # tile that their own reader refuses (n_lat = 0, or a 0000 post count)
+    grid = TerrainGrid(lat0=-35.0, lon0=138.0, dlat=1 / 1200, dlon=1 / 1200, H=np.zeros(shape))
+    with pytest.raises(error, match=re.escape(f"at least one post, got H of shape {shape}")):
+        write(grid)
